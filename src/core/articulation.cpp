@@ -3,16 +3,20 @@
 #include <algorithm>
 
 #include "tree/tree_index.hpp"
+#include "util/check.hpp"
 
 namespace pardfs {
 
 CutStructure find_cuts(const Graph& g, std::span<const Vertex> parent) {
-  const Vertex cap = g.capacity();
-  std::vector<std::uint8_t> alive(static_cast<std::size_t>(cap), 0);
-  for (Vertex v = 0; v < cap; ++v) alive[static_cast<std::size_t>(v)] = g.is_alive(v);
   TreeIndex index;
-  index.build(parent, alive);
+  index.build(parent, g.alive());
+  return find_cuts(g, index);
+}
 
+CutStructure find_cuts(const Graph& g, const TreeIndex& index) {
+  const Vertex cap = g.capacity();
+  PARDFS_CHECK_MSG(index.capacity() == cap, "find_cuts: index does not cover the graph");
+  const auto parent = [&](Vertex v) { return index.parent(v); };
   CutStructure out;
   out.is_articulation.assign(static_cast<std::size_t>(cap), 0);
 
@@ -24,8 +28,7 @@ CutStructure find_cuts(const Graph& g, std::span<const Vertex> parent) {
     const Vertex v = index.vertex_at_pre(i);
     std::int32_t lv = index.depth(v);
     for (const Vertex w : g.neighbors(v)) {
-      if (parent[static_cast<std::size_t>(w)] == v ||
-          parent[static_cast<std::size_t>(v)] == w) {
+      if (parent(w) == v || parent(v) == w) {
         continue;  // tree edge
       }
       // Back edge: contributes the other endpoint's depth when it is an
@@ -40,7 +43,7 @@ CutStructure find_cuts(const Graph& g, std::span<const Vertex> parent) {
 
   for (Vertex v = 0; v < cap; ++v) {
     if (!g.is_alive(v)) continue;
-    const Vertex p = parent[static_cast<std::size_t>(v)];
+    const Vertex p = parent(v);
     if (p == kNullVertex) {
       // A root is an articulation point iff it has >= 2 children.
       if (index.children(v).size() >= 2) {
@@ -54,7 +57,7 @@ CutStructure find_cuts(const Graph& g, std::span<const Vertex> parent) {
     }
     // Non-root p is an articulation point iff some child's subtree cannot
     // reach strictly above p.
-    if (parent[static_cast<std::size_t>(p)] != kNullVertex &&
+    if (parent(p) != kNullVertex &&
         low[static_cast<std::size_t>(v)] >= index.depth(p)) {
       out.is_articulation[static_cast<std::size_t>(p)] = 1;
     }

@@ -17,8 +17,14 @@ struct CutStructure {
   std::vector<Edge> bridges;                  // (parent, child) tree edges
 };
 
-// parent must describe a DFS forest of g (validated in debug builds via the
-// low-link computation itself; cross edges would corrupt low values).
+class TreeIndex;
+
+// `index` must index a DFS forest of g (cross edges would corrupt the low
+// values). Callers that already hold the forest's index (the service
+// publishes one per batch) pass it here and skip the O(n) rebuild.
+CutStructure find_cuts(const Graph& g, const TreeIndex& index);
+
+// Same, for a bare parent array: builds the index, then calls the above.
 CutStructure find_cuts(const Graph& g, std::span<const Vertex> parent);
 
 }  // namespace pardfs

@@ -45,7 +45,8 @@ namespace pardfs::pram {
 
 inline constexpr std::size_t kSerialGrain = 2048;
 
-// Number of worker threads the facade will use (defaults to OpenMP's choice).
+// Number of worker threads every facade loop uses (defaults to OpenMP's
+// choice); set_num_threads(0) restores the default.
 int num_threads();
 void set_num_threads(int n);
 
@@ -55,11 +56,12 @@ template <typename Body>
 void parallel_for_t(std::size_t begin, std::size_t end, Body&& body) {
   const std::size_t count = end > begin ? end - begin : 0;
   if (count == 0) return;
-  if (count < kSerialGrain) {
+  const int threads = count < kSerialGrain ? 1 : num_threads();
+  if (threads <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-#pragma omp parallel for schedule(static)
+#pragma omp parallel for schedule(static) num_threads(threads)
   for (std::int64_t i = static_cast<std::int64_t>(begin);
        i < static_cast<std::int64_t>(end); ++i) {
     body(static_cast<std::size_t>(i));

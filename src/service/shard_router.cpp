@@ -691,10 +691,11 @@ void ShardRouter::publish(Shard& sh, bool forest_unchanged) {
   sh.last_publish_ns = now;
   const Graph& g = sh.dfs.graph();
   // Cut structure depends on the back edges too, so a patch-only batch that
-  // shares its forest still recomputes it.
+  // shares its forest still recomputes it — over the core's current index,
+  // which already describes the forest being published.
   std::shared_ptr<const CutStructure> cuts;
   if (config_.serve_cuts) {
-    cuts = std::make_shared<const CutStructure>(find_cuts(g, sh.dfs.parent()));
+    cuts = std::make_shared<const CutStructure>(find_cuts(g, sh.dfs.tree()));
   }
   std::shared_ptr<const DfsSnapshot::Forest> forest;
   if (forest_unchanged) {
@@ -968,16 +969,20 @@ void ShardRouter::apply_run_locked(Shard& target, Shard& gateway,
   std::vector<GraphUpdate> batch;
   std::vector<UpdateTicket> accepted;
   std::vector<std::uint64_t> accepted_enqueue_ns;
-  std::uint64_t rejected = 0;
   for (PendingUpdate* p : run) {
     if (feasible(target, p->update, delta)) {
       batch.push_back(std::move(p->update));
       accepted.push_back(p->ticket);
       accepted_enqueue_ns.push_back(p->enqueue_ns);
     } else {
-      p->ticket.ack(UpdateTicket::kRejected);
-      ++rejected;
+      // Counted before the ack, so a caller woken by it already sees the
+      // rejection in stats().
+      {
+        std::lock_guard lock(control_mu_);
+        ++target.stats.updates_rejected;
+      }
       infeasible_counter().add();
+      p->ticket.ack(UpdateTicket::kRejected);
     }
   }
 
@@ -1033,8 +1038,21 @@ void ShardRouter::apply_run_locked(Shard& target, Shard& gateway,
     published_counter().add();
   }
   if (id_lock.owns_lock()) id_lock.unlock();
-  // Acks go out after the publish, so a wait()er's snapshot already reflects
-  // its update.
+  // Stats are counted and the snapshot published before the acks go out, so
+  // a wait()er's stats() and snapshot already reflect its update.
+  if (!batch.empty()) {
+    std::lock_guard lock(control_mu_);
+    ServiceStats& st = target.stats;
+    ++st.batches;
+    ++st.snapshots_published;
+    st.updates_applied += batch.size();
+    st.max_batch = std::max<std::uint64_t>(st.max_batch, batch.size());
+    st.structural += batch_stats.structural;
+    st.back_edges += batch_stats.back_edges;
+    st.segments += batch_stats.segments;
+    st.index_rebuilds += batch_stats.index_rebuilds;
+    st.base_rebuilds += batch_stats.base_rebuilds;
+  }
   std::size_t next_new_vertex = 0;
   const std::uint64_t acked_at =
       obs::metrics_enabled() && !accepted.empty() ? obs::now_ns() : 0;
@@ -1053,22 +1071,6 @@ void ShardRouter::apply_run_locked(Shard& target, Shard& gateway,
   target.wal_pending.reset();
   maybe_checkpoint_locked(target);
 
-  {
-    std::lock_guard lock(control_mu_);
-    ServiceStats& st = target.stats;
-    st.updates_rejected += rejected;
-    if (!batch.empty()) {
-      ++st.batches;
-      ++st.snapshots_published;
-      st.updates_applied += batch.size();
-      st.max_batch = std::max<std::uint64_t>(st.max_batch, batch.size());
-      st.structural += batch_stats.structural;
-      st.back_edges += batch_stats.back_edges;
-      st.segments += batch_stats.segments;
-      st.index_rebuilds += batch_stats.index_rebuilds;
-      st.base_rebuilds += batch_stats.base_rebuilds;
-    }
-  }
 }
 
 void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
@@ -1088,10 +1090,12 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
   }
 
   const auto reject = [&] {
-    p.ticket.ack(UpdateTicket::kRejected);
+    {
+      std::lock_guard lock(control_mu_);
+      ++sh.stats.updates_rejected;
+    }
     infeasible_counter().add();
-    std::lock_guard lock(control_mu_);
-    ++sh.stats.updates_rejected;
+    p.ticket.ack(UpdateTicket::kRejected);
   };
 
   // Lock-coupling retry: resolve -> lock involved shards ascending ->
@@ -1360,12 +1364,7 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
     applied_counter().add(1);
     published_counter().add(1 + losers.size());
 
-    p.ticket.ack(ack_version, assigned);
-    w.wal_pending.reset();
-    if (obs::metrics_enabled() && p.enqueue_ns != 0) {
-      sh.ack_latency->record(obs::now_ns() - p.enqueue_ns);
-    }
-
+    // Counted before the ack, so a wait()er's stats() already reflect it.
     {
       std::lock_guard lock(control_mu_);
       ServiceStats& st = w.stats;
@@ -1383,6 +1382,11 @@ void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
       }
       sh.stats.cross_shard_inserts += 1;
       sh.stats.shard_migrations += migrations;
+    }
+    p.ticket.ack(ack_version, assigned);
+    w.wal_pending.reset();
+    if (obs::metrics_enabled() && p.enqueue_ns != 0) {
+      sh.ack_latency->record(obs::now_ns() - p.enqueue_ns);
     }
     // Both merge halves were journaled (extract on losers, adopt + apply on
     // the winner): truncate whichever journals just crossed the bound. All

@@ -1,7 +1,6 @@
 #include "tree/euler_tour.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "pram/list_ranking.hpp"
 #include "pram/parallel.hpp"
@@ -98,46 +97,26 @@ void tour_impl(std::span<const Vertex> parent, std::span<const std::uint8_t> ali
     }
   });
 
-  // Rank every directed edge: distance to its tour's tail.
-  const std::vector<std::uint32_t> rank = pram::list_rank(succ);
+  // Rank every directed edge (distance to its tour's tail) and find its
+  // tour's head edge, down(first child of the root).
+  std::vector<std::uint32_t> head;
+  const std::vector<std::uint32_t> rank = pram::list_rank(succ, &head);
 
-  // Per-tree tour length = rank of the head edge + 1, where the head is
-  // down(first child of root).
+  // Per-tree tour length = rank of the head edge + 1; each vertex's root is
+  // the parent of the vertex whose down edge heads its tour.
   std::vector<std::uint32_t> tour_len_of_root(n, 0);
-  for (std::size_t sv = 0; sv < n; ++sv) {
-    if (!is_alive(sv) || parent[sv] != kNullVertex) continue;
-    const auto kids = children(static_cast<Vertex>(sv));
-    if (!kids.empty()) {
-      tour_len_of_root[sv] = rank[down_edge(kids.front())] + 1;
-    }
-  }
-
-  // Root of each vertex via pointer doubling over the parent array:
-  // jump[v] starts as parent(v) (or v for roots) and squares each round, so
-  // after O(log n) rounds jump[v] is the fixed point, i.e. v's root.
-  std::vector<Vertex> root_of(n), jump_next(n);
+  std::vector<Vertex> root_of(n);
   pram::parallel_for_t(0, n, [&](std::size_t sv) {
     if (!is_alive(sv)) {
       root_of[sv] = kNullVertex;
+    } else if (parent[sv] == kNullVertex) {
+      root_of[sv] = static_cast<Vertex>(sv);
+      const auto kids = children(static_cast<Vertex>(sv));
+      if (!kids.empty()) tour_len_of_root[sv] = rank[down_edge(kids.front())] + 1;
     } else {
-      root_of[sv] = parent[sv] == kNullVertex ? static_cast<Vertex>(sv) : parent[sv];
+      root_of[sv] = parent[head[down_edge(static_cast<Vertex>(sv))] / 2];
     }
   });
-  for (;;) {
-    std::atomic<bool> any{false};
-    pram::parallel_for_t(0, n, [&](std::size_t sv) {
-      const Vertex j = root_of[sv];
-      if (j == kNullVertex) {
-        jump_next[sv] = kNullVertex;
-        return;
-      }
-      const Vertex jj = root_of[static_cast<std::size_t>(j)];
-      jump_next[sv] = jj;
-      if (jj != j) any.store(true, std::memory_order_relaxed);
-    });
-    root_of.swap(jump_next);
-    if (!any.load(std::memory_order_relaxed)) break;
-  }
 
   auto position = [&](std::uint32_t e, Vertex v) {
     const std::size_t root = static_cast<std::size_t>(root_of[static_cast<std::size_t>(v)]);

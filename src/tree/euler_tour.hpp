@@ -1,14 +1,15 @@
 // Euler-tour technique (Tarjan–Vishkin; paper Theorem 4).
 //
-// Computes, fully in parallel (pointer-jumping list ranking + scans):
+// Computes, fully in parallel (work-efficient list ranking + scans):
 // pre-order number, post-order number, depth (level) and subtree size
 // (number of descendants) for every vertex of a rooted forest given as a
-// parent array. O(n log n) work, O(log n) depth.
+// parent array. O(n) work, O(log n)-depth shape (see list_ranking.hpp for
+// the sublist walk's depth).
 //
-// TreeIndex uses a sequential O(n) build for its tables (faster on one
-// socket); this module is the PRAM-faithful construction and is
-// cross-checked against TreeIndex in the test suite — it is the substrate
-// the paper's preprocessing bound (Theorem 4/10) rests on.
+// TreeIndex's serial build is a stack DFS (faster on one socket); this
+// module is the PRAM-faithful construction behind TreeBuildMode::kParallel,
+// pinned byte-identical to the serial tables in the test suite — it is the
+// substrate the paper's preprocessing bound (Theorem 4/10) rests on.
 #pragma once
 
 #include <cstdint>

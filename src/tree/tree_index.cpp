@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <thread>
+#include <limits>
 
 #include "pram/parallel.hpp"
 #include "tree/euler_tour.hpp"
@@ -11,9 +11,17 @@
 namespace pardfs {
 namespace {
 
-// Below this the OpenMP team + the tour's O(n log n) work cost more than
-// the serial DFS even on many cores.
-constexpr std::size_t kParallelBuildGrain = 4096;
+// Smallest forest (parent-array length) at which kAuto takes the parallel
+// Theorem 4 build. Measured with BM_BuildTreeIndex (bench_preprocess:
+// in-place rebuild of a random_connected DFS tree, Release, default 4-thread
+// team on a 4-vCPU Xeon; rows committed in BENCH_preprocess.json),
+// kParallel vs kSerial wall time in microseconds:
+//   n = 2^10     105 vs     15      n = 2^16    6675 vs   2450
+//   n = 2^12     635 vs     81      n = 2^18   46658 vs  20407
+//   n = 2^14    1933 vs    449      n = 2^20  170815 vs 162709
+// kParallel never beats kSerial by the required 1.2x up to 2^20, so kAuto
+// is serial at every size. Re-measure on the target host before lowering.
+constexpr std::size_t kParallelBuildCrossover = std::numeric_limits<std::size_t>::max();
 
 }  // namespace
 }  // namespace pardfs
@@ -26,13 +34,10 @@ void TreeIndex::build(std::span<const Vertex> parent,
   parent_.assign(parent.begin(), parent.end());
   roots_.clear();
 
-  // kAuto needs both a configured team AND real cores: with one hardware
-  // thread the tour's O(n log n) work is a pure loss however many logical
-  // workers the facade was asked for.
   const bool parallel =
       mode == TreeBuildMode::kParallel ||
-      (mode == TreeBuildMode::kAuto && pram::num_threads() > 1 &&
-       std::thread::hardware_concurrency() > 1 && n >= kParallelBuildGrain);
+      (mode == TreeBuildMode::kAuto && n >= kParallelBuildCrossover &&
+       pram::num_threads() > 1);
   build_children_csr(parent, alive, parallel);
   if (parallel) {
     build_parallel(parent, alive);

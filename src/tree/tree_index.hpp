@@ -27,11 +27,13 @@ namespace pardfs {
 
 // How build() computes the tables. kSerial is the one-socket stack DFS;
 // kParallel is the paper-faithful Theorem 4 construction (children CSR via
-// counting + exclusive scan, Euler tour + list ranking for pre/post/depth/
-// size and the orderings, parallel Fischer–Heun block fill). Both produce
-// byte-identical tables (pinned by tests/test_rebuild.cpp at 1/2/4/8
-// workers); kAuto picks the parallel path when a worker team is available
-// and the forest is large enough to amortize the tour's O(n log n) work.
+// counting + exclusive scan, Euler tour + O(n)-work list ranking for
+// pre/post/depth/size and the orderings, parallel Fischer–Heun block fill).
+// Both produce byte-identical tables (pinned by tests/test_rebuild.cpp at
+// 1/2/4/8 workers). kAuto takes kParallel only at or above a crossover
+// measured on a 4-core host (kParallelBuildCrossover in tree_index.cpp);
+// there kParallel never won by 1.2x up to 2^20 vertices, so today kAuto is
+// kSerial at every size.
 enum class TreeBuildMode : std::uint8_t { kAuto, kSerial, kParallel };
 
 class TreeIndex {

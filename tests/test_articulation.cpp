@@ -4,6 +4,7 @@
 
 #include "baseline/static_dfs.hpp"
 #include "graph/generators.hpp"
+#include "tree/tree_index.hpp"
 #include "util/random.hpp"
 
 namespace pardfs {
@@ -138,6 +139,27 @@ TEST(Articulation, MatchesBruteForceOnDisconnectedGraphs) {
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = gen::gnp(50, 1.2 / 50, rng);  // below the connectivity threshold
     check_against_brute_force(g);
+  }
+}
+
+TEST(Articulation, IndexFormMatchesParentForm) {
+  // The service passes its already-built TreeIndex; the parent-array form
+  // builds one itself. Both must report the same cuts, dead vertices too.
+  Rng rng(407);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Vertex n = static_cast<Vertex>(20 + rng.below(300));
+    Graph g = gen::gnp(n, 2.0 / n, rng);
+    for (int d = 0; d < n / 8; ++d) {
+      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      if (g.is_alive(v)) g.remove_vertex(v);
+    }
+    const auto parent = static_dfs(g);
+    TreeIndex index;
+    index.build(parent, g.alive());
+    const CutStructure by_parent = find_cuts(g, parent);
+    const CutStructure by_index = find_cuts(g, index);
+    EXPECT_EQ(by_parent.is_articulation, by_index.is_articulation) << "trial " << trial;
+    EXPECT_EQ(by_parent.bridges, by_index.bridges) << "trial " << trial;
   }
 }
 

@@ -90,6 +90,58 @@ TEST(ListRanking, ManyDisjointLists) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(rank[i], i % 2 == 0 ? 1u : 0u);
 }
 
+// Random permutation of [0, n) cut into random-length lists; returns the
+// successor array.
+std::vector<std::uint32_t> random_lists(std::size_t n, Rng& rng) {
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  for (std::size_t i = n; i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
+  std::vector<std::uint32_t> next(n, kListEnd);
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    // ~1 in 64 links cut, so lists of every length from singletons up.
+    if (rng.below(64) != 0) next[order[i]] = order[i + 1];
+  }
+  return next;
+}
+
+TEST(ListRanking, MatchesNaiveWalkAcrossSizesAndThreads) {
+  // Sizes straddle the serial grain (below it the lists are walked whole)
+  // and the sublist block; thread counts change the splitter walk's team
+  // but never the result.
+  for (const std::size_t n : {std::size_t{1}, kSublistBlock - 1, kSublistBlock,
+                              kSublistBlock + 1, kSerialGrain - 1, kSerialGrain,
+                              kSerialGrain + 1, std::size_t{1} << 17}) {
+    Rng rng(n + 17);
+    const std::vector<std::uint32_t> next = random_lists(n, rng);
+    // Naive reference: find the heads, walk each list to its end, then
+    // back-fill distances to the tail.
+    std::vector<std::uint8_t> has_pred(n, 0);
+    for (const std::uint32_t s : next) {
+      if (s != kListEnd) has_pred[s] = 1;
+    }
+    std::vector<std::uint32_t> want_rank(n), want_head(n);
+    std::vector<std::uint32_t> walk;
+    for (std::uint32_t h = 0; h < n; ++h) {
+      if (has_pred[h]) continue;
+      walk.clear();
+      for (std::uint32_t x = h; x != kListEnd; x = next[x]) walk.push_back(x);
+      for (std::size_t i = 0; i < walk.size(); ++i) {
+        want_rank[walk[i]] = static_cast<std::uint32_t>(walk.size() - 1 - i);
+        want_head[walk[i]] = h;
+      }
+    }
+    for (const int threads : {1, 2, 4, 8}) {
+      set_num_threads(threads);
+      std::vector<std::uint32_t> head;
+      const auto rank = list_rank(next, &head);
+      EXPECT_EQ(rank, want_rank) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(head, want_head) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(list_rank(next), want_rank) << "n=" << n << " threads=" << threads;
+    }
+    set_num_threads(0);
+  }
+}
+
 TEST(MergeSort, SortsRandomKeys) {
   Rng rng(42);
   for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{100}, std::size_t{10000}}) {

@@ -98,6 +98,34 @@ std::vector<Shape> build_shapes() {
     s.alive.assign(g.alive().begin(), g.alive().end());
     shapes.push_back(std::move(s));
   }
+  // Above pram::kSerialGrain directed tour edges, so the parallel build
+  // really forks its team and splits the list ranking into sublists.
+  {
+    Graph g = gen::star(1 << 13);
+    shapes.push_back({"wide_star", static_dfs(g), {}});
+  }
+  {
+    Graph g = gen::path(1 << 13);
+    shapes.push_back({"deep_chain", static_dfs(g), {}});
+  }
+  {
+    // Random forest with dead vertices: a sparse random graph (several
+    // components plus isolated roots) with ~1/8 of its ids deleted.
+    const Vertex n = 1 << 14;
+    Graph g(n);
+    for (std::int64_t e = 0; e < n; ++e) {
+      const Vertex u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      if (u != v && !g.has_edge(u, v)) g.add_edge(u, v);
+    }
+    for (int d = 0; d < n / 8; ++d) {
+      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      if (g.is_alive(v)) g.remove_vertex(v);
+    }
+    Shape s{"large_forest_dead_vertices", static_dfs(g), {}};
+    s.alive.assign(g.alive().begin(), g.alive().end());
+    shapes.push_back(std::move(s));
+  }
   return shapes;
 }
 
