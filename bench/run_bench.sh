@@ -8,7 +8,8 @@
 #                            coalescing (bench_service)
 #   BENCH_parallel.json    — E12, engine thread scaling: batch-update latency
 #                            at 1/2/4/8 workers on adversarial_star and
-#                            social_mix (bench_parallel)
+#                            social_mix, plus the per-round serial-vs-team
+#                            rows behind kParallelRoundWork (bench_parallel)
 #   BENCH_oracle.json      — E15, SIMD probe hot path: batched dispatched
 #                            probes vs the scalar single-probe reference,
 #                            aligned-CSR rebuild reuse (bench_oracle)

@@ -149,7 +149,7 @@ class AdjacencyOracle {
   // fn(z) for every current neighbor of u, in the fixed order above. The
   // scan is charged to the cost model like a probe batch, so consumers that
   // sweep adjacency directly (finish_traversal's grouping and attachment
-  // walks) keep the PRAM work ledger honest.
+  // walks, reduce_batch's grouping sweep) keep the PRAM work ledger honest.
   template <typename Fn>
   void for_each_current_neighbor(Vertex u, Fn&& fn) const {
     const auto base = base_neighbors(u);

@@ -22,7 +22,14 @@ class PieceUf {
     }
     return x;
   }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
+  // True iff a and b were in different sets.
+  bool unite(std::size_t a, std::size_t b) {
+    const std::size_t ra = find(a);
+    const std::size_t rb = find(b);
+    if (ra == rb) return false;
+    parent_[ra] = rb;
+    return true;
+  }
 
  private:
   std::vector<std::size_t> parent_;
@@ -147,11 +154,15 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
 
   // ---- group pieces into components of the updated graph -------------------
   PieceUf uf(pieces.size());
+  std::size_t num_groups = pieces.size();
+  const auto join = [&](std::size_t a, std::size_t b) {
+    if (uf.unite(a, b)) --num_groups;
+  };
   // Surviving tree edges: subtree -> the chain it hangs from, and chain head
   // -> its parent's chain (branch points).
   for (std::size_t i = num_chains; i < pieces.size(); ++i) {
-    uf.unite(i, static_cast<std::size_t>(
-                    piece_of_s[static_cast<std::size_t>(hang_from[i - num_chains])]));
+    join(i, static_cast<std::size_t>(
+                piece_of_s[static_cast<std::size_t>(hang_from[i - num_chains])]));
   }
   for (std::size_t i = 0; i < num_chains; ++i) {
     const Vertex h = pieces[i].top;
@@ -159,7 +170,7 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     if (p == kNullVertex || dead[static_cast<std::size_t>(p)] || is_cut(p, h)) {
       continue;
     }
-    uf.unite(i, static_cast<std::size_t>(piece_of_s[static_cast<std::size_t>(p)]));
+    join(i, static_cast<std::size_t>(piece_of_s[static_cast<std::size_t>(p)]));
   }
   // Inserted edges: both endpoints are affected, hence on chains. Skip edges
   // that did not survive the batch (endpoint died / edge re-deleted).
@@ -171,22 +182,55 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     const std::int32_t pu = piece_of_s[static_cast<std::size_t>(e.u)];
     const std::int32_t pv = piece_of_s[static_cast<std::size_t>(e.v)];
     PARDFS_CHECK_MSG(pu >= 0 && pv >= 0, "inserted endpoints must lie on S");
-    uf.unite(static_cast<std::size_t>(pu), static_cast<std::size_t>(pv));
+    join(static_cast<std::size_t>(pu), static_cast<std::size_t>(pv));
   }
   // Remaining connections are surviving non-tree edges of the pre-batch
-  // forest. They are back edges, so the ancestor endpoint lies on S (a chain)
-  // and the pair is within one tree: only same-tree (piece, chain) pairs need
-  // a D query, and only while still in different groups. Cross-tree pairs can
-  // be connected by no such edge (a cross-tree non-tree edge would already
-  // have violated the pre-batch forest).
-  for (std::size_t j = 0; j < num_chains; ++j) {
-    const Vertex jroot = cur.root_of(pieces[j].top);
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-      if (i == j || (i < num_chains && i < j)) continue;  // chain pairs once
-      if (cur.root_of(piece_head(pieces[i])) != jroot) continue;
-      if (uf.find(i) == uf.find(j)) continue;
-      if (view.piece_has_edge(pieces[i], pieces[j].top, pieces[j].bottom)) {
-        uf.unite(i, j);
+  // forest. They are back edges, so their ancestor endpoint lies on S — on a
+  // chain, since dead S vertices have no surviving edges. The PRAM
+  // formulation is one batch of pairwise (piece, chain) D queries; serially
+  // the same partition comes out of one sweep over the chains' current
+  // adjacency (the oracle's patched lists ARE the updated graph): map every
+  // neighbor back to its piece — chain vertices through piece_of_s, hanging
+  // subtrees by binary search over their disjoint pre-order intervals — and
+  // union the pair. The union-find partition is edge-set determined, so the
+  // emitted components do not depend on the sweep order, and the sweep stops
+  // at the first row end where one group remains.
+  if (num_groups > 1) {
+    std::vector<std::pair<std::int32_t, std::int32_t>> hang_by_pre;  // (pre, piece)
+    hang_by_pre.reserve(pieces.size() - num_chains);
+    for (std::size_t i = num_chains; i < pieces.size(); ++i) {
+      hang_by_pre.emplace_back(cur.pre(pieces[i].root), static_cast<std::int32_t>(i));
+    }
+    std::sort(hang_by_pre.begin(), hang_by_pre.end());
+    const auto piece_of = [&](Vertex z) -> std::int32_t {
+      if (z < 0 || z >= cur.capacity()) return -1;
+      const auto zs = static_cast<std::size_t>(z);
+      if (in_s[zs]) return piece_of_s[zs];  // -1 for a deleted S vertex
+      if (!cur.in_forest(z)) return -1;
+      const std::int32_t pz = cur.pre(z);
+      auto it = std::upper_bound(
+          hang_by_pre.begin(), hang_by_pre.end(), pz,
+          [](std::int32_t x, const auto& h) { return x < h.first; });
+      if (it == hang_by_pre.begin()) return -1;
+      --it;
+      const Vertex r = pieces[static_cast<std::size_t>(it->second)].root;
+      return pz < it->first + cur.size(r) ? it->second : -1;
+    };
+    const AdjacencyOracle& oracle = view.oracle();
+    for (std::size_t j = 0; j < num_chains && num_groups > 1; ++j) {
+      const Piece& chain = pieces[j];
+      for (Vertex v = chain.bottom;; v = cur.parent(v)) {
+        // The next chain vertex's adjacency row is a dependent pointer chase
+        // away; issue its prefetch before sweeping v's row.
+        if (v != chain.top) oracle.prefetch_adjacency(cur.parent(v));
+        oracle.for_each_current_neighbor(v, [&](Vertex z) {
+          if (num_groups == 1) return;  // the rest of the row is moot
+          const std::int32_t i = piece_of(z);
+          if (i >= 0 && static_cast<std::size_t>(i) != j) {
+            join(j, static_cast<std::size_t>(i));
+          }
+        });
+        if (num_groups == 1 || v == chain.top) break;
       }
     }
   }

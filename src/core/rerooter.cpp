@@ -1,11 +1,13 @@
 #include "core/rerooter.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <memory>
 #include <numeric>
 
 #include "core/rerooter_internal.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pram/parallel.hpp"
 #include "util/check.hpp"
@@ -99,6 +101,17 @@ ChainHit best_edge_to_chain(EngineCtx& ctx, std::span<const Piece> pieces,
 }
 
 namespace {
+std::atomic<bool> g_force_round_team{false};
+}  // namespace
+
+bool round_team_forced() {
+  return g_force_round_team.load(std::memory_order_relaxed);
+}
+void set_force_round_team(bool on) {
+  g_force_round_team.store(on, std::memory_order_relaxed);
+}
+
+namespace {
 
 std::int32_t piece_size(const TreeIndex& cur, const Piece& p) {
   if (p.kind == PieceKind::kSubtree) return cur.size(p.root);
@@ -109,6 +122,21 @@ std::int32_t component_size(const TreeIndex& cur, const Component& comp) {
   std::int32_t total = 0;
   for (const Piece& p : comp.pieces) total += piece_size(cur, p);
   return total;
+}
+
+// Whether a team fans this round out: the round's wall time on a perfect
+// team is its largest component's step, so only the remainder is work the
+// workers can take off the calling thread.
+bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
+  if (round_team_forced()) return true;
+  std::int64_t total = 0;
+  std::int64_t largest = 0;
+  for (const Component& c : round) {
+    const std::int64_t size = component_size(cur, c);
+    total += size;
+    largest = std::max(largest, size);
+  }
+  return total - largest >= Rerooter::kParallelRoundWork;
 }
 
 // Brent-style completion of a sub-cutoff component: one processor performs a
@@ -246,12 +274,11 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
   // The PRAM formulation is one batch of pairwise piece-to-path queries;
   // serially the same partition comes out of one sweep over the path
   // pieces' adjacency (the oracle's patched lists ARE the current graph):
-  // map every neighbor of a path vertex back to its containing piece —
-  // path pieces by a stamped vertex map, subtree pieces by binary search
-  // over their disjoint pre-order intervals — and union the pair. The
-  // union-find partition, and with it the emitted component order, is
-  // edge-set determined, so the result is identical to the pairwise-query
-  // sweep at a fraction of the probes.
+  // map every neighbor of a path vertex back to its containing piece
+  // through a stamped vertex -> piece map over every leftover vertex, and
+  // union the pair. The union-find partition, and with it the emitted
+  // component order, is edge-set determined, so the result is identical to
+  // the pairwise-query sweep at a fraction of the probes.
   const std::size_t k = plan.leftovers.size();
   std::vector<std::size_t> path_idx;
   for (std::size_t i = 0; i < k; ++i) {
@@ -436,6 +463,10 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
   }
 
   const int threads = num_threads_ > 0 ? num_threads_ : pram::num_threads();
+  static obs::Counter& serial_rounds = obs::Registry::global().counter(
+      "pardfs_reroot_round_dispatch_total", "mode=\"serial\"");
+  static obs::Counter& team_rounds = obs::Registry::global().counter(
+      "pardfs_reroot_round_dispatch_total", "mode=\"team\"");
   // One context per worker, created on first use: a worker that never gets a
   // component (small rounds) never pays the O(n) scratch allocation or the
   // oracle-view memo copy.
@@ -477,14 +508,19 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
                                emitted[i]);
       comp_batches[i] = ctx.step_batches();
     };
-    if (threads <= 1 || k == 1) {
-      // A single component (or team): step serially so the primitives inside
-      // the step (subtree-wide query reductions) keep their own full teams
-      // instead of being nested-serialized under an outer region.
-      for (std::size_t i = 0; i < k; ++i) step(worker_ctx(0), i);
-    } else {
+    const bool team =
+        threads > 1 && k > 1 && detail::round_has_slack(cur_, active);
+    if (team) {
+      team_rounds.add();
       pram::parallel_for_workers(
           k, threads, [&](int w, std::size_t i) { step(worker_ctx(w), i); });
+    } else {
+      // A single component, a single worker or a round without slack: step
+      // on the calling thread, so the primitives inside a step (subtree-wide
+      // query reductions) keep their own full teams instead of being
+      // nested-serialized under an outer region.
+      serial_rounds.add();
+      for (std::size_t i = 0; i < k; ++i) step(worker_ctx(0), i);
     }
 
     // Round barrier: merge. The PRAM cost model is unchanged — it counts

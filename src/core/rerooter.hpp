@@ -22,12 +22,15 @@
 // would retreat past first (the components property, Lemma 1). The final
 // parent array is therefore a valid DFS tree for any traversal choice.
 //
-// Execution model: the rounds are not only the PRAM accounting unit — all
-// active components of a round step concurrently on a real worker team
-// (pram::parallel_for_workers), each worker owning its scratch and oracle
-// view. Outputs land in per-component slots merged in component order, so
-// the tree, the new-component order and the stats are byte-identical at any
-// thread count. See DESIGN.md §8.
+// Execution model: the rounds are not only the PRAM accounting unit — a
+// round with parallel slack steps its components concurrently on a real
+// worker team (pram::parallel_for_workers), each worker owning its scratch
+// and oracle view; a round whose components other than the largest hold
+// less than kParallelRoundWork vertices steps on the calling thread, since
+// waking the team would cost more than it saves. Outputs land in
+// per-component slots merged in component order, so the tree, the
+// new-component order and the stats are byte-identical at any thread count
+// and either way a round runs. See DESIGN.md §8.
 #pragma once
 
 #include <cstdint>
@@ -76,10 +79,13 @@ struct RerootStats {
 class Rerooter {
  public:
   // `num_threads` caps the worker team stepping a round's components
-  // concurrently (0 = the pram facade default). The result — final parent
-  // array, new-component order and every RerootStats counter — is identical
-  // at any thread count: per-component outputs go into disjoint slots merged
-  // in component order, and every tie inside a step breaks on a total order.
+  // concurrently (0 = the pram facade default). Whatever its size, a team
+  // takes only the rounds with parallel slack (kParallelRoundWork); every
+  // other round steps on the calling thread. The
+  // result — final parent array, new-component order and every RerootStats
+  // counter — is identical at any thread count: per-component outputs go
+  // into disjoint slots merged in component order, and every tie inside a
+  // step breaks on a total order.
   // Only the logical cost model's semantics (rounds, not threads) are
   // recorded, so the knob is pure wall-clock.
   //
@@ -104,6 +110,27 @@ class Rerooter {
   Rerooter(const TreeIndex& current, const OracleView& view, RerootStrategy strategy,
            pram::CostModel* cost = nullptr, int num_threads = 0,
            std::int32_t serial_cutoff = 0, const Graph* graph = nullptr);
+
+  // Smallest off-critical-path work (vertices in a round's components other
+  // than the largest) at which a team steps a round on the workers; below it
+  // the team's wake-up and per-worker scratch cost more than the slack
+  // saves. Measured with BM_RerootRound (bench_parallel, Release, 4-vCPU
+  // Xeon; rows committed in BENCH_parallel.json): one round stepped on the
+  // calling thread vs a forced 4-worker team, median microseconds per round,
+  // for a 4096-vertex component plus three satellites (A) and for sixteen
+  // equal components (B):
+  //   work    A: serial vs team    B: serial vs team
+  //    192         99 vs 100             24 vs  51
+  //    768        113 vs 109             38 vs  37
+  //   1536        121 vs 109             49 vs  43
+  //   3072        144 vs 100             71 vs  49
+  //   6144        210 vs  99            145 vs  65
+  //  12288        274 vs 121            261 vs 104
+  // Neither shape gains 1.2x from the team below 2048; both gain it at 3072.
+  // Real rounds agree: timed one by one while replaying a 2^14 dynamic_map
+  // stream, rounds under 2048 ran 1.4-2.6x slower on the team and rounds
+  // above it faster.
+  static constexpr std::int64_t kParallelRoundWork = 2048;
 
   // Θ(log² n) — the depth one serially-finished component may add.
   static std::int32_t default_serial_cutoff(Vertex capacity);

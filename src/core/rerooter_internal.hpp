@@ -121,6 +121,15 @@ class EngineCtx {
   std::uint32_t step_batches_ = 0;
 };
 
+// Round-dispatch override for benchmarks and tests: while set, every round
+// with at least two components fans out to a team of two or more workers,
+// whatever its slack (Rerooter::kParallelRoundWork). BM_RerootRound times
+// the team below the crossover with it, and the determinism pins keep small
+// scenario streams on the team with it. Results are identical either way;
+// it is not a user option.
+bool round_team_forced();
+void set_force_round_team(bool on);
+
 // Plans one traversal for the component according to the strategy.
 TraversalPlan plan_traversal(EngineCtx& ctx, const Component& comp,
                              RerootStrategy strategy);

@@ -25,9 +25,10 @@
 
 // TSan cannot see libgomp's futex-based fork/join barrier, so every read
 // after an omp region looks racy against the workers' writes. Under
-// -fsanitize=thread the worker fan-out therefore runs on std::threads,
-// whose create/join edges TSan understands; real races between worker
-// bodies stay fully visible.
+// -fsanitize=thread every facade region (parallel_for_t, the worker
+// fan-out, parallel_reduce) therefore runs on std::threads, whose
+// create/join edges TSan understands; real races between worker bodies stay
+// fully visible.
 #if defined(__SANITIZE_THREAD__)
 #define PARDFS_PRAM_TSAN 1
 #elif defined(__has_feature)
@@ -42,6 +43,21 @@
 #endif
 
 namespace pardfs::pram {
+
+#if defined(PARDFS_PRAM_TSAN)
+namespace detail {
+// The std::thread stand-in for an omp parallel region: region(t) for every
+// t < team, the calling thread being t = 0, joined before returning.
+template <typename Region>
+void tsan_region(int team, Region&& region) {
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(team - 1));
+  for (int t = 1; t < team; ++t) pool.emplace_back([&region, t] { region(t); });
+  region(0);
+  for (std::thread& th : pool) th.join();
+}
+}  // namespace detail
+#endif
 
 inline constexpr std::size_t kSerialGrain = 2048;
 
@@ -61,6 +77,15 @@ void parallel_for_t(std::size_t begin, std::size_t end, Body&& body) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
+#if defined(PARDFS_PRAM_TSAN)
+  const std::size_t block = (count + threads - 1) / threads;
+  detail::tsan_region(threads, [&](int t) {
+    const std::size_t lo = begin + static_cast<std::size_t>(t) * block;
+    const std::size_t hi = lo + block < end ? lo + block : end;
+    for (std::size_t i = lo; i < hi; ++i) body(i);
+  });
+  return;
+#endif
 #pragma omp parallel for schedule(static) num_threads(threads)
   for (std::int64_t i = static_cast<std::int64_t>(begin);
        i < static_cast<std::int64_t>(end); ++i) {
@@ -85,17 +110,12 @@ void parallel_for_workers(std::size_t count, int threads, Body&& body) {
     const int team =
         threads < static_cast<int>(count) ? threads : static_cast<int>(count);
     std::atomic<std::size_t> cursor{0};
-    const auto drain = [&](int worker) {
+    detail::tsan_region(team, [&](int worker) {
       for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
            i < count; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
         body(worker, i);
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(team - 1));
-    for (int w = 1; w < team; ++w) pool.emplace_back(drain, w);
-    drain(0);  // the calling thread is worker 0, as in the OpenMP path
-    for (std::thread& t : pool) t.join();
+    });
     return;
   }
 #elif defined(_OPENMP)
@@ -132,17 +152,22 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, Map&& map,
   const int threads = num_threads();
   std::vector<T> partial(static_cast<std::size_t>(threads), identity);
   const std::size_t block = (count + threads - 1) / threads;
+  const auto reduce_block = [&](int t) {
+    const std::size_t lo = begin + static_cast<std::size_t>(t) * block;
+    const std::size_t hi = lo + block < end ? lo + block : end;
+    T acc = identity;
+    for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
+    partial[static_cast<std::size_t>(t)] = acc;
+  };
+#if defined(PARDFS_PRAM_TSAN)
+  detail::tsan_region(threads, reduce_block);
+#else
 #pragma omp parallel num_threads(threads)
   {
 #pragma omp for schedule(static)
-    for (int t = 0; t < threads; ++t) {
-      const std::size_t lo = begin + static_cast<std::size_t>(t) * block;
-      const std::size_t hi = lo + block < end ? lo + block : end;
-      T acc = identity;
-      for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
-      partial[static_cast<std::size_t>(t)] = acc;
-    }
+    for (int t = 0; t < threads; ++t) reduce_block(t);
   }
+#endif
   T acc = identity;
   for (const T& p : partial) acc = combine(acc, p);
   return acc;

@@ -6,7 +6,12 @@
 //   * every RerootStats counter (round counts included),
 //   * the facade-default knob (num_threads = 0) against an explicit team,
 //   * the (pos, u, v) total order of best_edge_to_chain, which must not
-//     depend on piece-iteration order.
+//     depend on piece-iteration order,
+//   * the per-round dispatch: rounds with and without parallel slack give
+//     the same result under the default team and 1/2/4/8 explicit workers,
+//     and no team wakes for a run without slack.
+// The scenario streams below are far too small to have slack, so their
+// pins force every multi-component round onto the team (ForceRoundTeam).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +22,7 @@
 #include "core/dynamic_dfs.hpp"
 #include "core/fault_tolerant.hpp"
 #include "core/rerooter_internal.hpp"
+#include "obs/metrics.hpp"
 #include "pram/parallel.hpp"
 #include "service/workload.hpp"
 #include "tree/validation.hpp"
@@ -72,18 +78,47 @@ StreamResult drive(service::Scenario scenario, Vertex n, int count,
   return result;
 }
 
+// Rounds the engine ran serially or on the team, by the dispatch counter.
+std::uint64_t rounds_in_mode(const char* mode) {
+  return obs::Registry::global()
+      .counter("pardfs_reroot_round_dispatch_total",
+               std::string("mode=\"") + mode + "\"")
+      .value();
+}
+
+#if defined(PARDFS_NO_METRICS)
+constexpr bool kRecording = false;
+#else
+constexpr bool kRecording = true;
+#endif
+
+// Keeps every multi-component round of a team of two or more on the team
+// for the scope, so small inputs still exercise the fan-out.
+struct ForceRoundTeam {
+  ForceRoundTeam() { detail::set_force_round_team(true); }
+  ~ForceRoundTeam() { detail::set_force_round_team(false); }
+};
+
 class ParallelDeterminism
     : public ::testing::TestWithParam<std::tuple<service::Scenario, std::size_t>> {};
 
 TEST_P(ParallelDeterminism, SameTreeAndStatsAtAnyThreadCount) {
   const auto [scenario, chunk] = GetParam();
+  const ForceRoundTeam force;
   const StreamResult serial = drive(scenario, 128, 80, chunk, 1);
+  const std::uint64_t team0 = rounds_in_mode("team");
   for (const int threads : {2, 4, 8}) {
     const StreamResult parallel = drive(scenario, 128, 80, chunk, threads);
     ASSERT_EQ(serial.parent, parallel.parent)
         << "parent array diverged at " << threads << " threads";
     ASSERT_EQ(serial.stats, parallel.stats)
         << "RerootStats diverged at " << threads << " threads";
+  }
+  // Each adversarial_star reroot is one component, so only social_mix has
+  // multi-component rounds to fan out.
+  if (scenario == service::Scenario::kSocialMix) {
+    EXPECT_EQ(rounds_in_mode("team") > team0, kRecording)
+        << "the stream never fanned a round out";
   }
 }
 
@@ -115,6 +150,7 @@ TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {
     return std::make_pair(
         std::vector<Vertex>(ft.parent().begin(), ft.parent().end()), stats);
   };
+  const ForceRoundTeam force;
   const auto serial = run_ft(1);
   for (const int threads : {2, 4, 8}) {
     const auto parallel = run_ft(threads);
@@ -128,6 +164,7 @@ TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {
 TEST(ParallelEngine, FacadeDefaultKnobMatchesExplicitTeam) {
   // num_threads = 0 resolves to the pram facade's global setting; pin that
   // path against both an explicit team and a serial run.
+  const ForceRoundTeam force;
   pram::set_num_threads(3);
   const StreamResult facade =
       drive(service::Scenario::kAdversarialStar, 96, 48, 8, 0);
@@ -138,6 +175,108 @@ TEST(ParallelEngine, FacadeDefaultKnobMatchesExplicitTeam) {
       drive(service::Scenario::kAdversarialStar, 96, 48, 8, 3);
   EXPECT_EQ(facade, serial);
   EXPECT_EQ(facade, explicit3);
+}
+
+// ---- round dispatch ----------------------------------------------------------
+
+// One engine run over pre-built components: 16-wide grid blocks of the given
+// sizes side by side in one graph, each rerooted at its far corner, under
+// the update wrappers' serial cutoff (so large blocks take several rounds).
+struct RoundShape {
+  Graph g;
+  std::vector<Vertex> parent;
+  TreeIndex index;
+  AdjacencyOracle oracle;
+  std::vector<Component> comps;
+
+  explicit RoundShape(const std::vector<Vertex>& sizes) : g(total(sizes)) {
+    constexpr Vertex kWidth = 16;
+    std::vector<Vertex> bases;
+    Vertex base = 0;
+    for (const Vertex size : sizes) {
+      bases.push_back(base);
+      for (Vertex v = 0; v < size; ++v) {
+        if ((v + 1) % kWidth != 0 && v + 1 < size) g.add_edge(base + v, base + v + 1);
+        if (v + kWidth < size) g.add_edge(base + v, base + v + kWidth);
+      }
+      base += size;
+    }
+    parent = static_dfs(g);
+    index.build(parent);
+    oracle.build(g, index);
+    for (std::size_t c = 0; c < sizes.size(); ++c) {
+      Component comp;
+      comp.entry = bases[c] + sizes[c] - 1;
+      comp.entry_piece = 0;
+      comp.budget = sizes[c];
+      comp.pieces = {Piece::subtree(index.root_of(bases[c]))};
+      comps.push_back(std::move(comp));
+    }
+  }
+
+  static Vertex total(const std::vector<Vertex>& sizes) {
+    Vertex sum = 0;
+    for (const Vertex s : sizes) sum += s;
+    return sum;
+  }
+
+  std::pair<std::vector<Vertex>, FingerPrint> run(int threads) const {
+    const OracleView view(&oracle, &index, /*identity=*/true);
+    Rerooter engine(index, view, RerootStrategy::kPaper, nullptr, threads,
+                    Rerooter::default_serial_cutoff(g.capacity()), &g);
+    std::vector<Vertex> out = parent;
+    const RerootStats stats = engine.run_components(comps, out);
+    const auto val = validate_dfs_forest(g, out);
+    EXPECT_TRUE(val.ok) << val.reason;
+    return {out, pack(stats)};
+  }
+};
+
+// A star of four equal blocks: 3072 vertices off the critical path in the
+// first round, above the crossover.
+const std::vector<Vertex> kSlackShape = {1024, 1024, 1024, 1024};
+// One dominant grid with three small satellites. Every round's components
+// are disjoint subsets of these 1888 vertices, below the crossover, so no
+// round of the run can have slack.
+const std::vector<Vertex> kNoSlackShape = {1600, 96, 96, 96};
+
+TEST(ParallelEngine, RoundDispatchGivesTheSameResultAtAnyTeam) {
+  pram::set_num_threads(4);
+  for (const auto& sizes : {kSlackShape, kNoSlackShape}) {
+    const RoundShape shape(sizes);
+    const auto facade = shape.run(0);
+    for (const int threads : {1, 2, 4, 8}) {
+      const auto run = shape.run(threads);
+      EXPECT_EQ(facade.first, run.first)
+          << "parent array, default team vs " << threads << " workers";
+      EXPECT_EQ(facade.second, run.second)
+          << "RerootStats, default team vs " << threads << " workers";
+    }
+  }
+  pram::set_num_threads(0);
+}
+
+TEST(ParallelEngine, TeamWakesOnlyForRoundsWithSlack) {
+  ASSERT_LT(RoundShape::total(kNoSlackShape), Rerooter::kParallelRoundWork);
+  ASSERT_GE(3 * kSlackShape.front(), Rerooter::kParallelRoundWork);
+  pram::set_num_threads(4);
+  const RoundShape no_slack(kNoSlackShape);
+  const std::uint64_t team0 = rounds_in_mode("team");
+  const std::uint64_t serial0 = rounds_in_mode("serial");
+  // Neither the default team nor an explicit one wakes without slack.
+  no_slack.run(0);
+  no_slack.run(4);
+  EXPECT_EQ(rounds_in_mode("team"), team0) << "a round without slack woke the team";
+  EXPECT_EQ(rounds_in_mode("serial") > serial0, kRecording);
+
+  // Both take the rounds that have slack.
+  const RoundShape slack(kSlackShape);
+  slack.run(0);
+  const std::uint64_t team1 = rounds_in_mode("team");
+  EXPECT_EQ(team1 > team0, kRecording);
+  slack.run(4);
+  EXPECT_EQ(rounds_in_mode("team") > team1, kRecording);
+  pram::set_num_threads(0);
 }
 
 // ---- best_edge_to_chain total order ---------------------------------------

@@ -3,7 +3,8 @@
 // periodically re-print) the obs registry, as Prometheus exposition text or
 // JSON; optionally dump the phase trace as chrome://tracing JSON. At the end
 // a per-shard table (vertices, edges, version, updates, batches, queue
-// depth) goes to stderr so it never pollutes the scrape-format stdout.
+// depth, and how many reroot rounds ran serially vs on the worker team)
+// goes to stderr so it never pollutes the scrape-format stdout.
 //
 //   pardfs_stat [--scenario=read_heavy|insert_churn|adversarial_star|
 //                           social_mix|dynamic_map]
@@ -162,6 +163,17 @@ void print_shard_table(const ShardRouter& router) {
                static_cast<unsigned long long>(total.recoveries),
                static_cast<unsigned long long>(total.retryable_acks),
                static_cast<unsigned long long>(total.overload_sheds));
+  // Whether the engine's rounds use the worker team: a team fans out only
+  // rounds with parallel slack (pardfs_reroot_round_dispatch_total{mode}).
+  const auto rounds = [](const char* mode) {
+    return static_cast<unsigned long long>(
+        obs::Registry::global()
+            .counter("pardfs_reroot_round_dispatch_total",
+                     std::string("mode=\"") + mode + "\"")
+            .value());
+  };
+  std::fprintf(stderr, "       reroot rounds: %llu serial, %llu on the team\n",
+               rounds("serial"), rounds("team"));
 }
 
 }  // namespace
