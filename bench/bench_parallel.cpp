@@ -3,10 +3,11 @@
 // The engine steps the components of a global round concurrently on a
 // worker team (rerooter.cpp) when the round has parallel slack; the inner
 // query primitives parallelize over sources through the same pram facade.
-// This bench measures end-to-end batch-update latency of
-// DynamicDfs::apply_batch at 1/2/4/8 workers on the two scenarios where
+// This bench measures the end-to-end time of a fixed replay of
+// DynamicDfs::apply_batch batches at 1/2/4/8 workers on the scenarios where
 // rerooting dominates: adversarial_star (every spoke toggle reroots a Θ(n)
-// ring subtree) and social_mix (power-law hub churn).
+// ring subtree), social_mix (power-law hub churn) and dynamic_map (the
+// map_churn grid with vertex deletes and fresh-id inserts).
 // The maintained forest is identical at every thread count (the engine's
 // determinism contract, pinned in tests/test_parallel_engine.cpp) — only
 // wall-clock may move. Real speedup needs real cores: on a single-core host
@@ -19,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "baseline/static_dfs.hpp"
@@ -32,6 +34,13 @@
 namespace pardfs {
 namespace {
 
+// Every BM_BatchUpdate row does the same fixed work: the scenario stream is
+// recorded once as kReplayBatches batches of epoch_period updates (the
+// largest batch the service layer hands to apply_batch in one drain), and
+// each iteration replays all of them on a fresh engine. Rows therefore
+// compare across builds and thread counts; the reported time is one replay.
+constexpr int kReplayBatches = 8;
+
 void run_scenario(benchmark::State& state, service::Scenario scenario) {
   const int threads = static_cast<int>(state.range(0));
   const auto n = static_cast<Vertex>(state.range(1));
@@ -39,46 +48,59 @@ void run_scenario(benchmark::State& state, service::Scenario scenario) {
   // source-parallel query reductions), so "1 thread" is genuinely serial.
   pram::set_num_threads(threads);
   const service::WorkloadSpec spec{scenario, n, 42};
-  service::WorkloadDriver driver(spec);
-  DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                 nullptr, threads);
-  // One iteration = one coalesced batch of epoch_period updates — the
-  // largest batch the service layer hands to apply_batch in one drain.
-  const std::size_t batch_size = dfs.epoch_period();
-  std::vector<GraphUpdate> batch;
+  const Graph initial = service::make_initial_graph(spec);
+  const std::size_t batch_size =
+      DynamicDfs(initial, RerootStrategy::kPaper, nullptr, threads).epoch_period();
+  std::vector<std::vector<GraphUpdate>> stream(kReplayBatches);
+  {
+    service::WorkloadDriver driver(spec);
+    for (auto& batch : stream) {
+      for (std::size_t i = 0; i < batch_size; ++i) batch.push_back(driver.next());
+    }
+  }
   std::uint64_t updates = 0;
   std::uint64_t rounds = 0;
-  const UpdatePhaseBreakdown before = DynamicDfs::phase_breakdown();
+  // E13 phase breakdown, summed over the replays only (engine construction
+  // rebases too): mark-and-delta over the registry's cumulative series
+  // (DESIGN.md §11).
+  UpdatePhaseBreakdown phases;
+  std::optional<DynamicDfs> dfs;  // replaced while paused: teardown is untimed
   for (auto _ : state) {
     state.PauseTiming();
-    batch.clear();
-    for (std::size_t i = 0; i < batch_size; ++i) batch.push_back(driver.next());
+    dfs.emplace(initial, RerootStrategy::kPaper, nullptr, threads);
+    const UpdatePhaseBreakdown before = DynamicDfs::phase_breakdown();
     state.ResumeTiming();
-    dfs.apply_batch(batch);
-    updates += batch.size();
-    rounds += dfs.last_stats().global_rounds;
+    for (const auto& batch : stream) {
+      dfs->apply_batch(batch);
+      updates += batch.size();
+      rounds += dfs->last_stats().global_rounds;
+    }
+    state.PauseTiming();
+    const UpdatePhaseBreakdown after = DynamicDfs::phase_breakdown();
+    phases.patch_us += after.patch_us - before.patch_us;
+    phases.reroot_us += after.reroot_us - before.reroot_us;
+    phases.index_rebuild_us += after.index_rebuild_us - before.index_rebuild_us;
+    phases.rebase_us += after.rebase_us - before.rebase_us;
+    state.ResumeTiming();
   }
   pram::set_num_threads(0);
   state.SetItemsProcessed(static_cast<std::int64_t>(updates));
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["batch_size"] = static_cast<double>(batch_size);
+  state.counters["batches"] = static_cast<double>(kReplayBatches);
   state.counters["engine_rounds"] = benchmark::Counter(
       static_cast<double>(rounds), benchmark::Counter::kAvgIterations);
-  // E13 phase breakdown across the whole run (per absorbed update, µs):
-  // shows how much of a batch is rerooting (the part the worker team
-  // parallelizes) vs index rebuild / epoch rebase / patching. Read as a
-  // mark-and-delta over the registry's cumulative series (DESIGN.md §11).
-  const UpdatePhaseBreakdown after = DynamicDfs::phase_breakdown();
+  // Per absorbed update (µs): how much of a batch is rerooting (the part
+  // the worker team parallelizes) vs index rebuild / epoch rebase / patching.
   const double per_update =
       updates > 0 ? 1.0 / static_cast<double>(updates) : 0.0;
-  state.counters["patch_us/update"] =
-      benchmark::Counter((after.patch_us - before.patch_us) * per_update);
+  state.counters["patch_us/update"] = benchmark::Counter(phases.patch_us * per_update);
   state.counters["reroot_us/update"] =
-      benchmark::Counter((after.reroot_us - before.reroot_us) * per_update);
-  state.counters["index_rebuild_us/update"] = benchmark::Counter(
-      (after.index_rebuild_us - before.index_rebuild_us) * per_update);
+      benchmark::Counter(phases.reroot_us * per_update);
+  state.counters["index_rebuild_us/update"] =
+      benchmark::Counter(phases.index_rebuild_us * per_update);
   state.counters["rebase_us/update"] =
-      benchmark::Counter((after.rebase_us - before.rebase_us) * per_update);
+      benchmark::Counter(phases.rebase_us * per_update);
 }
 
 void BM_BatchUpdate_AdversarialStar(benchmark::State& state) {
@@ -87,6 +109,12 @@ void BM_BatchUpdate_AdversarialStar(benchmark::State& state) {
 
 void BM_BatchUpdate_SocialMix(benchmark::State& state) {
   run_scenario(state, service::Scenario::kSocialMix);
+}
+
+// The map_churn engine workload: grid map, vertex deletes and fresh-id
+// inserts; reroot_us/update is the row the leftover grouping moves.
+void BM_BatchUpdate_DynamicMap(benchmark::State& state) {
+  run_scenario(state, service::Scenario::kDynamicMap);
 }
 
 // One engine round of 16-wide grid blocks inside a 2^15-vertex graph.
@@ -176,6 +204,12 @@ BENCHMARK(BM_BatchUpdate_AdversarialStar)
 
 BENCHMARK(BM_BatchUpdate_SocialMix)
     ->ArgsProduct({{1, 2, 4, 8}, {1 << 15}})
+    ->ArgNames({"threads", "n"})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+BENCHMARK(BM_BatchUpdate_DynamicMap)
+    ->ArgsProduct({{1, 2, 4, 8}, {1 << 14}})
     ->ArgNames({"threads", "n"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();

@@ -146,6 +146,17 @@ void AdjacencyOracle::note_edge_inserted(Vertex u, Vertex v) {
   ++patch_count_;
 }
 
+bool AdjacencyOracle::has_current_edge(Vertex u, Vertex z) const {
+  if (!edge_alive(u, z) || vertex_dead(u)) return false;
+  if (is_base_vertex(u) && is_base_vertex(z)) {
+    const auto posts = base_posts(u);
+    const auto it = std::lower_bound(posts.begin(), posts.end(), base_->post(z));
+    if (it != posts.end() && *it == base_->post(z)) return true;
+  }
+  const auto extras = extra_neighbor_list(u);
+  return std::find(extras.begin(), extras.end(), z) != extras.end();
+}
+
 void AdjacencyOracle::note_edge_deleted(Vertex u, Vertex v) {
   ensure_patch_capacity(std::max(u, v));
   auto drop_extra = [this](Vertex a, Vertex b) {

@@ -146,10 +146,15 @@ class AdjacencyOracle {
   bool edge_alive(Vertex u, Vertex z) const {
     return !edge_deleted(u, z) && !vertex_dead(z);
   }
+  // True iff the edge (u, z) is in the current graph, whether or not it is
+  // in one of the lists above: a patched-in edge deleted again leaves both
+  // lists without being recorded as deleted. O(log deg(u) + patches of u).
+  bool has_current_edge(Vertex u, Vertex z) const;
   // fn(z) for every current neighbor of u, in the fixed order above. The
   // scan is charged to the cost model like a probe batch, so consumers that
-  // sweep adjacency directly (finish_traversal's grouping and attachment
-  // walks, reduce_batch's grouping sweep) keep the PRAM work ledger honest.
+  // sweep adjacency directly (the rerooter's non-tree row build and
+  // attachment walk, reduce_batch's grouping sweep) keep the PRAM work
+  // ledger honest.
   template <typename Fn>
   void for_each_current_neighbor(Vertex u, Fn&& fn) const {
     const auto base = base_neighbors(u);
@@ -164,7 +169,13 @@ class AdjacencyOracle {
         if (edge_alive(u, z)) fn(z);
       }
     }
-    if (cost_ != nullptr) cost_->add_query(probes);
+    charge_scan(probes);
+  }
+  // Charges a direct sweep of `entries` adjacency entries as one probe batch,
+  // as for_each_current_neighbor does per row; for consumers that read a
+  // copy of the rows (the rerooter's non-tree rows).
+  void charge_scan(std::uint64_t entries) const {
+    if (cost_ != nullptr) cost_->add_query(entries);
   }
 
   // Cheap existence test built on the above.

@@ -1,43 +1,12 @@
 #include "core/batch_reduction.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <unordered_set>
 
 #include "util/check.hpp"
 
 namespace pardfs {
 namespace {
-
-// Union-find over piece indices (O(k) of them; path-halving only).
-class PieceUf {
- public:
-  explicit PieceUf(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  // True iff a and b were in different sets.
-  bool unite(std::size_t a, std::size_t b) {
-    const std::size_t ra = find(a);
-    const std::size_t rb = find(b);
-    if (ra == rb) return false;
-    parent_[ra] = rb;
-    return true;
-  }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-Vertex piece_head(const Piece& p) {
-  return p.kind == PieceKind::kSubtree ? p.root : p.top;
-}
 
 std::int32_t piece_size(const TreeIndex& cur, const Piece& p) {
   if (p.kind == PieceKind::kSubtree) return cur.size(p.root);
@@ -250,7 +219,7 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     if (group.size() == 1) {
       // Detached piece with no surviving edge elsewhere: it keeps its
       // internal parent links and its head becomes a forest root.
-      out.direct.emplace_back(piece_head(pieces[group.front()]), kNullVertex);
+      out.direct.emplace_back(pieces[group.front()].head(), kNullVertex);
       continue;
     }
     Component comp;
@@ -260,7 +229,7 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     comp.pieces.reserve(group.size());
     for (const std::size_t i : group) {
       const Piece& p = pieces[i];
-      const Vertex head = piece_head(p);
+      const Vertex head = p.head();
       comp.budget += piece_size(cur, p);
       if (comp.entry_piece < 0 || cur.depth(head) < cur.depth(comp.entry) ||
           (cur.depth(head) == cur.depth(comp.entry) && head < comp.entry)) {

@@ -41,6 +41,36 @@ struct Piece {
   static Piece path(Vertex top, Vertex bottom) {
     return {PieceKind::kPath, kNullVertex, top, bottom};
   }
+  // The piece's shallowest vertex: every other piece vertex has its tree
+  // parent inside the piece.
+  Vertex head() const { return kind == PieceKind::kSubtree ? root : top; }
+};
+
+// Union-find over piece indices (O(k) of them; path halving only), for the
+// batch reduction's and the rerooter's piece grouping.
+class PieceUf {
+ public:
+  explicit PieceUf(std::size_t n) : parent_(n) {
+    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
+  }
+  std::size_t find(std::size_t x) {
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
+    }
+    return x;
+  }
+  // True iff a and b were in different sets.
+  bool unite(std::size_t a, std::size_t b) {
+    const std::size_t ra = find(a);
+    const std::size_t rb = find(b);
+    if (ra == rb) return false;
+    parent_[ra] = rb;
+    return true;
+  }
+
+ private:
+  std::vector<std::size_t> parent_;
 };
 
 struct Component {

@@ -65,6 +65,8 @@ void mirror_reroot_stats(const RerootStats& s) {
   static obs::Counter& fallbacks = reg.counter("pardfs_reroot_fallbacks_total");
   static obs::Counter& serial_finishes =
       reg.counter("pardfs_reroot_serial_finishes_total");
+  static obs::Counter& grouping_scanned =
+      reg.counter("pardfs_reroot_grouping_scanned_total");
   if (s.global_rounds != 0) rounds.add(s.global_rounds);
   if (s.query_batches != 0) query_batches.add(s.query_batches);
   if (s.components_processed != 0) components.add(s.components_processed);
@@ -77,6 +79,7 @@ void mirror_reroot_stats(const RerootStats& s) {
   if (s.heavy_r != 0) heavy_r.add(s.heavy_r);
   if (s.fallbacks != 0) fallbacks.add(s.fallbacks);
   if (s.serial_finishes != 0) serial_finishes.add(s.serial_finishes);
+  if (s.grouping_scanned != 0) grouping_scanned.add(s.grouping_scanned);
 }
 
 // Set once a shard-labeled engine exists in the process: phase_breakdown()

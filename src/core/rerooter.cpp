@@ -4,7 +4,6 @@
 #include <atomic>
 #include <iterator>
 #include <memory>
-#include <numeric>
 
 #include "core/rerooter_internal.hpp"
 #include "obs/metrics.hpp"
@@ -28,6 +27,7 @@ void RerootStats::accumulate(const RerootStats& other) {
   heavy_special += other.heavy_special;
   fallbacks += other.fallbacks;
   serial_finishes += other.serial_finishes;
+  grouping_scanned += other.grouping_scanned;
   max_phase = std::max(max_phase, other.max_phase);
 }
 
@@ -228,33 +228,15 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
   ++ctx.stats().serial_finishes;
 }
 
-// Union-find over piece indices (tiny, path-halving only).
-class MiniUf {
- public:
-  explicit MiniUf(std::size_t n) : parent_(n) {
-    std::iota(parent_.begin(), parent_.end(), 0u);
-  }
-  std::size_t find(std::size_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
-    }
-    return x;
-  }
-  void unite(std::size_t a, std::size_t b) { parent_[find(a)] = find(b); }
-
- private:
-  std::vector<std::size_t> parent_;
-};
-
-// Applies a planned traversal: writes T* parents along the chain, groups the
-// leftover pieces into components (edge-connected sets), and assigns each
-// new component its entry via the components property (the edge to the chain
-// that the DFS retreat meets first).
+// Applies a planned traversal: writes T* parents along the chain, then
+// hands the leftover pieces to group_leftovers, which groups them into the
+// next round's components from only the edges that can join two pieces —
+// tree edges between pieces united structurally, back edges from one sweep
+// of the path pieces' memoized non-tree rows — and attaches each group at
+// its retreat-first edge to p* (DESIGN.md §9).
 void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
                       detail::TraversalPlan&& plan, std::span<Vertex> parent_out,
                       std::vector<Component>& next) {
-  const TreeIndex& cur = ctx.cur();
   PARDFS_CHECK(!plan.pstar.empty());
   PARDFS_CHECK(plan.pstar.front() == comp.entry);
 
@@ -264,31 +246,39 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
     prev = v;
   }
   ctx.stats().vertices_traversed += plan.pstar.size();
-  if (plan.leftovers.empty()) return;
+  if (!plan.leftovers.empty()) group_leftovers(ctx, comp, plan, next);
+}
 
-  const std::vector<detail::Run> runs = detail::split_runs(cur, plan.pstar);
-  ctx.index_chain(plan.pstar);
+}  // namespace
 
-  // Group leftover pieces: only (subtree|path) <-> path edges can exist
-  // (subtree-subtree edges would be cross edges of the current DFS tree).
-  // The PRAM formulation is one batch of pairwise piece-to-path queries;
-  // serially the same partition comes out of one sweep over the path
-  // pieces' adjacency (the oracle's patched lists ARE the current graph):
-  // map every neighbor of a path vertex back to its containing piece
-  // through a stamped vertex -> piece map over every leftover vertex, and
-  // union the pair. The union-find partition, and with it the emitted
-  // component order, is edge-set determined, so the result is identical to
-  // the pairwise-query sweep at a fraction of the probes.
+void NonTreeRows::fill(Vertex v, RowArena& arena) {
+  Vertex* out = arena.reserve(oracle_.base_neighbor_list(v).size() +
+                              oracle_.extra_neighbor_list(v).size());
+  std::size_t count = 0;
+  oracle_.for_each_current_neighbor(v, [&](Vertex z) {
+    // Ids inserted after the index was built lie in no piece; tree edges
+    // join pieces structurally; an edge up to an ancestor is kept in the row
+    // of its upper end.
+    if (z >= cur_.capacity() || cur_.parent(z) == v || cur_.is_ancestor(z, v)) {
+      return;
+    }
+    out[count++] = z;
+  });
+  arena.commit(count);
+  slots_[static_cast<std::size_t>(v)] = {out, count};
+}
+
+void group_leftovers(EngineCtx& ctx, const Component& comp,
+                     const TraversalPlan& plan, std::vector<Component>& next) {
+  const TreeIndex& cur = ctx.cur();
+  const AdjacencyOracle& oracle = ctx.view().oracle();
   const std::size_t k = plan.leftovers.size();
-  std::vector<std::size_t> path_idx;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (plan.leftovers[i].kind == PieceKind::kPath) path_idx.push_back(i);
-  }
 
   // Vertex -> containing leftover piece, as a stamped O(1) map: the walks
-  // below touch every neighbor of every chain/path vertex, so the lookup
-  // must be loads, not searches. Stamping costs O(total leftover size) —
-  // the same order as the leftovers' own construction.
+  // below look up every non-tree neighbour of every path vertex and every
+  // neighbour of the chain, so the lookup must be loads, not searches.
+  // Stamping costs O(total leftover size) — the same order as the leftovers'
+  // own construction.
   ctx.begin_piece_map();
   for (std::size_t i = 0; i < k; ++i) {
     const Piece& p = plan.leftovers[i];
@@ -303,29 +293,69 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
       }
     }
   }
-  const AdjacencyOracle& oracle = ctx.view().oracle();
   const Vertex cap = cur.capacity();
   const auto piece_of = [&](Vertex z) -> std::int32_t {
     if (z < 0 || z >= cap) return -1;
     return ctx.piece_at(z);
   };
 
-  MiniUf uf(k);
-  if (!path_idx.empty()) {
-    for (const std::size_t p : path_idx) {
-      const Piece& pp = plan.leftovers[p];
-      for (Vertex v = pp.bottom;; v = cur.parent(v)) {
-        // The next chain vertex's adjacency row is a dependent pointer chase
-        // away; issue its prefetch before sweeping v's row.
-        if (v != pp.top) oracle.prefetch_adjacency(cur.parent(v));
-        oracle.for_each_current_neighbor(v, [&](Vertex z) {
-          const std::int32_t j = piece_of(z);
-          if (j >= 0 && j != static_cast<std::int32_t>(p)) {
-            uf.unite(static_cast<std::size_t>(p), static_cast<std::size_t>(j));
+  // Group leftover pieces into the components of the unvisited graph. The
+  // PRAM formulation is one batch of pairwise piece-to-path queries; the same
+  // partition comes out of the edges that can join two pieces, read in two
+  // steps. The union-find partition, and with it the emitted component
+  // order, is edge-set determined, so neither step's order matters.
+  PieceUf uf(k);
+  std::size_t num_groups = k;
+  const auto join = [&](std::size_t a, std::size_t b) {
+    if (uf.unite(a, b)) --num_groups;
+  };
+  // (1) Tree edges, structurally in O(k). A tree edge between two pieces has
+  // its child end at a piece head (every other piece vertex has its parent
+  // in the same piece), so uniting each head with its parent's piece, when
+  // that edge is still in the graph, covers all of them.
+  for (std::size_t i = 0; i < k && num_groups > 1; ++i) {
+    const Vertex head = plan.leftovers[i].head();
+    const Vertex parent = cur.parent(head);
+    if (parent == kNullVertex) continue;
+    const std::int32_t j = piece_of(parent);
+    if (j >= 0 && static_cast<std::size_t>(j) != i &&
+        oracle.has_current_edge(head, parent)) {
+      join(i, static_cast<std::size_t>(j));
+    }
+  }
+  // (2) Non-tree edges: only (subtree|path) <-> path ones can exist
+  // (subtree-subtree edges would be cross edges of the current DFS tree),
+  // and a back edge's upper end is the one on a path piece, so one sweep
+  // over the path pieces' non-tree rows finds them. It stops once one group
+  // remains; the rows it reads are charged to the cost model as the
+  // adjacency scans they replace.
+  const bool has_path =
+      std::any_of(plan.leftovers.begin(), plan.leftovers.end(),
+                  [](const Piece& p) { return p.kind == PieceKind::kPath; });
+  if (has_path) {
+    if (num_groups > 1) {
+      NonTreeRows& rows = ctx.rows();
+      RowArena& arena = ctx.row_arena();
+      std::uint64_t scanned = 0;
+      for (std::size_t i = 0; i < k && num_groups > 1; ++i) {
+        const Piece& pp = plan.leftovers[i];
+        if (pp.kind != PieceKind::kPath) continue;
+        for (Vertex v = pp.bottom;; v = cur.parent(v)) {
+          std::uint64_t read = 0;
+          for (const Vertex z : rows.row(v, arena)) {
+            ++read;
+            const std::int32_t j = piece_of(z);
+            if (j >= 0 && static_cast<std::size_t>(j) != i) {
+              join(i, static_cast<std::size_t>(j));
+              if (num_groups == 1) break;
+            }
           }
-        });
-        if (v == pp.top) break;
+          oracle.charge_scan(read);
+          scanned += read;
+          if (num_groups == 1 || v == pp.top) break;
+        }
       }
+      ctx.stats().grouping_scanned += scanned;
     }
     ctx.count_batch();  // grouping = one logical set of independent queries
   }
@@ -353,9 +383,12 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
   // same winners for EVERY group at once: the first chain vertex q with an
   // edge into a group fixes that group's position (q), and the smallest
   // piece-side endpoint among q's edges into the group is the paper's
-  // tie-break. The oracle's patched adjacency lists are exactly the current
-  // graph, so the edge universe is identical to the query sweep's.
-  for (std::size_t b = 0; b < runs.size(); ++b) ctx.count_batch();
+  // tie-break. The walk reads full adjacency rows: a tree edge from q into a
+  // hanging subtree is as valid an attach edge as a back edge. The oracle's
+  // patched adjacency lists are exactly the current graph, so the edge
+  // universe is identical to the query sweep's.
+  const std::size_t num_runs = split_runs(cur, plan.pstar).size();
+  for (std::size_t b = 0; b < num_runs; ++b) ctx.count_batch();
   struct GroupAttach {
     Vertex entry = kNullVertex;   // u: piece-side endpoint
     Vertex attach = kNullVertex;  // v = q on p*
@@ -405,7 +438,6 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
   }
 }
 
-}  // namespace
 }  // namespace detail
 
 Rerooter::Rerooter(const TreeIndex& current, const OracleView& view,
@@ -472,9 +504,11 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
   // oracle-view memo copy.
   std::vector<std::unique_ptr<detail::EngineCtx>> workers(
       static_cast<std::size_t>(threads > 0 ? threads : 1));
+  // The pass's non-tree rows, filled by the groupings that sweep them.
+  detail::NonTreeRows rows(cur_, view_.oracle());
   const auto worker_ctx = [&](int w) -> detail::EngineCtx& {
     auto& slot = workers[static_cast<std::size_t>(w)];
-    if (!slot) slot = std::make_unique<detail::EngineCtx>(cur_, view_);
+    if (!slot) slot = std::make_unique<detail::EngineCtx>(cur_, view_, &rows);
     return *slot;
   };
 

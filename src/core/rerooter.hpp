@@ -17,7 +17,8 @@
 //     the round bound can slip; the fallback counter is reported.
 //
 // Correct-by-construction engine: whatever path a strategy picks, the
-// residual pieces are grouped into components by edge queries and each new
+// residual pieces are grouped into components by the edges between them
+// (tree edges structurally, back edges by one sweep) and each new
 // component re-enters through its edge to the traversed path that the DFS
 // would retreat past first (the components property, Lemma 1). The final
 // parent array is therefore a valid DFS tree for any traversal choice.
@@ -71,6 +72,9 @@ struct RerootStats {
   std::uint64_t heavy_special = 0;  // special-case hits (handled by fallback)
   std::uint64_t fallbacks = 0;      // degenerate inputs absorbed by DisInt
   std::uint64_t serial_finishes = 0;  // sub-cutoff components finished directly
+  // Non-tree adjacency entries read by the leftover-grouping sweeps (tree
+  // edges between pieces are united without reading a row).
+  std::uint64_t grouping_scanned = 0;
   std::uint32_t max_phase = 0;
 
   void accumulate(const RerootStats& other);

@@ -3,7 +3,8 @@
 // round step on real threads (rerooter.cpp), so this pins
 //   * the final parent array at 1/2/4/8 workers (single-update path and the
 //     combined batch path),
-//   * every RerootStats counter (round counts included),
+//   * every RerootStats counter (round counts and the grouping sweep's
+//     grouping_scanned included),
 //   * the facade-default knob (num_threads = 0) against an explicit team,
 //   * the (pos, u, v) total order of best_edge_to_chain, which must not
 //     depend on piece-iteration order,
@@ -30,14 +31,14 @@
 namespace pardfs {
 namespace {
 
-using FingerPrint = std::array<std::uint64_t, 13>;
+using FingerPrint = std::array<std::uint64_t, 14>;
 
 FingerPrint pack(const RerootStats& s) {
   return {s.global_rounds, s.query_batches,  s.components_processed,
           s.vertices_traversed, s.disintegrating, s.path_halving,
           s.disconnecting,      s.heavy_l,        s.heavy_p,
           s.heavy_r,            s.heavy_special,  s.fallbacks,
-          s.max_phase};
+          s.max_phase,          s.grouping_scanned};
 }
 
 struct StreamResult {

@@ -3,8 +3,9 @@
 // periodically re-print) the obs registry, as Prometheus exposition text or
 // JSON; optionally dump the phase trace as chrome://tracing JSON. At the end
 // a per-shard table (vertices, edges, version, updates, batches, queue
-// depth, and how many reroot rounds ran serially vs on the worker team)
-// goes to stderr so it never pollutes the scrape-format stdout.
+// depth, how many reroot rounds ran serially vs on the worker team, and the
+// entries the leftover-grouping sweeps read) goes to stderr so it never
+// pollutes the scrape-format stdout.
 //
 //   pardfs_stat [--scenario=read_heavy|insert_churn|adversarial_star|
 //                           social_mix|dynamic_map]
@@ -174,6 +175,14 @@ void print_shard_table(const ShardRouter& router) {
   };
   std::fprintf(stderr, "       reroot rounds: %llu serial, %llu on the team\n",
                rounds("serial"), rounds("team"));
+  // Work of the leftover grouping: the non-tree adjacency entries its sweeps
+  // read (pardfs_reroot_grouping_scanned_total; tree edges between pieces
+  // are united without a read).
+  std::fprintf(stderr, "       reroot grouping scanned: %llu entries\n",
+               static_cast<unsigned long long>(
+                   obs::Registry::global()
+                       .counter("pardfs_reroot_grouping_scanned_total")
+                       .value()));
 }
 
 }  // namespace
