@@ -30,6 +30,21 @@ std::uint64_t mono_ns() {
           .count());
 }
 
+// The vertices an op references: edge ends, a vertex insert's neighbors or a
+// deleted vertex.
+std::vector<Vertex> endpoints(const GraphUpdate& u) {
+  switch (u.kind) {
+    case GraphUpdate::Kind::kInsertEdge:
+    case GraphUpdate::Kind::kDeleteEdge:
+      return {u.u, u.v};
+    case GraphUpdate::Kind::kInsertVertex:
+      return u.neighbors;
+    case GraphUpdate::Kind::kDeleteVertex:
+      return {u.u};
+  }
+  return {};
+}
+
 // The legacy unlabeled service series (the shapes PR 6's dashboards and the
 // benches read). A 1-shard router records into exactly these, so nothing
 // downstream notices the refactor; multi-shard routers use shard="<id>"
@@ -551,12 +566,7 @@ void ShardRouter::stop() {
     }
     std::vector<PendingUpdate> rest;
     sh->queue.drain(rest, 0);
-    for (PendingUpdate& p : rest) {
-      if (p.ticket.try_ack(UpdateTicket::kRetryable)) {
-        sh->retryable_acks.fetch_add(1, std::memory_order_relaxed);
-        retryable_counter().add();
-      }
-    }
+    for (const PendingUpdate& p : rest) ack_retryable(*sh, p.ticket);
   }
 }
 
@@ -581,7 +591,6 @@ ServiceStats ShardRouter::stats() const {
       out.recoveries += s.recoveries;
     }
   }
-  out.rejected_infeasible = out.updates_rejected;
   for (const auto& sh : shards_) {
     out.rejected_shutdown += sh->queue.rejected_after_close();
     out.retryable_acks += sh->retryable_acks.load(std::memory_order_relaxed);
@@ -597,7 +606,6 @@ ServiceStats ShardRouter::shard_stats(std::size_t shard) const {
     std::lock_guard lock(control_mu_);
     out = shards_[shard]->stats;
   }
-  out.rejected_infeasible = out.updates_rejected;
   out.rejected_shutdown = shards_[shard]->queue.rejected_after_close();
   out.retryable_acks =
       shards_[shard]->retryable_acks.load(std::memory_order_relaxed);
@@ -773,9 +781,9 @@ bool ShardRouter::feasible(const Shard& sh, const GraphUpdate& u,
   return false;
 }
 
-bool ShardRouter::is_local(const Shard& sh, const GraphUpdate& u) const {
+bool ShardRouter::is_local(const Shard& gateway, const GraphUpdate& u) const {
   if (shards_.size() == 1) return true;
-  const auto self = static_cast<std::int32_t>(sh.id);
+  const auto self = static_cast<std::int32_t>(gateway.id);
   switch (u.kind) {
     case GraphUpdate::Kind::kInsertEdge:
     case GraphUpdate::Kind::kDeleteEdge: {
@@ -804,6 +812,20 @@ bool ShardRouter::is_local(const Shard& sh, const GraphUpdate& u) const {
   return true;
 }
 
+std::vector<std::size_t> ShardRouter::involved_shards(
+    const Shard& gateway, const GraphUpdate& u) const {
+  if (is_local(gateway, u)) return {gateway.id};
+  // Not local, so every endpoint resolved (directory entries never return
+  // to -1).
+  std::vector<std::size_t> out;
+  for (const Vertex v : endpoints(u)) {
+    out.push_back(static_cast<std::size_t>(directory_->get(v)));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 void ShardRouter::writer_loop(Shard& sh) {
   // The writer owns a recoverable failure domain: any PARDFS_CHECK its
   // frames trip throws InvariantViolation instead of aborting the process;
@@ -811,7 +833,6 @@ void ShardRouter::writer_loop(Shard& sh) {
   // journal-replay recovery (DESIGN.md §13).
   const ScopedRecoverableChecks recoverable;
   std::vector<PendingUpdate> pending;
-  std::vector<PendingUpdate*> run;
   try {
     for (;;) {
       sh.heartbeat_ns.store(mono_ns(), std::memory_order_release);
@@ -862,36 +883,21 @@ void ShardRouter::writer_loop(Shard& sh) {
       sh.depth_gauge->set(static_cast<std::int64_t>(sh.queue.size()));
       sh.coalesce_gauge->set(static_cast<std::int64_t>(pending.size()));
 
-      // Segment the drained FIFO into maximal runs of locally-resolving ops
-      // (batched through the ported single-writer path) interleaved with
-      // specials (merges / ops whose component migrated away after routing).
-      // Classification happens under the engine lock: directory entries
-      // pointing at this shard cannot change while it is held, so an op
-      // classified local stays local through its apply.
+      // Split the drained FIFO into runs — a maximal stretch of ops local to
+      // this shard, or one op that touches other shards (a merge, or an op
+      // whose component migrated away after routing) — and apply each
+      // through the one pipeline, which reports how many ops it consumed (0
+      // when a racing migration changed the resolution: resolve again).
       std::size_t i = 0;
       while (i < pending.size()) {
-        // Re-stamp between runs and specials: a large drained batch can
-        // legitimately process for longer than stall_timeout_ms, and the
-        // watchdog must fence actual stalls, not long healthy batches. (An
-        // injected batch_stall_ms still fences — the stall loop never
-        // reaches this stamp.)
+        // Re-stamp between runs: a large drained batch can legitimately
+        // process for longer than stall_timeout_ms, and the watchdog must
+        // fence actual stalls, not long healthy batches. (An injected
+        // batch_stall_ms still fences — the stall loop never reaches this
+        // stamp.)
         sh.heartbeat_ns.store(mono_ns(), std::memory_order_release);
-        std::size_t j = i;
-        {
-          std::lock_guard lock(sh.mu);
-          while (j < pending.size() && is_local(sh, pending[j].update)) ++j;
-          if (j > i) {
-            run.clear();
-            for (std::size_t k = i; k < j; ++k) run.push_back(&pending[k]);
-            apply_run_locked(sh, sh, run);
-          }
-        }
-        if (j == i) {
-          process_special(sh, pending[i]);
-          ++i;
-        } else {
-          i = j;
-        }
+        i += apply_run(sh, std::span(pending).subspan(i),
+                       involved_shards(sh, pending[i].update));
       }
       sh.busy.store(false, std::memory_order_release);
     }
@@ -920,10 +926,7 @@ void ShardRouter::writer_crashed(Shard& sh, std::vector<PendingUpdate>& pending,
         break;
       }
     }
-    if (!in_wal && p.ticket.try_ack(UpdateTicket::kRetryable)) {
-      sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-      retryable_counter().add();
-    }
+    if (!in_wal) ack_retryable(sh, p.ticket);
   }
   std::fprintf(stderr,
                "pardfs: shard %zu writer crashed: %s (%s)\n", sh.id, what,
@@ -935,469 +938,346 @@ void ShardRouter::writer_crashed(Shard& sh, std::vector<PendingUpdate>& pending,
   sh.crashed.store(true, std::memory_order_release);
 }
 
-// Applies a run of ops (already classified local to `target`) as one batch:
-// the ported single-writer path. Caller holds target.mu; acks and their
-// latency are recorded against `gateway`, the shard whose queue carried the
-// ops (== target except for remote singles).
-void ShardRouter::apply_run_locked(Shard& target, Shard& gateway,
-                                   std::vector<PendingUpdate*>& run) {
-  bool has_insert = false;
-  for (const PendingUpdate* p : run) {
-    if (p->update.kind == GraphUpdate::Kind::kInsertVertex) {
-      has_insert = true;
-      break;
+// ---- the apply pipeline (DESIGN.md §12, §13) -------------------------------
+
+std::size_t ShardRouter::apply_run(Shard& gateway,
+                                   std::span<PendingUpdate> ops,
+                                   const std::vector<std::size_t>& involved) {
+  // 1. Lock ascending, re-verify. A directory entry pointing at a shard can
+  // only change while that shard's engine lock is held, so a resolution
+  // that survives verification under the locks is pinned until they drop.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  locks.reserve(involved.size());
+  for (const std::size_t s : involved) locks.emplace_back(shards_[s]->mu);
+  if (involved_shards(gateway, ops[0].update) != involved) return 0;
+  // The gateway's own run takes every following op still local to it
+  // (classified under its lock, so it stays local through the apply); any
+  // other run is the one op.
+  const bool own = involved.size() == 1 && involved[0] == gateway.id;
+  std::size_t len = 1;
+  while (own && len < ops.size() && is_local(gateway, ops[len].update)) ++len;
+  const std::span<PendingUpdate> run = ops.first(len);
+  // A crashed shard's engine is poisoned state: nothing may touch it until
+  // recovery has replayed its journal. kRetryable (rather than blocking on
+  // the watchdog) keeps this queue draining; the client resubmits after
+  // the failover. (Never the gateway itself: a crashed writer has exited.)
+  for (const std::size_t s : involved) {
+    if (shards_[s]->crashed.load(std::memory_order_acquire)) {
+      for (const PendingUpdate& p : run) ack_retryable(gateway, p.ticket);
+      return len;
     }
   }
-  // Vertex inserts assign from the global id space: hold the id lock
-  // (innermost) across feasibility + apply so the assigned ids are exactly
-  // the ones a single-shard run would hand out. pad_capacity aligns the
-  // shard's graph so add_vertex lands on global_next_ (a no-op at S == 1).
+  std::size_t winner = involved[0];
+  try {
+    apply_locked(gateway, run, involved, winner);
+  } catch (const std::exception& e) {
+    if (own) throw;
+    recover_inline(gateway, run, involved, winner, e.what());
+  }
+  return len;
+}
+
+void ShardRouter::apply_locked(Shard& gateway, std::span<PendingUpdate> run,
+                               const std::vector<std::size_t>& involved,
+                               std::size_t& winner) {
+  // Several involved shards means one merging op (apply_run never groups
+  // those). Its endpoints drive steps 2 and 3, which a one-shard run skips.
+  const bool merge = involved.size() > 1;
+  const std::vector<Vertex> ends =
+      merge ? endpoints(run[0].update) : std::vector<Vertex>{};
+  std::vector<std::size_t> owner;  // owner[k]: the shard holding ends[k]
+  for (const Vertex v : ends) {
+    owner.push_back(static_cast<std::size_t>(directory_->get(v)));
+  }
+
+  // 2. Cross-shard pre-check, before anything migrates: every endpoint alive
+  // in its own shard, no endpoint twice. Components are shard-disjoint, so
+  // no existing edge spans shards: a cross-shard delete is infeasible.
+  bool across_ok =
+      !merge || run[0].update.kind != GraphUpdate::Kind::kDeleteEdge;
+  for (std::size_t k = 0; across_ok && k < ends.size(); ++k) {
+    across_ok = shards_[owner[k]]->dfs.graph().is_alive(ends[k]) &&
+                std::find(ends.begin() + static_cast<std::ptrdiff_t>(k) + 1,
+                          ends.end(), ends[k]) == ends.end();
+  }
+  if (!across_ok) {
+    reject(gateway, run[0].ticket);
+    return;
+  }
+
+  // 3. Winner: the shard owning the largest involved component (tie: lower
+  // shard id). Placement only — the forest content is identical whichever
+  // shard hosts the merged component. Every other involved component
+  // migrates into it by verbatim row transplant, deduplicated by (shard,
+  // root): several endpoints may share a component.
+  std::int32_t best_size = -1;
+  for (std::size_t k = 0; k < ends.size(); ++k) {
+    const DynamicDfs& cand = shards_[owner[k]]->dfs;
+    const std::int32_t size = cand.tree().size(cand.root_of(ends[k]));
+    if (size > best_size || (size == best_size && owner[k] < winner)) {
+      best_size = size;
+      winner = owner[k];
+    }
+  }
+  Shard& w = *shards_[winner];
+  std::set<std::pair<std::size_t, Vertex>> seen;
+  std::vector<Vertex> migrated;
+  std::set<std::size_t> losers;
+  for (std::size_t k = 0; k < ends.size(); ++k) {
+    if (owner[k] == winner) continue;
+    Shard& loser = *shards_[owner[k]];
+    if (!seen.insert({owner[k], loser.dfs.root_of(ends[k])}).second) continue;
+    DynamicDfs::ComponentTransfer t = loser.dfs.extract_component(ends[k]);
+    // Journal both halves back-to-back with no faultable code between:
+    // crashes in this design are C++ exceptions, so the two records are
+    // atomic — replay sees the migration on both sides or on neither. The
+    // loser's version_after is its single post-merge bump (one per op
+    // however many components leave).
+    if (loser.journal) loser.journal->record_extract(ends[k], loser.version + 1);
+    if (w.journal) w.journal->record_adopt(t);
+    migrated.insert(migrated.end(), t.vertices.begin(), t.vertices.end());
+    w.dfs.adopt_component(std::move(t));
+    losers.insert(owner[k]);
+  }
+  if (merge) {
+    count_merge(gateway, seen.size());
+    if (config_.enable_chaos) {
+      chaos_site(static_cast<int>(chaos::FaultPoint::kMergeAbort), w);
+    }
+  }
+
+  // 4. Ids and feasibility. Vertex inserts assign from the global id space:
+  // hold the id lock (innermost) from the pad through the apply, so the
+  // assigned ids are exactly the ones a single-shard run would hand out.
+  // pad_capacity aligns the winner's graph so add_vertex lands on
+  // global_next_ (a no-op at S == 1).
+  const bool has_insert =
+      std::any_of(run.begin(), run.end(), [](const PendingUpdate& p) {
+        return p.update.kind == GraphUpdate::Kind::kInsertVertex;
+      });
   std::unique_lock<std::mutex> id_lock;
   BatchDelta delta;
+  delta.next_vertex = w.dfs.graph().capacity();
   if (has_insert) {
     id_lock = std::unique_lock(id_mu_);
     // The pad is journaled even if every insert then fails feasibility: the
     // live engine's capacity moved, so replay's must too (§13: the journal
     // mirrors every engine mutation, not every accepted update).
-    if (target.journal) target.journal->record_pad(global_next_);
-    target.dfs.pad_capacity(global_next_);
+    if (w.journal) w.journal->record_pad(global_next_);
+    w.dfs.pad_capacity(global_next_);
     delta.next_vertex = global_next_;
-  } else {
-    delta.next_vertex = target.dfs.graph().capacity();
   }
-
   std::vector<GraphUpdate> batch;
-  std::vector<UpdateTicket> accepted;
-  std::vector<std::uint64_t> accepted_enqueue_ns;
-  for (PendingUpdate* p : run) {
-    if (feasible(target, p->update, delta)) {
-      batch.push_back(std::move(p->update));
-      accepted.push_back(p->ticket);
-      accepted_enqueue_ns.push_back(p->enqueue_ns);
+  std::vector<PendingUpdate*> accepted;
+  for (PendingUpdate& p : run) {
+    if (feasible(w, p.update, delta)) {
+      batch.push_back(std::move(p.update));
+      accepted.push_back(&p);
     } else {
-      // Counted before the ack, so a caller woken by it already sees the
-      // rejection in stats().
-      {
-        std::lock_guard lock(control_mu_);
-        ++target.stats.updates_rejected;
-      }
-      infeasible_counter().add();
-      p->ticket.ack(UpdateTicket::kRejected);
+      reject(gateway, p.ticket);
     }
   }
+  if (batch.empty()) {
+    // A merging op passed the pre-check and now lives in one shard, so the
+    // filter cannot refuse it; a refused local run still checkpoints, as
+    // the pad alone may have grown the journal.
+    PARDFS_CHECK_MSG(!merge, "merging op refused after its migration");
+    if (id_lock.owns_lock()) id_lock.unlock();
+    maybe_checkpoint_locked(w);
+    return;
+  }
 
-  BatchStats batch_stats;
-  if (!batch.empty()) {
-    if (config_.enable_chaos) chaos_stall(target, gateway);
-    // WAL point: acceptance == journaled. The batch, its version and its
-    // tickets are recorded before apply; a crash from here on recovers by
-    // replay and acks these tickets with that version (exactly-once via
-    // try_ack). There is deliberately no faultable code between the two
-    // statements below.
-    if (target.journal) {
-      target.journal->record_apply(batch, target.version + 1,
-                                   target.updates_applied + batch.size());
-      Shard::WalPending wal;
-      wal.tickets = accepted;
-      wal.kinds.reserve(batch.size());
-      for (const GraphUpdate& u : batch) wal.kinds.push_back(u.kind);
-      wal.version = target.version + 1;
-      target.wal_pending = std::move(wal);
-    }
-    // Reserve the assigned ids at the WAL point, not after the apply: the
-    // record above holds inserts whose ids start at the old global_next_, so
-    // the allocator must advance before any faultable code. A crash in the
-    // apply below then cannot let another shard hand out the journaled ids
-    // during the window before replay (which would ack the same id to two
-    // clients). delta.next_vertex is exactly the capacity this batch leaves
-    // behind: the pad to global_next_ plus one id per accepted insert.
-    if (has_insert) global_next_ = delta.next_vertex;
-    if (config_.enable_chaos) {
-      chaos_site(static_cast<int>(chaos::FaultPoint::kWriterCrashMidBatch),
-                 target);
-    }
-    {
-      const obs::Span apply_span("apply_batch");
-      batch_stats = target.dfs.apply_batch(batch);
-    }
-    if (config_.enable_chaos) {
-      chaos_site(static_cast<int>(chaos::FaultPoint::kIndexRebuildThrow),
-                 target);
-    }
-    target.updates_applied += batch.size();
-    ++target.version;
-    if (has_insert) {
-      for (const Vertex v : batch_stats.new_vertices) {
-        directory_->set(v, static_cast<std::int32_t>(target.id));
-      }
-      // global_next_ already advanced at the WAL point above.
-    }
-    publish(target, /*forest_unchanged=*/batch_stats.structural == 0);
-    batches_counter().add();
-    applied_counter().add(batch.size());
-    published_counter().add();
+  // The WAL point: acceptance == journaled. The batch, its version and its
+  // tickets are recorded before apply; a crash from here on recovers by
+  // replay and acks these tickets with that version (exactly-once via
+  // try_ack). There is deliberately no faultable code between the journal
+  // record and the wal_pending entry. A merge's fault point was merge_abort
+  // above; a run's are the stall, mid-batch and rebuild hooks.
+  const bool run_chaos = config_.enable_chaos && !merge;
+  if (run_chaos) chaos_stall(w, gateway);
+  if (w.journal) {
+    w.journal->record_apply(batch, w.version + 1,
+                            w.updates_applied + batch.size());
+    Shard::WalPending wal;
+    wal.tickets.reserve(batch.size());
+    wal.kinds.reserve(batch.size());
+    for (const PendingUpdate* p : accepted) wal.tickets.push_back(p->ticket);
+    for (const GraphUpdate& u : batch) wal.kinds.push_back(u.kind);
+    wal.version = w.version + 1;
+    w.wal_pending = std::move(wal);
+  }
+  // Reserve the assigned ids at the WAL point, not after the apply: the
+  // record above holds inserts whose ids start at the old global_next_, so
+  // the allocator must advance before any faultable code. A crash in the
+  // apply below then cannot let another shard hand out the journaled ids
+  // during the window before replay (which would ack the same id to two
+  // clients). delta.next_vertex is exactly the capacity this batch leaves
+  // behind: the pad to global_next_ plus one id per accepted insert.
+  if (has_insert) global_next_ = delta.next_vertex;
+  if (run_chaos) {
+    chaos_site(static_cast<int>(chaos::FaultPoint::kWriterCrashMidBatch), w);
+  }
+
+  // 5. Apply.
+  BatchStats bs;
+  {
+    const obs::Span apply_span("apply_batch");
+    bs = w.dfs.apply_batch(batch);
+  }
+  if (run_chaos) {
+    chaos_site(static_cast<int>(chaos::FaultPoint::kIndexRebuildThrow), w);
+  }
+  w.updates_applied += batch.size();
+  ++w.version;
+  for (const Vertex v : bs.new_vertices) {
+    directory_->set(v, static_cast<std::int32_t>(winner));
+  }
+
+  // 6. Publish. The order keeps readers miss-free: the winner's snapshot
+  // (which now holds the migrated components) goes out before the directory
+  // flips, the losers' (which drop them) only after. A reader resolving
+  // mid-protocol lands on a shard whose published snapshot still answers
+  // for the vertex. A merge's id section ends once its new id is in the
+  // directory; a local run's also covers its publish.
+  if (merge && id_lock.owns_lock()) id_lock.unlock();
+  publish(w, /*forest_unchanged=*/!merge && bs.structural == 0);
+  for (const Vertex v : migrated) {
+    directory_->set(v, static_cast<std::int32_t>(winner));
+  }
+  for (const std::size_t s : losers) {
+    ++shards_[s]->version;
+    publish(*shards_[s], /*forest_unchanged=*/false);
   }
   if (id_lock.owns_lock()) id_lock.unlock();
-  // Stats are counted and the snapshot published before the acks go out, so
-  // a wait()er's stats() and snapshot already reflect its update.
-  if (!batch.empty()) {
-    std::lock_guard lock(control_mu_);
-    ServiceStats& st = target.stats;
-    ++st.batches;
-    ++st.snapshots_published;
-    st.updates_applied += batch.size();
-    st.max_batch = std::max<std::uint64_t>(st.max_batch, batch.size());
-    st.structural += batch_stats.structural;
-    st.back_edges += batch_stats.back_edges;
-    st.segments += batch_stats.segments;
-    st.index_rebuilds += batch_stats.index_rebuilds;
-    st.base_rebuilds += batch_stats.base_rebuilds;
-  }
+
+  // 7. Count, ack, checkpoint. Counting first means a wait()er's stats()
+  // already reflect its update.
+  count_batch(w, batch.size(), bs);
+  count_publish(w);
+  for (const std::size_t s : losers) count_publish(*shards_[s]);
   std::size_t next_new_vertex = 0;
-  const std::uint64_t acked_at =
-      obs::metrics_enabled() && !accepted.empty() ? obs::now_ns() : 0;
+  const std::uint64_t acked_at = obs::metrics_enabled() ? obs::now_ns() : 0;
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     Vertex assigned = kNullVertex;
     if (batch[i].kind == GraphUpdate::Kind::kInsertVertex) {
-      assigned = batch_stats.new_vertices[next_new_vertex++];
+      assigned = bs.new_vertices[next_new_vertex++];
     }
-    accepted[i].ack(target.version, assigned);
-    if (acked_at != 0 && accepted_enqueue_ns[i] != 0) {
-      gateway.ack_latency->record(acked_at - accepted_enqueue_ns[i]);
+    accepted[i]->ticket.ack(w.version, assigned);
+    if (acked_at != 0 && accepted[i]->enqueue_ns != 0) {
+      gateway.ack_latency->record(acked_at - accepted[i]->enqueue_ns);
     }
   }
-  // The batch is applied, published and acked: its WAL tickets are no longer
-  // pending (caller still holds target.mu).
-  target.wal_pending.reset();
-  maybe_checkpoint_locked(target);
-
+  // Applied, published and acked: the WAL tickets are no longer pending,
+  // and every journal this run appended to may truncate.
+  w.wal_pending.reset();
+  maybe_checkpoint_locked(w);
+  for (const std::size_t s : losers) maybe_checkpoint_locked(*shards_[s]);
 }
 
-void ShardRouter::process_special(Shard& sh, PendingUpdate& p) {
-  const GraphUpdate& u = p.update;
-  std::vector<Vertex> endpoints;
-  switch (u.kind) {
-    case GraphUpdate::Kind::kInsertEdge:
-    case GraphUpdate::Kind::kDeleteEdge:
-      endpoints = {u.u, u.v};
-      break;
-    case GraphUpdate::Kind::kInsertVertex:
-      endpoints = u.neighbors;
-      break;
-    case GraphUpdate::Kind::kDeleteVertex:
-      endpoints = {u.u};
-      break;
+void ShardRouter::recover_inline(Shard& gateway, std::span<PendingUpdate> run,
+                                 const std::vector<std::size_t>& involved,
+                                 std::size_t first, const char* what) {
+  std::fprintf(stderr,
+               "pardfs: merge on shard %zu crashed: %s; recovering %zu "
+               "shard(s) inline\n",
+               gateway.id, what, involved.size());
+  // The gateway's writer survives: the damaged engines are repaired here,
+  // while their locks are still held (their own writers are alive, so the
+  // watchdog could never join them). `first` is recovered before the rest
+  // so the directory flips to the winner before any loser republishes
+  // without the migrated component (miss-free reads, as in apply_locked).
+  std::vector<std::size_t> order{first};
+  for (const std::size_t s : involved) {
+    if (s != first) order.push_back(s);
   }
-
-  const auto reject = [&] {
-    {
-      std::lock_guard lock(control_mu_);
-      ++sh.stats.updates_rejected;
-    }
-    infeasible_counter().add();
-    p.ticket.ack(UpdateTicket::kRejected);
-  };
-
-  // Lock-coupling retry: resolve -> lock involved shards ascending ->
-  // re-verify. A directory entry pointing at a shard can only change while
-  // that shard's engine lock is held, so once every resolved entry survives
-  // verification under the locks, it is pinned for the protocol's duration.
-  for (;;) {
-    std::vector<std::int32_t> dirs;
-    dirs.reserve(endpoints.size());
-    std::vector<std::size_t> involved;
-    for (const Vertex v : endpoints) {
-      const std::int32_t d = directory_->get(v);
-      if (d < 0) {
-        reject();  // an endpoint that never existed: infeasible everywhere
-        return;
-      }
-      dirs.push_back(d);
-      involved.push_back(static_cast<std::size_t>(d));
-    }
-    std::sort(involved.begin(), involved.end());
-    involved.erase(std::unique(involved.begin(), involved.end()),
-                   involved.end());
-
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(involved.size());
-    for (const std::size_t s : involved) {
-      locks.emplace_back(shards_[s]->mu);
-    }
-    bool stable = true;
-    for (std::size_t k = 0; k < endpoints.size(); ++k) {
-      if (directory_->get(endpoints[k]) != dirs[k]) {
-        stable = false;
-        break;
-      }
-    }
-    if (!stable) continue;  // locks drop; a migration raced us — re-resolve
-
-    // A crashed shard's engine is poisoned state: nothing may touch it until
-    // recovery has replayed its journal. kRetryable (rather than blocking on
-    // the watchdog) keeps this queue draining; the client resubmits after
-    // the failover.
-    bool any_crashed = false;
-    for (const std::size_t s : involved) {
-      if (shards_[s]->crashed.load(std::memory_order_acquire)) {
-        any_crashed = true;
-        break;
-      }
-    }
-    if (any_crashed) {
-      if (p.ticket.try_ack(UpdateTicket::kRetryable)) {
-        sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-        retryable_counter().add();
-      }
-      return;
-    }
-
-    // Crash handling for everything below: the gateway writer survives a
-    // remote/merge crash — the damaged engines are repaired here, inline,
-    // while their locks are still held (their own writers are alive, so the
-    // watchdog could never join them). `recover_first` is recovered before
-    // the rest so the directory flips to the winner before any loser
-    // republishes without the migrated component (miss-free reads, same
-    // ordering argument as the non-crash path).
-    std::size_t recover_first = involved[0];
-    const auto recover_inline = [&](const char* what) {
-      std::fprintf(stderr,
-                   "pardfs: merge on shard %zu crashed: %s; recovering %zu "
-                   "shard(s) inline\n",
-                   sh.id, what, involved.size());
-      const auto recover_one = [&](std::size_t s) {
-        Shard& damaged = *shards_[s];
-        const std::uint64_t t0 = mono_ns();
-        try {
-          recover_shard_locked(damaged);
-          recoveries_counter().add();
-          recovery_latency_hist().record(mono_ns() - t0);
-          std::lock_guard lock(control_mu_);
-          ++damaged.stats.recoveries;
-        } catch (const std::exception& e) {
-          // Replay itself failed: the shard degrades to reads-only. Its own
-          // writer stays alive but is poisoned, so the next work it drains
-          // converts to a crash and its tickets flush kRetryable; crashed is
-          // NOT set here (the writer is alive — the watchdog must not try to
-          // join it).
-          std::fprintf(stderr,
-                       "pardfs: inline recovery of shard %zu failed: %s\n", s,
-                       e.what());
-          damaged.poison.store(true, std::memory_order_release);
-          damaged.unrecoverable.store(true, std::memory_order_release);
-          // We hold damaged.mu (it is one of `locks`): flush its wal
-          // tickets here rather than via abandon_shard, which re-locks.
-          if (damaged.wal_pending.has_value()) {
-            for (const UpdateTicket& t : damaged.wal_pending->tickets) {
-              if (t.try_ack(UpdateTicket::kRetryable)) {
-                damaged.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-                retryable_counter().add();
-              }
-            }
-            damaged.wal_pending.reset();
-          }
-        }
-      };
-      recover_one(recover_first);
-      for (const std::size_t s : involved) {
-        if (s != recover_first) recover_one(s);
-      }
-      if (p.ticket.try_ack(UpdateTicket::kRetryable)) {
-        sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-        retryable_counter().add();
-      }
-    };
-
-    if (involved.size() == 1) {
-      // The whole op resolves into one shard (it migrated after routing, or
-      // a concurrent merge co-located the endpoints): single-op run there.
-      try {
-        std::vector<PendingUpdate*> run{&p};
-        apply_run_locked(*shards_[involved[0]], sh, run);
-      } catch (const std::exception& e) {
-        recover_inline(e.what());
-      }
-      return;
-    }
-
-    // Endpoints span shards. Components are shard-disjoint, so an existing
-    // edge can never span shards: a cross-shard delete is infeasible.
-    if (u.kind == GraphUpdate::Kind::kDeleteEdge) {
-      reject();
-      return;
-    }
-
-    // Two-shard (k-shard for vertex inserts) merge protocol, inside the
-    // merge failure domain: an escaped invariant (or injected fault)
-    // anywhere below repairs every involved shard by journal replay before
-    // the gateway writer moves on.
+  for (const std::size_t s : order) {
+    Shard& damaged = *shards_[s];
+    const std::uint64_t t0 = mono_ns();
     try {
-    // Feasibility first, against each endpoint's own shard.
-    bool alive_ok = true;
-    for (std::size_t k = 0; k < endpoints.size(); ++k) {
-      if (!shards_[static_cast<std::size_t>(dirs[k])]->dfs.graph().is_alive(
-              endpoints[k])) {
-        alive_ok = false;
-        break;
-      }
-    }
-    if (u.kind == GraphUpdate::Kind::kInsertVertex) {
-      for (std::size_t a = 0; alive_ok && a < endpoints.size(); ++a) {
-        for (std::size_t b = a + 1; b < endpoints.size(); ++b) {
-          if (endpoints[a] == endpoints[b]) {
-            alive_ok = false;
-            break;
-          }
-        }
-      }
-    }
-    if (!alive_ok) {
-      reject();
-      return;
-    }
-
-    // Winner: the shard owning the largest involved component (tie: lower
-    // shard id) — the smaller components migrate. Placement only; the forest
-    // content is identical whichever shard hosts the merged component.
-    std::size_t winner = involved[0];
-    std::int32_t best_size = -1;
-    for (std::size_t k = 0; k < endpoints.size(); ++k) {
-      const auto s = static_cast<std::size_t>(dirs[k]);
-      Shard& cand = *shards_[s];
-      const Vertex root = cand.dfs.root_of(endpoints[k]);
-      const std::int32_t size = cand.dfs.tree().size(root);
-      if (size > best_size || (size == best_size && s < winner)) {
-        best_size = size;
-        winner = s;
-      }
-    }
-    Shard& w = *shards_[winner];
-    recover_first = winner;
-
-    // Migrate every involved component not already living in the winner:
-    // verbatim row transplant, deduplicated by (shard, root) — several
-    // endpoints may share a component.
-    cross_shard_counter().add();
-    std::set<std::pair<std::size_t, Vertex>> seen;
-    std::vector<Vertex> migrated;
-    std::set<std::size_t> losers;
-    std::uint64_t migrations = 0;
-    for (std::size_t k = 0; k < endpoints.size(); ++k) {
-      const auto s = static_cast<std::size_t>(dirs[k]);
-      if (s == winner) continue;
-      Shard& loser = *shards_[s];
-      const Vertex root = loser.dfs.root_of(endpoints[k]);
-      if (!seen.insert({s, root}).second) continue;
-      DynamicDfs::ComponentTransfer t =
-          loser.dfs.extract_component(endpoints[k]);
-      // Journal both halves back-to-back with no faultable code between:
-      // crashes in this design are C++ exceptions, so the two records are
-      // atomic — replay sees the migration on both sides or on neither.
-      // The loser's version_after is its single post-merge bump (one per op
-      // however many components leave).
-      if (loser.journal) {
-        loser.journal->record_extract(endpoints[k], loser.version + 1);
-      }
-      if (w.journal) w.journal->record_adopt(t);
-      migrated.insert(migrated.end(), t.vertices.begin(), t.vertices.end());
-      w.dfs.adopt_component(std::move(t));
-      migrations_counter().add();
-      ++migrations;
-      losers.insert(s);
-    }
-
-    if (config_.enable_chaos) {
-      chaos_site(static_cast<int>(chaos::FaultPoint::kMergeAbort), w);
-    }
-
-    // Apply the merging op on the winner (everything is co-located now).
-    // Same WAL discipline as apply_run_locked: record + wal_pending, then
-    // apply; a crash in between recovers to the recorded version.
-    const auto record_merge_apply = [&] {
-      if (!w.journal) return;
-      w.journal->record_apply(std::span<const GraphUpdate>(&u, 1),
-                              w.version + 1, w.updates_applied + 1);
-      Shard::WalPending wal;
-      wal.tickets = {p.ticket};
-      wal.kinds = {u.kind};
-      wal.version = w.version + 1;
-      w.wal_pending = std::move(wal);
-    };
-    BatchStats batch_stats;
-    Vertex assigned = kNullVertex;
-    {
-      const obs::Span apply_span("apply_batch");
-      if (u.kind == GraphUpdate::Kind::kInsertVertex) {
-        std::lock_guard id_lock(id_mu_);
-        if (w.journal) w.journal->record_pad(global_next_);
-        w.dfs.pad_capacity(global_next_);
-        record_merge_apply();
-        // Reserve the insert's id at the WAL point (same argument as in
-        // apply_run_locked): the journaled insert replays to exactly this id
-        // even if the apply below crashes first.
-        ++global_next_;
-        batch_stats = w.dfs.apply_batch(std::span<const GraphUpdate>(&u, 1));
-        assigned = batch_stats.new_vertices.at(0);
-        directory_->set(assigned, static_cast<std::int32_t>(winner));
-      } else {
-        record_merge_apply();
-        batch_stats = w.dfs.apply_batch(std::span<const GraphUpdate>(&u, 1));
-      }
-    }
-    w.updates_applied += 1;
-    ++w.version;
-    const std::uint64_t ack_version = w.version;
-    // Publication order is what keeps readers miss-free: the winner's
-    // snapshot (which now contains the migrated component) goes out before
-    // the directory flips, and the losers' snapshots (which drop it) only
-    // after. A reader resolving mid-protocol lands on a shard whose
-    // published snapshot still answers for the vertex.
-    publish(w, /*forest_unchanged=*/false);
-    for (const Vertex mv : migrated) {
-      directory_->set(mv, static_cast<std::int32_t>(winner));
-    }
-    for (const std::size_t ls : losers) {
-      ++shards_[ls]->version;
-      publish(*shards_[ls], /*forest_unchanged=*/false);
-    }
-    batches_counter().add();
-    applied_counter().add(1);
-    published_counter().add(1 + losers.size());
-
-    // Counted before the ack, so a wait()er's stats() already reflect it.
-    {
-      std::lock_guard lock(control_mu_);
-      ServiceStats& st = w.stats;
-      ++st.batches;
-      ++st.snapshots_published;
-      st.updates_applied += 1;
-      st.max_batch = std::max<std::uint64_t>(st.max_batch, 1);
-      st.structural += batch_stats.structural;
-      st.back_edges += batch_stats.back_edges;
-      st.segments += batch_stats.segments;
-      st.index_rebuilds += batch_stats.index_rebuilds;
-      st.base_rebuilds += batch_stats.base_rebuilds;
-      for (const std::size_t ls : losers) {
-        ++shards_[ls]->stats.snapshots_published;
-      }
-      sh.stats.cross_shard_inserts += 1;
-      sh.stats.shard_migrations += migrations;
-    }
-    p.ticket.ack(ack_version, assigned);
-    w.wal_pending.reset();
-    if (obs::metrics_enabled() && p.enqueue_ns != 0) {
-      sh.ack_latency->record(obs::now_ns() - p.enqueue_ns);
-    }
-    // Both merge halves were journaled (extract on losers, adopt + apply on
-    // the winner): truncate whichever journals just crossed the bound. All
-    // involved engine locks are still held.
-    maybe_checkpoint_locked(w);
-    for (const std::size_t ls : losers) maybe_checkpoint_locked(*shards_[ls]);
+      recover_shard_locked(damaged);
+      count_recovery(damaged, t0);
     } catch (const std::exception& e) {
-      recover_inline(e.what());
+      // Replay itself failed: the shard degrades to reads-only. Its own
+      // writer stays alive but is poisoned, so the next work it drains
+      // converts to a crash and its tickets flush kRetryable; crashed is
+      // NOT set here (the writer is alive — the watchdog must not try to
+      // join it).
+      std::fprintf(stderr, "pardfs: inline recovery of shard %zu failed: %s\n",
+                   s, e.what());
+      damaged.poison.store(true, std::memory_order_release);
+      damaged.unrecoverable.store(true, std::memory_order_release);
+      flush_wal_retryable(damaged);
     }
-    return;
   }
+  for (const PendingUpdate& p : run) ack_retryable(gateway, p.ticket);
+}
+
+// ---- event counts ----------------------------------------------------------
+
+void ShardRouter::count_batch(Shard& sh, std::size_t size,
+                              const BatchStats& bs) {
+  {
+    std::lock_guard lock(control_mu_);
+    ServiceStats& st = sh.stats;
+    ++st.batches;
+    st.updates_applied += size;
+    st.max_batch = std::max<std::uint64_t>(st.max_batch, size);
+    st.structural += bs.structural;
+    st.back_edges += bs.back_edges;
+    st.segments += bs.segments;
+    st.index_rebuilds += bs.index_rebuilds;
+    st.base_rebuilds += bs.base_rebuilds;
+  }
+  batches_counter().add();
+  applied_counter().add(size);
+}
+
+void ShardRouter::count_publish(Shard& sh) {
+  {
+    std::lock_guard lock(control_mu_);
+    ++sh.stats.snapshots_published;
+  }
+  published_counter().add();
+}
+
+void ShardRouter::count_merge(Shard& gateway, std::uint64_t migrations) {
+  {
+    std::lock_guard lock(control_mu_);
+    ++gateway.stats.cross_shard_inserts;
+    gateway.stats.shard_migrations += migrations;
+  }
+  cross_shard_counter().add();
+  migrations_counter().add(migrations);
+}
+
+void ShardRouter::count_recovery(Shard& sh, std::uint64_t started_ns) {
+  {
+    std::lock_guard lock(control_mu_);
+    ++sh.stats.recoveries;
+  }
+  recoveries_counter().add();
+  recovery_latency_hist().record(mono_ns() - started_ns);
+}
+
+void ShardRouter::reject(Shard& gateway, const UpdateTicket& ticket) {
+  {
+    std::lock_guard lock(control_mu_);
+    ++gateway.stats.updates_rejected;
+  }
+  infeasible_counter().add();
+  ticket.ack(UpdateTicket::kRejected);
+}
+
+void ShardRouter::ack_retryable(Shard& sh, const UpdateTicket& ticket) {
+  if (!ticket.try_ack(UpdateTicket::kRetryable)) return;
+  sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
+  retryable_counter().add();
+}
+
+void ShardRouter::flush_wal_retryable(Shard& sh) {
+  if (!sh.wal_pending.has_value()) return;
+  for (const UpdateTicket& t : sh.wal_pending->tickets) ack_retryable(sh, t);
+  sh.wal_pending.reset();
 }
 
 // ---- supervision (DESIGN.md §13) -------------------------------------------
@@ -1501,12 +1381,10 @@ void ShardRouter::recover_shard(Shard& sh, bool respawn) {
     std::lock_guard lock(sh.mu);
     recover_shard_locked(sh);
   }
-  recoveries_counter().add();
-  recovery_latency_hist().record(mono_ns() - t0);
+  count_recovery(sh, t0);
   bool respawn_now = respawn;
   {
     std::lock_guard lock(control_mu_);
-    ++sh.stats.recoveries;
     if (stopped_) respawn_now = false;
     if (respawn_now) {
       // Under control_mu_ so this assignment cannot race stop()'s join loop:
@@ -1529,15 +1407,7 @@ void ShardRouter::maybe_checkpoint_locked(Shard& sh) {
 void ShardRouter::abandon_shard(Shard& sh) {
   sh.unrecoverable.store(true, std::memory_order_release);
   std::lock_guard lock(sh.mu);
-  if (sh.wal_pending.has_value()) {
-    for (const UpdateTicket& t : sh.wal_pending->tickets) {
-      if (t.try_ack(UpdateTicket::kRetryable)) {
-        sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-        retryable_counter().add();
-      }
-    }
-    sh.wal_pending.reset();
-  }
+  flush_wal_retryable(sh);
 }
 
 void ShardRouter::recover_shard_locked(Shard& sh) {
@@ -1572,11 +1442,7 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
     global_next_ = std::max(global_next_, g.capacity());
   }
   publish(sh, /*forest_unchanged=*/false);
-  {
-    std::lock_guard lock(control_mu_);
-    ++sh.stats.snapshots_published;
-  }
-  published_counter().add();
+  count_publish(sh);
   // WAL acks: the journaled-but-unacked batch was replayed above, so its
   // tickets resolve to the recorded version (with the replayed insert ids).
   // try_ack keeps this exactly-once against the crash-time kRetryable sweep.

@@ -9,21 +9,23 @@
 // whole components (every other id is a dead hole), and its own RCU snapshot.
 // Readers resolve the owning shard from the directory and load that shard's
 // snapshot — one extra atomic load versus the unsharded service, no global
-// epoch, no cross-shard stalls. Intra-shard updates take the single-writer
-// path untouched.
+// epoch, no cross-shard stalls.
 //
-// Cross-shard edge inserts (and vertex inserts whose neighbors span shards)
-// go through the two-shard merge protocol: the op is queued on the *gateway*
-// shard (the smallest endpoint shard at submit time), whose writer acquires
-// the involved shards' engine locks in ascending shard-id order, re-verifies
+// Every update goes through one apply pipeline (ShardRouter::apply_run). The
+// op is queued on its *gateway* shard (the smallest endpoint shard at submit
+// time). The gateway's writer groups what it drains into runs — a maximal
+// stretch of ops local to it, or one op that touches other shards — and for
+// each run locks the involved shards in ascending shard-id order, re-verifies
 // the directory (an entry pointing at a shard can only change under that
-// shard's engine lock, so verification under the locks is stable), migrates
-// the smaller component into the winning shard by verbatim row transplant
-// (DynamicDfs::extract_component / adopt_component), and publishes in the
-// order winner -> directory flip -> loser so readers never observe a miss
-// window. Forest determinism: a component's adjacency rows — and therefore
-// its DFS tree — evolve identically whether it lives in one shard or
-// another, so the assembled forest is byte-identical at any shard count.
+// shard's engine lock, so verification under the locks is stable), checks
+// feasibility, migrates every component but the largest into the winning
+// shard by verbatim row transplant (DynamicDfs::extract_component /
+// adopt_component), journals, applies, and publishes in the order winner ->
+// directory flip -> losers so readers never observe a miss window. A local
+// run is the one-shard case: nothing migrates. Forest determinism: a
+// component's adjacency rows — and therefore its DFS tree — evolve
+// identically whether it lives in one shard or another, so the assembled
+// forest is byte-identical at any shard count.
 //
 // Deadlock freedom: engine locks are only ever acquired in ascending
 // shard-id order while holding no other engine lock; the global id lock
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,11 +122,9 @@ struct ServiceStats {
   std::uint64_t segments = 0;            // combined engine passes
   std::uint64_t index_rebuilds = 0;      // O(n) rebuilds across all batches
   std::uint64_t base_rebuilds = 0;       // epoch rebases across all batches
-  // kRejected acks by reason. `rejected_infeasible` == updates_rejected (the
-  // historical drain-time meaning); `rejected_shutdown` counts submits that
-  // lost the race against stop() and were pre-rejected by the queue — those
-  // never reach a writer, so they are NOT part of updates_rejected.
-  std::uint64_t rejected_infeasible = 0;
+  // kRejected acks that never reach a writer: submits that lost the race
+  // against stop() and were pre-rejected by the queue. Not part of
+  // updates_rejected, which counts the drain-time infeasible rejections.
   std::uint64_t rejected_shutdown = 0;
   // Sharding: components migrated between shards, and cross-shard inserts
   // that went through the merge protocol. Always zero at num_shards == 1.
@@ -245,7 +246,64 @@ class ShardRouter {
   // verify-after-lock stable.
   class Directory;
 
+  // Drains the shard's queue and hands each run to apply_run (see the header
+  // comment); the shard's own runs crash into writer_crashed.
   void writer_loop(Shard& sh);
+  // The shards an op touches, ascending: {gateway} when it is local there
+  // (every endpoint resolves to the gateway, or one never existed and the
+  // feasibility filter rejects the op), else its endpoints' owners. Stable
+  // while the returned shards' engine locks are held.
+  std::vector<std::size_t> involved_shards(const Shard& gateway,
+                                           const GraphUpdate& u) const;
+  bool is_local(const Shard& gateway, const GraphUpdate& u) const;
+
+  // ---- the apply pipeline (DESIGN.md §12, §13) ------------------------------
+  // Applies the run that starts `ops` (queued on `gateway`; ops[0] resolved
+  // to `involved`): locks the involved shards ascending, re-verifies ops[0],
+  // takes the run — for the gateway's own run, every following op still
+  // local to it; otherwise ops[0] alone — and runs apply_locked. Returns the
+  // run's length, or 0, having touched nothing, when a migration raced the
+  // resolve; the caller re-resolves. Failure domains: a crash in the
+  // gateway's own run ({gateway} == involved) propagates to its writer and
+  // the watchdog; any other crash is repaired inline by recover_inline
+  // before the gateway moves on.
+  std::size_t apply_run(Shard& gateway, std::span<PendingUpdate> ops,
+                        const std::vector<std::size_t>& involved);
+  // Steps 2–7 under the locks: cross-shard pre-check, migration into the
+  // winner (set in `winner` as soon as it is chosen), id pad + feasibility
+  // filter, journal + id reservation (the WAL point), apply, publish, count,
+  // ack, checkpoint.
+  void apply_locked(Shard& gateway, std::span<PendingUpdate> run,
+                    const std::vector<std::size_t>& involved,
+                    std::size_t& winner);
+  // Replays every involved shard's journal, `first` (the winner) before the
+  // rest, then acks the run kRetryable. A shard whose replay fails degrades
+  // to reads-only. Caller holds every involved engine lock.
+  void recover_inline(Shard& gateway, std::span<PendingUpdate> run,
+                      const std::vector<std::size_t>& involved,
+                      std::size_t first, const char* what);
+  // Publishes sh's current engine state. Caller holds sh.mu.
+  void publish(Shard& sh, bool forest_unchanged);
+
+  struct BatchDelta;
+  bool feasible(const Shard& sh, const GraphUpdate& u, BatchDelta& delta) const;
+
+  // ---- event counts ---------------------------------------------------------
+  // One helper per event, each bumping the shard's ServiceStats (or its
+  // atomic) and the registry mirror together, before the ack goes out.
+  void count_batch(Shard& sh, std::size_t size, const BatchStats& bs);
+  void count_publish(Shard& sh);
+  void count_merge(Shard& gateway, std::uint64_t migrations);
+  void count_recovery(Shard& sh, std::uint64_t started_ns);
+  // Counts an infeasible op against `gateway` and acks it kRejected.
+  void reject(Shard& gateway, const UpdateTicket& ticket);
+  // Acks kRetryable unless the ticket already resolved; counts only a win.
+  void ack_retryable(Shard& sh, const UpdateTicket& ticket);
+  // Acks sh's journaled-but-unapplied tickets kRetryable: the shard gave up
+  // on replaying them. Caller holds sh.mu.
+  void flush_wal_retryable(Shard& sh);
+
+  // ---- supervision (DESIGN.md §13) ------------------------------------------
   // Crash epilogue, run in the writer's catch block: acks drained-but-not-
   // journaled tickets kRetryable and marks the shard crashed for the
   // watchdog. `pending` is the writer's drained-but-unprocessed work.
@@ -279,23 +337,6 @@ class ShardRouter {
   void chaos_stall(Shard& target, Shard& gateway);
   // The shard whose queue carries this op (see submit()).
   std::size_t route(const GraphUpdate& u) const;
-  // True when every endpoint the op references resolves to `sh` (or to no
-  // shard at all — those reject through feasibility exactly like the
-  // unsharded service). Stable while sh's engine lock is held.
-  bool is_local(const Shard& sh, const GraphUpdate& u) const;
-  // Applies a run of ops local to `target` as one batch: the ported
-  // single-writer path (feasibility filter, apply_batch, publish, acks).
-  // Caller holds target.mu; acks are attributed to `gateway`'s series.
-  void apply_run_locked(Shard& target, Shard& gateway,
-                        std::vector<PendingUpdate*>& run);
-  // Cross-shard / migrated-component ops: resolve -> lock ascending ->
-  // verify -> merge or apply remotely (see the header comment).
-  void process_special(Shard& sh, PendingUpdate& p);
-  // Publishes sh's current engine state. Caller holds sh.mu.
-  void publish(Shard& sh, bool forest_unchanged);
-
-  struct BatchDelta;
-  bool feasible(const Shard& sh, const GraphUpdate& u, BatchDelta& delta) const;
 
   ServiceConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

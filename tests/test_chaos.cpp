@@ -677,6 +677,40 @@ TEST(ChaosHooks, MergeAbortRecoversAndRetrySucceeds) {
   reference.stop();
 }
 
+// Compiled in, journal off: a merge_abort leaves nothing to replay, so the
+// inline recovery fails and both involved shards degrade to reads-only. The
+// merge acks kRetryable, reads keep serving each shard's last published
+// snapshot, later writes to either shard resolve kRetryable (the failed
+// replay poisoned both writers), and stop() still returns.
+TEST(ChaosHooks, MergeAbortWithoutJournalDegradesBothShards) {
+  FaultPlan plan;
+  plan.specs.push_back(
+      FaultSpec{FaultPoint::kMergeAbort, /*shard=*/-1, /*at_hit=*/0, 0});
+  chaos::arm(plan);
+  ServiceConfig config = supervised_config(2);
+  config.enable_chaos = true;
+  config.enable_journal = false;
+  ShardRouter router(disjoint_paths(2, 4), config);
+  const Vertex root0 = router.view().root_of(1);
+  const Vertex root1 = router.view().root_of(6);
+
+  EXPECT_EQ(router.apply_sync(GraphUpdate::insert_edge(1, 6)),
+            UpdateTicket::kRetryable);
+  EXPECT_EQ(chaos::faults_injected(), 1u);
+  EXPECT_EQ(router.view().root_of(1), root0);
+  EXPECT_EQ(router.view().root_of(6), root1);
+  EXPECT_FALSE(router.view().same_component(1, 6));
+
+  EXPECT_EQ(router.apply_sync(GraphUpdate::insert_edge(0, 2)),
+            UpdateTicket::kRetryable);
+  EXPECT_EQ(router.apply_sync(GraphUpdate::insert_edge(4, 6)),
+            UpdateTicket::kRetryable);
+  chaos::disarm();
+  router.stop();
+  EXPECT_EQ(router.stats().recoveries, 0u);
+  EXPECT_EQ(router.stats().retryable_acks, 3u);
+}
+
 // Regression: a writer crash between the WAL record and the (previously
 // post-apply) global id advance must not let another shard hand out the
 // journaled insert's id. Ids are reserved at the WAL point, so the insert

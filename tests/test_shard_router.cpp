@@ -217,6 +217,61 @@ TEST(ShardRouter, ForestBytesIdenticalAcrossShardAndThreadCounts) {
   }
 }
 
+// Every event is counted once, by the same pipeline at any shard count: a
+// stream of local ops, cross-shard inserts (one a vertex insert whose
+// neighbors span three shards), a cross-shard delete and an op on a
+// never-assigned id yields the same counts at S = 1 and S = 4, and the
+// registry mirrors agree with ServiceStats.
+TEST(ShardRouter, EventCountsMatchAtEveryShardCount) {
+  // disjoint_paths(4, 4): path c is ids [4c, 4c + 4), on shard c at S = 4.
+  const std::vector<GraphUpdate> stream = {
+      GraphUpdate::insert_edge(0, 2),           // local back edge
+      GraphUpdate::delete_edge(9, 13),          // cross-shard delete
+      GraphUpdate::insert_edge(3, 4),           // cross-shard: paths 0, 1
+      GraphUpdate::insert_edge(0, 99),          // never-assigned id
+      GraphUpdate::delete_edge(1, 2),           // local tree edge
+      GraphUpdate::insert_vertex({8, 12, 5}),   // neighbors on three shards
+      GraphUpdate::insert_edge(10, 14),         // local after the merge
+      GraphUpdate::insert_vertex({}),           // isolated
+      GraphUpdate::delete_vertex(7),
+      GraphUpdate::insert_edge(2, 2),           // self loop
+  };
+  ServiceStats per_shards[2];
+  for (const std::size_t shards : {1u, 4u}) {
+    obs::Registry::global().reset();
+    ServiceConfig config;
+    config.num_shards = shards;
+    ShardRouter router(disjoint_paths(4, 4), config);
+    for (const GraphUpdate& u : stream) (void)router.apply_sync(u);
+    router.stop();
+    const ServiceStats st = router.stats();
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EXPECT_EQ(st.updates_applied, 7u);
+    EXPECT_EQ(st.updates_rejected, 3u);
+    EXPECT_EQ(st.batches, st.updates_applied);
+#if !defined(PARDFS_NO_METRICS)
+    obs::Registry& reg = obs::Registry::global();
+    EXPECT_EQ(reg.counter("pardfs_updates_applied_total").value(),
+              st.updates_applied);
+    EXPECT_EQ(reg.counter("pardfs_batches_total").value(), st.batches);
+    EXPECT_EQ(reg.counter("pardfs_acks_rejected_total",
+                          "reason=\"infeasible\"")
+                  .value(),
+              st.updates_rejected);
+#endif
+    per_shards[shards == 1 ? 0 : 1] = st;
+  }
+  const ServiceStats& one = per_shards[0];
+  const ServiceStats& four = per_shards[1];
+  EXPECT_EQ(four.updates_applied, one.updates_applied);
+  EXPECT_EQ(four.updates_rejected, one.updates_rejected);
+  EXPECT_EQ(four.structural, one.structural);
+  EXPECT_EQ(four.back_edges, one.back_edges);
+  EXPECT_EQ(four.cross_shard_inserts, 2u);
+  EXPECT_EQ(four.shard_migrations, 3u);  // path 1, then paths 2 and 3
+  EXPECT_EQ(one.cross_shard_inserts, 0u);
+}
+
 TEST(ShardRouter, CrossShardInsertRunsTheMergeProtocol) {
   // The metric assertions below read the process-global counters: zero them
   // so earlier tests' migrations don't leak in.
