@@ -38,19 +38,20 @@ cmake --build "$BUILD" -j "$(nproc)"
 
 if [[ "$SMOKE" == 1 ]]; then
   # Quick fuzz soak: 4 seeds x {random, power_law, grid, dynamic_map} x
-  # {core, service, sharded}, differential-checked per batch (the sharded
-  # entry byte-compares an S-shard router against a 1-shard reference).
+  # {core, router at 1 and 4 shards, 4-shard router under 3 fault plans},
+  # differential-checked per batch (the router entry byte-compares an
+  # S-shard router against a 1-shard reference).
   # Then the self-test: an injected corruption must make the harness fail
   # (exit 1), or the oracle has gone blind.
   "$BUILD/tools/pardfs_fuzz" --soak=4 --batches=8
-  # One deeper sharded leg at 16 shards (the acceptance shard count).
-  "$BUILD/tools/pardfs_fuzz" --entry=sharded --shards=16 --batches=12
+  # One deeper router leg at 16 shards (the acceptance shard count).
+  "$BUILD/tools/pardfs_fuzz" --entry=router --shards=16 --batches=12
   # One leg with SIMD dispatch pinned to the scalar reference: the engine
   # must be byte-identical either way, so this catches any divergence the
   # unit differentials missed.
   "$BUILD/tools/pardfs_fuzz" --soak=2 --batches=8 --force-scalar
-  if "$BUILD/tools/pardfs_fuzz" --seed=1 --scenario=grid --entry=service \
-      --batches=4 --corrupt-at=2 > /dev/null 2>&1; then
+  if "$BUILD/tools/pardfs_fuzz" --seed=1 --scenario=grid --entry=router \
+      --shards=1 --batches=4 --corrupt-at=2 > /dev/null 2>&1; then
     echo "fuzz corruption self-test FAILED: injected corruption not caught" >&2
     exit 1
   fi

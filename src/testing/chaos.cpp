@@ -18,8 +18,8 @@ const char* point_name(FaultPoint p) {
   return "unknown";
 }
 
-FaultPlan FaultPlan::random(std::uint64_t seed, std::size_t num_shards,
-                            int faults, std::uint32_t horizon) {
+FaultPlan FaultPlan::random(std::uint64_t seed, int faults,
+                            std::uint32_t horizon) {
   // Same derivation style as the fuzz harness: decorrelate the plan from the
   // graph/stream rngs that share the seed.
   Rng rng(seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
@@ -36,7 +36,6 @@ FaultPlan FaultPlan::random(std::uint64_t seed, std::size_t num_shards,
   for (int i = 0; i < faults; ++i) {
     FaultSpec spec;
     spec.point = kPool[rng.below(std::size(kPool))];
-    spec.shard = static_cast<std::int32_t>(rng.below(num_shards == 0 ? 1 : num_shards));
     spec.at_hit = horizon == 0 ? 0 : static_cast<std::uint32_t>(rng.below(horizon));
     if (spec.point == FaultPoint::kBatchStallMs) {
       spec.param = 1 + static_cast<std::uint32_t>(rng.below(8));

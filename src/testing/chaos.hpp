@@ -19,8 +19,9 @@
 // fuzz harness compile identically.
 //
 // Everything is deterministic per seed: same plan + same serialized update
-// stream => same faults at the same points, which is what makes a chaos fuzz
-// failure replayable (`pardfs_fuzz --entry=chaos --chaos-seed=…`).
+// stream => same faults at the same points, which is what makes a faulted
+// fuzz failure replayable (`pardfs_fuzz --entry=router --shards=… --chaos-seed=…
+// --chaos-faults=…`; the old `--entry=chaos` form still parses).
 #pragma once
 
 #include <cstdint>
@@ -73,13 +74,12 @@ struct FaultSpec {
 struct FaultPlan {
   std::vector<FaultSpec> specs;
 
-  // A deterministic schedule of `faults` one-shot specs across `num_shards`
-  // shards: crash/stall/merge-abort/rebuild-throw points with fire
-  // positions in [0, horizon) consultations. Same seed => same plan. Specs
-  // whose point is never consulted (e.g. merge_abort in a merge-free run)
-  // simply never fire — a schedule is pressure, not a guarantee.
-  static FaultPlan random(std::uint64_t seed, std::size_t num_shards,
-                          int faults, std::uint32_t horizon);
+  // A deterministic schedule of `faults` one-shot specs that match any
+  // shard: crash/stall/merge-abort/rebuild-throw points with fire positions
+  // in [0, horizon) consultations. Same seed => same plan. Specs whose point
+  // is never consulted (e.g. merge_abort in a merge-free run) simply never
+  // fire — a schedule is pressure, not a guarantee.
+  static FaultPlan random(std::uint64_t seed, int faults, std::uint32_t horizon);
 };
 
 #if defined(PARDFS_ENABLE_CHAOS)

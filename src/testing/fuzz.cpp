@@ -36,9 +36,7 @@ const char* family_name(FuzzFamily f) {
 const char* entry_name(FuzzEntry e) {
   switch (e) {
     case FuzzEntry::kCore: return "core";
-    case FuzzEntry::kService: return "service";
-    case FuzzEntry::kSharded: return "sharded";
-    case FuzzEntry::kChaos: return "chaos";
+    case FuzzEntry::kRouter: return "router";
   }
   return "unknown";
 }
@@ -54,15 +52,26 @@ bool parse_family(std::string_view name, FuzzFamily& out) {
   return false;
 }
 
-bool parse_entry(std::string_view name, FuzzEntry& out) {
-  for (const FuzzEntry e : {FuzzEntry::kCore, FuzzEntry::kService,
-                            FuzzEntry::kSharded, FuzzEntry::kChaos}) {
+bool parse_entry(std::string_view name, FuzzOptions& out) {
+  for (const FuzzEntry e : {FuzzEntry::kCore, FuzzEntry::kRouter}) {
     if (name == entry_name(e)) {
-      out = e;
+      out.entry = e;
       return true;
     }
   }
-  return false;
+  // The entries the router subsumed, as its (shards, faults) cells.
+  if (name == "service") {
+    out.num_shards = 1;
+    out.chaos_faults = 0;
+  } else if (name == "sharded") {
+    out.chaos_faults = 0;
+  } else if (name == "chaos") {
+    if (out.chaos_faults <= 0) out.chaos_faults = kDefaultChaosFaults;
+  } else {
+    return false;
+  }
+  out.entry = FuzzEntry::kRouter;
+  return true;
 }
 
 std::string replay_line(const FuzzOptions& o) {
@@ -73,12 +82,12 @@ std::string replay_line(const FuzzOptions& o) {
   line += " --batches=" + std::to_string(o.batches);
   line += " --max-batch=" + std::to_string(o.max_batch);
   line += " --threads=" + std::to_string(o.num_threads);
-  if (o.entry == FuzzEntry::kSharded || o.entry == FuzzEntry::kChaos) {
+  if (o.entry == FuzzEntry::kRouter) {
     line += " --shards=" + std::to_string(o.num_shards);
-  }
-  if (o.entry == FuzzEntry::kChaos) {
-    line += " --chaos-seed=" + std::to_string(o.chaos_seed);
-    line += " --chaos-faults=" + std::to_string(o.chaos_faults);
+    if (o.chaos_faults > 0) {
+      line += " --chaos-seed=" + std::to_string(o.chaos_seed);
+      line += " --chaos-faults=" + std::to_string(o.chaos_faults);
+    }
   }
   if (o.corrupt_at >= 0) line += " --corrupt-at=" + std::to_string(o.corrupt_at);
   if (o.force_scalar) line += " --force-scalar";
@@ -333,6 +342,9 @@ class Engine {
   virtual bool q_articulation(Vertex v) const = 0;
   virtual bool q_bridge(Vertex u, Vertex v) const = 0;
   virtual std::vector<Edge> q_bridges() const = 0;
+
+  // Faults the armed plan has fired so far (0 without a plan).
+  virtual std::uint64_t faults_fired() const { return 0; }
 };
 
 class CoreEngine final : public Engine {
@@ -397,159 +409,69 @@ class CoreEngine final : public Engine {
   CutStructure cuts_;  // refreshed after every batch
 };
 
-class ServiceEngine final : public Engine {
+// The router differential (FuzzEntry::kRouter): an S-shard router in
+// lock-step with an un-faulted 1-shard reference. Every update goes through
+// the canonical client retry loop (service/workload.hpp submit_with_retry —
+// resubmit on kRetryable/kOverloaded, re-wait on kTimeout) until definitive,
+// then through the reference (apply order = stream order — the serialized
+// regime under which the router guarantees shard-count invariance). After
+// every batch the assembled router forest must equal the reference snapshot
+// byte for byte (parents, aliveness, totals, and every shard still serving
+// its cut structure). With chaos_faults > 0 a seeded fault plan is armed for
+// the run, and whatever crashed and replayed must still land on the
+// reference forest: the journal-replay recovery proof of DESIGN.md §13.
+// Queries answer through RouterView, so the directory-resolve path and the
+// cross-shard totality defaults are under test too.
+class RouterEngine final : public Engine {
  public:
-  ServiceEngine(Graph initial, const FuzzOptions& o)
-      : svc_(std::move(initial), make_config(o)) {
-    snap_ = svc_.snapshot();
-  }
-  ~ServiceEngine() override { svc_.stop(); }
-
-  bool apply(const std::vector<GeneratedUpdate>& batch, std::string* err) override {
-    // Paused-writer protocol: every update of the batch is queued before the
-    // writer resumes, and max_batch=1 pins the drain to one update per
-    // apply — so the sequence of apply_batch calls (and therefore the
-    // resulting forest) is byte-for-byte reproducible from the seed, no
-    // matter how the writer thread is scheduled.
-    svc_.pause();
-    std::vector<service::UpdateTicket> tickets;
-    tickets.reserve(batch.size());
-    for (const GeneratedUpdate& g : batch) tickets.push_back(svc_.submit(g.update));
-    svc_.resume();
-    for (std::size_t i = 0; i < tickets.size(); ++i) {
-      const std::uint64_t version = tickets[i].wait();
-      if (version == service::UpdateTicket::kRejected) {
-        *err = "service rejected feasible update " + std::to_string(i) +
-               " of the batch (mirror-contract violation)";
-        return false;
-      }
-      if (batch[i].update.kind == GraphUpdate::Kind::kInsertVertex &&
-          tickets[i].assigned_vertex() != batch[i].expected_vertex) {
-        *err = "service assigned vertex " +
-               std::to_string(tickets[i].assigned_vertex()) + ", mirror assigned " +
-               std::to_string(batch[i].expected_vertex);
-        return false;
-      }
-    }
-    svc_.pause();
-    snap_ = svc_.snapshot();
-    if (!snap_->serves_cuts()) {
-      *err = "snapshot lost its cut structure despite serve_cuts";
-      return false;
-    }
-    return true;
-  }
-
-  std::vector<Vertex> parent_copy() const override {
-    return {snap_->parent().begin(), snap_->parent().end()};
-  }
-  Vertex num_vertices() const override { return snap_->num_vertices(); }
-  std::int64_t num_edges() const override { return snap_->num_edges(); }
-
-  bool total() const override { return true; }
-  Vertex q_parent(Vertex v) const override { return snap_->parent_of(v); }
-  Vertex q_root(Vertex v) const override { return snap_->root_of(v); }
-  std::int32_t q_depth(Vertex v) const override { return snap_->depth(v); }
-  bool q_ancestor(Vertex a, Vertex d) const override {
-    return snap_->is_ancestor(a, d);
-  }
-  Vertex q_lca(Vertex u, Vertex v) const override { return snap_->lca(u, v); }
-  bool q_reachable(Vertex u, Vertex v) const override {
-    return snap_->reachable(u, v);
-  }
-  std::vector<Vertex> q_path_to_root(Vertex v) const override {
-    return snap_->path_to_root(v);
-  }
-  bool q_articulation(Vertex v) const override { return snap_->is_articulation(v); }
-  bool q_bridge(Vertex u, Vertex v) const override { return snap_->is_bridge(u, v); }
-  std::vector<Edge> q_bridges() const override {
-    const auto b = snap_->bridges();
-    return {b.begin(), b.end()};
-  }
-
- private:
-  static service::ServiceConfig make_config(const FuzzOptions& o) {
-    service::ServiceConfig config;
-    config.queue_capacity = static_cast<std::size_t>(std::max(o.max_batch, 1)) + 8;
-    config.max_batch = 1;  // exact per-update drains: deterministic replay
-    config.num_threads = o.num_threads;
-    config.start_paused = true;
-    config.serve_cuts = true;
-    return config;
-  }
-
-  service::DfsService svc_;
-  service::SnapshotPtr snap_;
-};
-
-// The sharded/chaos differential: the router's assembled forest must equal
-// the 1-shard reference snapshot byte for byte (parents, aliveness, totals,
-// and every shard still serving its cut structure).
-bool compare_assembled(const service::ShardRouter& router,
-                       const service::SnapshotPtr& ref_snap, std::string* err) {
-  const std::vector<Vertex> sharded = router.assemble_parent();
-  const std::vector<std::uint8_t> alive = router.assemble_alive();
-  const auto ref_parent = ref_snap->parent();
-  if (sharded.size() != ref_parent.size()) {
-    *err = "assembled capacity " + std::to_string(sharded.size()) +
-           " differs from reference " + std::to_string(ref_parent.size());
-    return false;
-  }
-  for (std::size_t v = 0; v < sharded.size(); ++v) {
-    if (sharded[v] != ref_parent[v]) {
-      *err = "parent(" + std::to_string(v) + ") = " + std::to_string(sharded[v]) +
-             " at " + std::to_string(router.num_shards()) + " shards, " +
-             std::to_string(ref_parent[v]) + " at 1 shard";
-      return false;
-    }
-    const bool ref_alive = ref_snap->contains(static_cast<Vertex>(v));
-    if ((alive[v] != 0) != ref_alive) {
-      *err = "alive(" + std::to_string(v) + ") diverges from the reference";
-      return false;
+  RouterEngine(Graph initial, const FuzzOptions& o)
+      : faulted_(o.chaos_faults > 0),
+        router_(initial, make_config(o, std::max(o.num_shards, 1), faulted_)),
+        ref_(std::move(initial), make_config(o, 1, false)) {
+    if (faulted_) {
+      // Specs match any shard, and one shard owns nearly all the work of a
+      // connected graph, so a horizon of half the expected updates lands the
+      // drawn trigger offsets inside the run.
+      const std::int64_t horizon = std::clamp<std::int64_t>(
+          std::int64_t{o.batches} * std::max(o.max_batch, 1) / 2, 4, UINT32_MAX);
+      chaos::arm(chaos::FaultPlan::random(o.chaos_seed, o.chaos_faults,
+                                          static_cast<std::uint32_t>(horizon)));
     }
   }
-  if (router.num_vertices() != ref_snap->num_vertices() ||
-      router.num_edges() != ref_snap->num_edges()) {
-    *err = "vertex/edge totals diverge from the 1-shard reference";
-    return false;
-  }
-  for (std::size_t s = 0; s < router.num_shards(); ++s) {
-    if (!router.shard_snapshot(s)->serves_cuts()) {
-      *err = "shard " + std::to_string(s) +
-             " snapshot lost its cut structure despite serve_cuts";
-      return false;
-    }
-  }
-  return true;
-}
-
-// S-shard router in lock-step with a 1-shard reference. Every update applies
-// synchronously to both stacks (apply order = stream order — the serialized
-// regime under which the router guarantees shard-count invariance), then the
-// assembled sharded forest is compared to the unsharded snapshot byte for
-// byte. Queries answer through RouterView, so the directory-resolve path and
-// the cross-shard totality defaults are under test too.
-class ShardedEngine : public Engine {
- public:
-  ShardedEngine(Graph initial, const FuzzOptions& o)
-      : ShardedEngine(std::move(initial), o, /*chaos=*/false) {}
-  ~ShardedEngine() override {
+  ~RouterEngine() override {
+    // Disarm before stopping the routers: shutdown drains should not trip
+    // leftover faults (they would still recover, but the run is over).
+    if (faulted_) chaos::disarm();
     router_.stop();
     ref_.stop();
   }
 
   bool apply(const std::vector<GeneratedUpdate>& batch, std::string* err) override {
+    // Generous budget: ~20 s of 50 ms waits. Only a genuinely wedged
+    // recovery (the bug a fault plan hunts) exhausts it.
+    service::RetryPolicy policy;
+    policy.max_attempts = 400;
+    policy.ack_timeout = std::chrono::milliseconds(50);
+    policy.initial_backoff = std::chrono::microseconds(50);
+    policy.max_backoff = std::chrono::milliseconds(2);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const GeneratedUpdate& g = batch[i];
-      service::UpdateTicket st = router_.submit(g.update);
-      const std::uint64_t sv = st.wait();
+      const service::SubmitOutcome out =
+          service::submit_with_retry(router_, g.update, policy);
+      if (!out.definitive()) {
+        *err = "update " + std::to_string(i) + " never became definitive (" +
+               std::to_string(out.attempts) + " attempts, last status " +
+               service::UpdateTicket::status_name(out.result) +
+               ") — recovery wedged";
+        return false;
+      }
       service::UpdateTicket rt = ref_.submit(g.update);
       const std::uint64_t rv = rt.wait();
-      const bool s_rej = sv == service::UpdateTicket::kRejected;
+      const bool s_rej = out.result == service::UpdateTicket::kRejected;
       const bool r_rej = rv == service::UpdateTicket::kRejected;
       if (s_rej != r_rej) {
         *err = "accept/reject divergence at update " + std::to_string(i) +
-               ": sharded " + (s_rej ? "rejected" : "accepted") +
+               ": router " + (s_rej ? "rejected" : "accepted") +
                ", reference " + (r_rej ? "rejected" : "accepted");
         return false;
       }
@@ -559,18 +481,16 @@ class ShardedEngine : public Engine {
         return false;
       }
       if (g.update.kind == GraphUpdate::Kind::kInsertVertex &&
-          (st.assigned_vertex() != g.expected_vertex ||
+          (out.assigned_vertex != g.expected_vertex ||
            rt.assigned_vertex() != g.expected_vertex)) {
-        *err = "vertex-id divergence: sharded assigned " +
-               std::to_string(st.assigned_vertex()) + ", reference " +
+        *err = "vertex-id divergence: router assigned " +
+               std::to_string(out.assigned_vertex) + ", reference " +
                std::to_string(rt.assigned_vertex()) + ", mirror " +
                std::to_string(g.expected_vertex);
         return false;
       }
     }
-    // The differential: byte-identical forests at S shards and 1 shard.
-    ref_snap_ = ref_.snapshot();
-    return compare_assembled(router_, ref_snap_, err);
+    return compare_assembled(err);
   }
 
   std::vector<Vertex> parent_copy() const override {
@@ -603,115 +523,70 @@ class ShardedEngine : public Engine {
   }
   std::vector<Edge> q_bridges() const override { return router_.view().bridges(); }
 
- protected:
-  // `chaos` arms the router side only: the 1-shard reference stays fault-free
-  // (the process-wide plan is consulted solely by chaos-enabled routers).
-  ShardedEngine(Graph initial, const FuzzOptions& o, bool chaos)
-      : router_(initial, make_config(o, std::max(o.num_shards, 1), chaos)),
-        ref_(std::move(initial), make_config(o, 1, false)) {
-    ref_snap_ = ref_.snapshot();
+  std::uint64_t faults_fired() const override {
+    return faulted_ ? chaos::faults_injected() : 0;
   }
 
+ private:
   static service::ServiceConfig make_config(const FuzzOptions& o,
-                                            int num_shards, bool chaos) {
+                                            int num_shards, bool faulted) {
     service::ServiceConfig config;
     config.queue_capacity = static_cast<std::size_t>(std::max(o.max_batch, 1)) + 8;
-    config.max_batch = 1;
+    config.max_batch = 1;  // exact per-update drains: deterministic replay
     config.num_threads = o.num_threads;
     config.serve_cuts = true;
     config.num_shards = static_cast<std::size_t>(num_shards);
-    if (chaos) {
+    if (faulted) {
+      // Only this router consults the process-wide plan; the reference
+      // stays un-faulted. A fast watchdog keeps crash-to-failover latency
+      // (and therefore the retry loop) far below the retry budget.
       config.enable_chaos = true;
-      // A fast watchdog keeps crash-to-failover latency (and therefore the
-      // retry loop) far below the harness's retry budget.
       config.watchdog_poll_ms = 1;
     }
     return config;
   }
 
-  service::ShardRouter router_;
-  service::DfsService ref_;
-  service::SnapshotPtr ref_snap_;
-};
-
-// The sharded differential under fire (FuzzEntry::kChaos): a fault plan
-// seeded from chaos_seed is armed for the run, every update is driven
-// through the canonical client retry loop (service/workload.hpp
-// submit_with_retry — resubmit on kRetryable/kOverloaded, re-wait on
-// kTimeout) until definitive, and after every batch the recovered S-shard
-// forest must STILL match the un-faulted 1-shard reference byte for byte:
-// the journal-replay recovery proof of DESIGN.md §13. With
-// PARDFS_ENABLE_CHAOS compiled out arm() is a no-op and this is exactly the
-// sharded entry.
-class ChaosEngine final : public ShardedEngine {
- public:
-  ChaosEngine(Graph initial, const FuzzOptions& o)
-      : ShardedEngine(std::move(initial), o, /*chaos=*/true) {
-    const int shards = std::max(o.num_shards, 1);
-    // Horizon ~ expected updates per shard, so the drawn trigger offsets
-    // land inside the run instead of all past its end.
-    const int horizon = std::max(
-        o.batches * std::max(o.max_batch, 1) / (2 * shards), 4);
-    chaos::arm(chaos::FaultPlan::random(o.chaos_seed,
-                                        static_cast<std::size_t>(shards),
-                                        o.chaos_faults,
-                                        static_cast<std::uint32_t>(horizon)));
-  }
-  ~ChaosEngine() override {
-    // Disarm before the base stops the routers: shutdown drains should not
-    // trip leftover faults (they would still recover, but the run is over).
-    chaos::disarm();
-  }
-
-  bool apply(const std::vector<GeneratedUpdate>& batch, std::string* err) override {
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const GeneratedUpdate& g = batch[i];
-      // Generous budget: ~20 s of 50 ms waits. Only a genuinely wedged
-      // recovery (the bug this entry hunts) exhausts it.
-      service::RetryPolicy policy;
-      policy.max_attempts = 400;
-      policy.ack_timeout = std::chrono::milliseconds(50);
-      policy.initial_backoff = std::chrono::microseconds(50);
-      policy.max_backoff = std::chrono::milliseconds(2);
-      const service::SubmitOutcome out =
-          service::submit_with_retry(router_, g.update, policy);
-      if (!out.definitive()) {
-        *err = "update " + std::to_string(i) + " never became definitive (" +
-               std::to_string(out.attempts) + " attempts, last status " +
-               service::UpdateTicket::status_name(out.result) +
-               ") — recovery wedged";
+  // The differential: byte-identical forests at S shards and at 1 shard.
+  bool compare_assembled(std::string* err) const {
+    const service::SnapshotPtr ref = ref_.snapshot();
+    const std::vector<Vertex> sharded = router_.assemble_parent();
+    const std::vector<std::uint8_t> alive = router_.assemble_alive();
+    const auto ref_parent = ref->parent();
+    if (sharded.size() != ref_parent.size()) {
+      *err = "assembled capacity " + std::to_string(sharded.size()) +
+             " differs from reference " + std::to_string(ref_parent.size());
+      return false;
+    }
+    for (std::size_t v = 0; v < sharded.size(); ++v) {
+      if (sharded[v] != ref_parent[v]) {
+        *err = "parent(" + std::to_string(v) + ") = " + std::to_string(sharded[v]) +
+               " at " + std::to_string(router_.num_shards()) + " shards, " +
+               std::to_string(ref_parent[v]) + " at 1 shard";
         return false;
       }
-      service::UpdateTicket rt = ref_.submit(g.update);
-      const std::uint64_t rv = rt.wait();
-      const bool s_rej = out.result == service::UpdateTicket::kRejected;
-      const bool r_rej = rv == service::UpdateTicket::kRejected;
-      if (s_rej != r_rej) {
-        *err = "accept/reject divergence at update " + std::to_string(i) +
-               ": chaos stack " + (s_rej ? "rejected" : "accepted") +
-               ", reference " + (r_rej ? "rejected" : "accepted");
-        return false;
-      }
-      if (s_rej) {
-        *err = "both stacks rejected feasible update " + std::to_string(i) +
-               " (mirror-contract violation)";
-        return false;
-      }
-      if (g.update.kind == GraphUpdate::Kind::kInsertVertex &&
-          (out.assigned_vertex != g.expected_vertex ||
-           rt.assigned_vertex() != g.expected_vertex)) {
-        *err = "vertex-id divergence after recovery: chaos stack assigned " +
-               std::to_string(out.assigned_vertex) + ", reference " +
-               std::to_string(rt.assigned_vertex()) + ", mirror " +
-               std::to_string(g.expected_vertex);
+      if ((alive[v] != 0) != ref->contains(static_cast<Vertex>(v))) {
+        *err = "alive(" + std::to_string(v) + ") diverges from the reference";
         return false;
       }
     }
-    // The recovery differential: whatever crashed and replayed this batch,
-    // the assembled forest must equal the never-faulted reference.
-    ref_snap_ = ref_.snapshot();
-    return compare_assembled(router_, ref_snap_, err);
+    if (router_.num_vertices() != ref->num_vertices() ||
+        router_.num_edges() != ref->num_edges()) {
+      *err = "vertex/edge totals diverge from the 1-shard reference";
+      return false;
+    }
+    for (std::size_t s = 0; s < router_.num_shards(); ++s) {
+      if (!router_.shard_snapshot(s)->serves_cuts()) {
+        *err = "shard " + std::to_string(s) +
+               " snapshot lost its cut structure despite serve_cuts";
+        return false;
+      }
+    }
+    return true;
   }
+
+  const bool faulted_;  // a fault plan is armed for this run
+  service::ShardRouter router_;
+  service::DfsService ref_;
 };
 
 // ---- the per-batch oracle --------------------------------------------------
@@ -920,12 +795,8 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
   std::unique_ptr<Engine> engine;
   if (options.entry == FuzzEntry::kCore) {
     engine = std::make_unique<CoreEngine>(std::move(initial), options.num_threads);
-  } else if (options.entry == FuzzEntry::kService) {
-    engine = std::make_unique<ServiceEngine>(std::move(initial), options);
-  } else if (options.entry == FuzzEntry::kChaos) {
-    engine = std::make_unique<ChaosEngine>(std::move(initial), options);
   } else {
-    engine = std::make_unique<ShardedEngine>(std::move(initial), options);
+    engine = std::make_unique<RouterEngine>(std::move(initial), options);
   }
 
   // Batch sizes and query samples come from their own deterministic stream,
@@ -942,7 +813,9 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
     if (batch.empty()) break;  // stream exhausted (degenerate mixes)
 
     std::string err;
-    if (!engine->apply(batch, &err)) {
+    const bool applied = engine->apply(batch, &err);
+    result.faults_injected = engine->faults_fired();
+    if (!applied) {
       BatchCheckContext{options, b, stream->mirror(), *engine, harness_rng, result}
           .fail(err);
       return result;
@@ -964,17 +837,12 @@ FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
   // Returns false at the first failing run (stashing it, totals folded in).
   const auto run_one = [&](const FuzzOptions& o) -> bool {
     FuzzResult r = run_fuzz(o);
-    if (!r.ok) {
-      r.batches += total.batches;
-      r.updates += total.updates;
-      r.queries += total.queries;
-      total = std::move(r);
-      return false;
-    }
-    total.batches += r.batches;
-    total.updates += r.updates;
-    total.queries += r.queries;
-    return true;
+    r.batches += total.batches;
+    r.updates += total.updates;
+    r.queries += total.queries;
+    r.faults_injected += total.faults_injected;
+    total = std::move(r);
+    return total.ok;
   };
   for (int s = 0; s < seeds; ++s) {
     for (const FuzzFamily family :
@@ -987,14 +855,14 @@ FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
       o.batches = batches;
       o.num_threads = num_threads;
       o.force_scalar = force_scalar;
-      for (const FuzzEntry entry : {FuzzEntry::kCore, FuzzEntry::kService,
-                                    FuzzEntry::kSharded}) {
-        o.entry = entry;
+      if (!run_one(o)) return total;  // core
+      o.entry = FuzzEntry::kRouter;
+      for (const int shards : {1, 4}) {
+        o.num_shards = shards;
         if (!run_one(o)) return total;
       }
-      // The chaos leg: the SAME update stream under several distinct fault
-      // schedules (ISSUE acceptance: >= 3 per seed, every graph family).
-      o.entry = FuzzEntry::kChaos;
+      // The SAME update stream under several distinct fault plans.
+      o.chaos_faults = kDefaultChaosFaults;
       for (int c = 0; c < kChaosSchedulesPerSeed; ++c) {
         o.chaos_seed = o.seed * kChaosSchedulesPerSeed +
                        static_cast<std::uint64_t>(c) + 1;

@@ -2,25 +2,24 @@
 // whole update stack (ROADMAP "scenario diversity" item).
 //
 // A run is a deterministic-per-seed interleaving of random updates and
-// queries over one graph family, driven through one of the two entry
-// points:
-//   * core    — DynamicDfs::apply_batch with combined k-update batches;
-//   * service — the full DfsService writer/snapshot path (paused-writer
-//               protocol, per-update drain so replay is exact);
-//   * sharded — a num_shards ShardRouter in lock-step with a 1-shard
-//               reference: every update applies synchronously to both, and
-//               the assembled sharded forest must equal the unsharded
-//               snapshot byte for byte after every batch (the shard-count
-//               invariance contract of service/shard_router.hpp);
-//   * chaos   — the sharded differential with a seeded fault plan armed
-//               (testing/chaos.hpp): writer crashes, merge aborts, stalls
-//               and admission sheds fire mid-run, every update is driven
-//               through the client retry loop (workload.hpp's
-//               submit_with_retry) until definitive, and after every batch
-//               the recovered forest must STILL equal the un-faulted 1-shard
-//               reference byte for byte — the journal-replay recovery proof
-//               of DESIGN.md §13. With PARDFS_ENABLE_CHAOS compiled out the
-//               plan never fires and the entry degenerates to `sharded`.
+// queries over one graph family, driven through one of two entry points:
+//   * core   — DynamicDfs::apply_batch with combined k-update batches;
+//   * router — a num_shards ShardRouter in lock-step with an un-faulted
+//              1-shard DfsService reference: every update goes through the
+//              client retry loop (workload.hpp's submit_with_retry) until
+//              definitive, the reference applies it too, and after every
+//              batch the assembled router forest must equal the reference
+//              snapshot byte for byte (the shard-count invariance contract
+//              of service/shard_router.hpp). With chaos_faults > 0 a seeded
+//              fault plan is armed on the router side (testing/chaos.hpp):
+//              writer crashes, merge aborts, stalls and admission sheds fire
+//              mid-run, and the recovered forest must STILL equal the
+//              reference — the journal-replay recovery proof of DESIGN.md
+//              §13. With PARDFS_ENABLE_CHAOS compiled out the plan never
+//              fires.
+// The entries the router subsumed stay as names (parse_entry): `service` is
+// the router at 1 shard, `sharded` at num_shards, `chaos` at num_shards with
+// a plan armed — so their replay lines still run.
 // After every batch the harness re-checks the invariants that define the
 // algorithm (arXiv:1502.02481's valid-DFS-forest + total-query semantics):
 //   1. tree/validation::validate_dfs_forest against a *mirror* graph the
@@ -54,12 +53,14 @@ enum class FuzzFamily : std::uint8_t {
   kDynamicMap,  // service::WorkloadDriver dynamic_map obstacle churn
 };
 
-enum class FuzzEntry : std::uint8_t { kCore, kService, kSharded, kChaos };
+enum class FuzzEntry : std::uint8_t { kCore, kRouter };
+
+// Faults the `chaos` entry name arms when chaos_faults is unset (0).
+inline constexpr int kDefaultChaosFaults = 6;
 
 const char* family_name(FuzzFamily f);
 const char* entry_name(FuzzEntry e);
 bool parse_family(std::string_view name, FuzzFamily& out);
-bool parse_entry(std::string_view name, FuzzEntry& out);
 
 struct FuzzOptions {
   std::uint64_t seed = 1;
@@ -71,15 +72,13 @@ struct FuzzOptions {
   int queries_per_batch = 24;  // sampled tree/snapshot queries per batch
   int cut_checks_per_batch = 3;  // brute-force articulation/bridge samples
   int num_threads = 0;         // engine worker-team cap (0 = facade default)
-  // Shard count for the sharded/chaos entries (ignored by core/service). The
-  // run drives this many shards against a 1-shard reference differentially.
+  // Router entry: the shard count driven against the 1-shard reference.
   int num_shards = 4;
-  // Seed of the chaos entry's fault plan (independent of `seed`, so the soak
-  // can run several fault schedules over the SAME update stream). Ignored by
-  // the other entries.
+  // Router entry: seed of the fault plan (independent of `seed`, so the soak
+  // can run several fault schedules over the SAME update stream).
   std::uint64_t chaos_seed = 1;
-  // Faults drawn into the chaos plan per run.
-  int chaos_faults = 6;
+  // Router entry: faults drawn into the plan; a plan is armed iff > 0.
+  int chaos_faults = 0;
   // Debug hook: corrupt the checked parent array before the checks of this
   // batch index (-1 = never). The run must FAIL with a replay line.
   int corrupt_at = -1;
@@ -89,6 +88,12 @@ struct FuzzOptions {
   // dispatch decision it was found under.
   bool force_scalar = false;
 };
+
+// Sets out.entry from an entry name. The old entry names are aliases that
+// also set the router's (shards, faults) cell: `service` -> (1, 0),
+// `sharded` -> (num_shards, 0), `chaos` -> (num_shards, chaos_faults or
+// kDefaultChaosFaults). Apply it after the other options so the alias wins.
+bool parse_entry(std::string_view name, FuzzOptions& out);
 
 struct FuzzResult {
   bool ok = true;
@@ -103,6 +108,9 @@ struct FuzzResult {
   std::uint64_t batches = 0;
   std::uint64_t updates = 0;
   std::uint64_t queries = 0;
+  // Faults the armed plan fired (chaos::faults_injected); 0 without a plan
+  // or with chaos compiled out.
+  std::uint64_t faults_injected = 0;
 
   explicit operator bool() const { return ok; }
 };
@@ -112,11 +120,11 @@ struct FuzzResult {
 FuzzResult run_fuzz(const FuzzOptions& options);
 
 // The CI soak matrix: `seeds` consecutive seeds starting at seed_base, over
-// every family in {random, power_law, grid, dynamic_map} and all three
-// fault-free entry points (core, service, sharded) plus the chaos entry
-// under kChaosSchedulesPerSeed distinct fault schedules, `batches` batches
-// each. Stops at the first failure (its result is returned); otherwise
-// returns an ok result with the accumulated totals.
+// every family in {random, power_law, grid, dynamic_map} and six cells each
+// — core, the router at 1 and 4 shards, and the 4-shard router under
+// kChaosSchedulesPerSeed distinct fault plans — `batches` batches each.
+// Stops at the first failure (its result is returned); otherwise returns an
+// ok result with the accumulated totals.
 inline constexpr int kChaosSchedulesPerSeed = 3;
 FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
                     int num_threads = 0, bool force_scalar = false);

@@ -593,8 +593,8 @@ TEST(Lifecycle, StopDuringInFlightMergesDrainsWithoutDeadlock) {
 // ---- the chaos substrate itself ---------------------------------------------
 
 TEST(ChaosPlan, RandomPlansAreDeterministicPerSeed) {
-  const FaultPlan a = FaultPlan::random(42, 4, 6, 32);
-  const FaultPlan b = FaultPlan::random(42, 4, 6, 32);
+  const FaultPlan a = FaultPlan::random(42, 6, 32);
+  const FaultPlan b = FaultPlan::random(42, 6, 32);
   ASSERT_EQ(a.specs.size(), 6u);
   ASSERT_EQ(b.specs.size(), 6u);
   for (std::size_t i = 0; i < a.specs.size(); ++i) {
@@ -603,7 +603,7 @@ TEST(ChaosPlan, RandomPlansAreDeterministicPerSeed) {
     EXPECT_EQ(a.specs[i].at_hit, b.specs[i].at_hit);
     EXPECT_EQ(a.specs[i].param, b.specs[i].param);
   }
-  const FaultPlan c = FaultPlan::random(43, 4, 6, 32);
+  const FaultPlan c = FaultPlan::random(43, 6, 32);
   bool differs = false;
   for (std::size_t i = 0; i < c.specs.size(); ++i) {
     differs = differs || c.specs[i].point != a.specs[i].point ||
@@ -753,7 +753,7 @@ TEST(ChaosHooks, CrashedInsertKeepsItsReservedIds) {
 // Compiled out: arming is inert, hooks answer kNone, nothing ever fires —
 // production binaries cannot be made to inject faults.
 TEST(ChaosHooks, CompiledOutHooksAreInert) {
-  chaos::arm(FaultPlan::random(1, 4, 16, 1));  // every spec due immediately
+  chaos::arm(FaultPlan::random(1, 16, 1));  // every spec due immediately
   EXPECT_FALSE(chaos::armed());
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(chaos::hit(FaultPoint::kQueueFull, 0).kind,

@@ -2,29 +2,36 @@
 // (see src/testing/fuzz.hpp for what one run checks).
 //
 // Modes:
-//   * single run (default):    pardfs_fuzz --seed=7 --scenario=grid --entry=service
-//   * sharded differential:    pardfs_fuzz --entry=sharded --shards=8
+//   * core run (default):      pardfs_fuzz --seed=7 --scenario=grid
+//       (DynamicDfs::apply_batch driven directly)
+//   * router differential:     pardfs_fuzz --entry=router --shards=8
 //       (S-shard router vs 1-shard reference, byte-compared every batch)
-//   * chaos differential:      pardfs_fuzz --entry=chaos --chaos-seed=3
+//   * router under faults:     pardfs_fuzz --entry=router --chaos-faults=6
+//                                --chaos-seed=3
 //       (seeded fault schedule armed: writer crashes / merge aborts / stalls
 //        / sheds mid-run; every recovery must land byte-identical to the
 //        un-faulted reference. Needs -DPARDFS_ENABLE_CHAOS=ON to inject.)
 //   * fixed soak matrix:       pardfs_fuzz --soak=8 --batches=16
 //       (8 seeds x {random, power_law, grid, dynamic_map}
-//                x {core, service, sharded} + 3 chaos schedules each)
+//                x {core, router at 1 and 4 shards} + 3 fault plans each)
 //   * time-budgeted CI soak:   pardfs_fuzz --minutes=5
 //       (keeps sweeping the matrix with fresh seeds until the budget runs out)
+// The old entry names are aliases of router cells, whatever their position
+// on the line: --entry=service is 1 shard without faults, --entry=sharded is
+// --shards without faults, --entry=chaos is --shards with --chaos-faults
+// (default 6) armed.
 //
 // Every failure prints the exact replay line that reproduces it:
 //   pardfs_fuzz --seed=... --scenario=... --entry=... --n=... --batches=...
-// Exit code: 0 = all runs clean, 1 = mismatch found, 2 = bad usage.
+// Exit code: 0 = all runs clean, 1 = mismatch found, 2 = bad usage
+// (including any malformed or out-of-range number).
 
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <string>
 #include <string_view>
+#include <system_error>
 
 #include "testing/fuzz.hpp"
 #include "util/simd.hpp"
@@ -36,23 +43,34 @@ using pardfs::testing::FuzzResult;
 
 struct CliOptions {
   FuzzOptions fuzz;
+  std::string_view entry;  // --entry=NAME, applied after every other flag
   int soak_seeds = 0;      // --soak=N: fixed matrix of N seeds
   double minutes = 0.0;    // --minutes=M: time-budgeted matrix sweep
-  bool scenario_set = false;
-  bool entry_set = false;
 };
 
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--seed=U64] [--scenario=random|power_law|grid|dynamic_map]\n"
-      "          [--entry=core|service|sharded|chaos] [--n=N] [--batches=B]\n"
-      "          [--max-batch=K] [--threads=T] [--shards=S] [--corrupt-at=B]\n"
-      "          [--chaos-seed=U64] [--chaos-faults=F]\n"
+      "          [--entry=core|router|service|sharded|chaos] [--n=N]\n"
+      "          [--batches=B] [--max-batch=K] [--threads=T] [--shards=S]\n"
+      "          [--chaos-seed=U64] [--chaos-faults=F] [--corrupt-at=B]\n"
       "          [--soak=SEEDS] [--minutes=M] [--force-scalar]\n"
-      "(--entry=chaos needs -DPARDFS_ENABLE_CHAOS=ON to actually inject;\n"
-      " otherwise it runs as the fault-free sharded differential)\n",
+      "(a router run arms a fault plan when --chaos-faults > 0; it needs\n"
+      " -DPARDFS_ENABLE_CHAOS=ON to actually inject)\n",
       argv0);
+}
+
+// The whole of `text` as a number no smaller than `min`; anything else
+// (empty, trailing junk, a sign on an unsigned, overflow) is malformed.
+template <typename T>
+bool parse_number(std::string_view text, T& out, T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min) return false;
+  out = value;
+  return true;
 }
 
 bool parse_arg(std::string_view arg, CliOptions& cli) {
@@ -65,61 +83,34 @@ bool parse_arg(std::string_view arg, CliOptions& cli) {
     }
     return false;
   };
+  FuzzOptions& f = cli.fuzz;
   std::string_view v;
-  if (value_of("--seed", v)) {
-    cli.fuzz.seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
-    return true;
-  }
+  if (value_of("--seed", v)) return parse_number<std::uint64_t>(v, f.seed, 0);
   if (value_of("--scenario", v)) {
-    cli.scenario_set = true;
-    return pardfs::testing::parse_family(v, cli.fuzz.family);
+    return pardfs::testing::parse_family(v, f.family);
   }
   if (value_of("--entry", v)) {
-    cli.entry_set = true;
-    return pardfs::testing::parse_entry(v, cli.fuzz.entry);
+    cli.entry = v;
+    return !v.empty();
   }
-  if (value_of("--n", v)) {
-    cli.fuzz.n = static_cast<pardfs::Vertex>(std::atoll(std::string(v).c_str()));
-    return cli.fuzz.n > 0;
-  }
-  if (value_of("--batches", v)) {
-    cli.fuzz.batches = std::atoi(std::string(v).c_str());
-    return cli.fuzz.batches > 0;
-  }
-  if (value_of("--max-batch", v)) {
-    cli.fuzz.max_batch = std::atoi(std::string(v).c_str());
-    return cli.fuzz.max_batch > 0;
-  }
-  if (value_of("--threads", v)) {
-    cli.fuzz.num_threads = std::atoi(std::string(v).c_str());
-    return cli.fuzz.num_threads >= 0;
-  }
-  if (value_of("--shards", v)) {
-    cli.fuzz.num_shards = std::atoi(std::string(v).c_str());
-    return cli.fuzz.num_shards > 0;
-  }
-  if (value_of("--corrupt-at", v)) {
-    cli.fuzz.corrupt_at = std::atoi(std::string(v).c_str());
-    return true;
-  }
+  if (value_of("--n", v)) return parse_number<pardfs::Vertex>(v, f.n, 1);
+  if (value_of("--batches", v)) return parse_number(v, f.batches, 1);
+  if (value_of("--max-batch", v)) return parse_number(v, f.max_batch, 1);
+  if (value_of("--threads", v)) return parse_number(v, f.num_threads, 0);
+  if (value_of("--shards", v)) return parse_number(v, f.num_shards, 1);
+  if (value_of("--corrupt-at", v)) return parse_number(v, f.corrupt_at, -1);
   if (value_of("--chaos-seed", v)) {
-    cli.fuzz.chaos_seed = std::strtoull(std::string(v).c_str(), nullptr, 10);
-    return true;
+    return parse_number<std::uint64_t>(v, f.chaos_seed, 0);
   }
-  if (value_of("--chaos-faults", v)) {
-    cli.fuzz.chaos_faults = std::atoi(std::string(v).c_str());
-    return cli.fuzz.chaos_faults > 0;
-  }
-  if (value_of("--soak", v)) {
-    cli.soak_seeds = std::atoi(std::string(v).c_str());
-    return cli.soak_seeds > 0;
-  }
+  if (value_of("--chaos-faults", v)) return parse_number(v, f.chaos_faults, 0);
+  if (value_of("--soak", v)) return parse_number(v, cli.soak_seeds, 1);
   if (value_of("--minutes", v)) {
-    cli.minutes = std::atof(std::string(v).c_str());
-    return cli.minutes > 0.0;
+    // At most a year, so the deadline arithmetic stays in range.
+    return parse_number(v, cli.minutes, 0.0) && cli.minutes > 0.0 &&
+           cli.minutes <= 525600.0;
   }
   if (arg == "--force-scalar") {
-    cli.fuzz.force_scalar = true;
+    f.force_scalar = true;
     return true;
   }
   return false;
@@ -127,10 +118,13 @@ bool parse_arg(std::string_view arg, CliOptions& cli) {
 
 int report(const FuzzResult& r) {
   if (r.ok) {
-    std::printf("OK: %llu batches, %llu updates, %llu queries, 0 mismatches\n",
-                static_cast<unsigned long long>(r.batches),
-                static_cast<unsigned long long>(r.updates),
-                static_cast<unsigned long long>(r.queries));
+    std::printf(
+        "OK: %llu batches, %llu updates, %llu queries, %llu faults fired, "
+        "0 mismatches\n",
+        static_cast<unsigned long long>(r.batches),
+        static_cast<unsigned long long>(r.updates),
+        static_cast<unsigned long long>(r.queries),
+        static_cast<unsigned long long>(r.faults_injected));
     return 0;
   }
   std::fprintf(stderr, "FUZZ FAILURE: %s\n", r.failure.c_str());
@@ -154,6 +148,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (!cli.entry.empty() &&
+      !pardfs::testing::parse_entry(cli.entry, cli.fuzz)) {
+    std::fprintf(stderr, "bad argument: --entry=%.*s\n",
+                 static_cast<int>(cli.entry.size()), cli.entry.data());
+    usage(argv[0]);
+    return 2;
+  }
   // Reflect an ambient PARDFS_FORCE_SCALAR pin in the printed run lines so
   // they replay the effective dispatch mode.
   cli.fuzz.force_scalar = cli.fuzz.force_scalar || pardfs::simd::scalar_forced();
@@ -175,6 +176,7 @@ int main(int argc, char** argv) {
       total.batches += r.batches;
       total.updates += r.updates;
       total.queries += r.queries;
+      total.faults_injected += r.faults_injected;
       ++seed_base;
     } while (std::chrono::steady_clock::now() < deadline);
     std::printf("soak: %llu seeds swept\n",
