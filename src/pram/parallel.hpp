@@ -1,4 +1,4 @@
-// Thin PRAM-style facade over OpenMP.
+// Thin PRAM-style facade over the process's worker pool.
 //
 // The algorithm code reads as the paper's PRAM pseudo-code: `parallel_for_t`
 // assigns one logical processor per element, `parallel_reduce` is an
@@ -9,88 +9,66 @@
 // user-supplied associative, total-order combiner applied over a fixed
 // blocking; worker loops write per-task slots merged in task order).
 //
-// Grain control: spawning OpenMP teams for tiny loops costs more than the
-// loop body; below `kSerialGrain` elements the facade runs serially. This
-// changes nothing observable (the cost model counts logical rounds, not
-// threads).
+// All three run their teams through detail::run_team on one process-wide
+// pool of budget - 1 persistent threads (budget = OMP_NUM_THREADS, else the
+// hardware concurrency). A team is a set of slots, not of threads: the
+// caller claims slots like a worker, and a region that finds the pool busy
+// (another thread's region, or one nested in a slot) runs every slot inline,
+// so teams never oversubscribe the budget or nest.
+//
+// Grain control: waking the pool for tiny loops costs more than the loop
+// body; below `kSerialGrain` elements the facade runs serially. This changes
+// nothing observable (the cost model counts logical rounds, not threads).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
-// TSan cannot see libgomp's futex-based fork/join barrier, so every read
-// after an omp region looks racy against the workers' writes. Under
-// -fsanitize=thread every facade region (parallel_for_t, the worker
-// fan-out, parallel_reduce) therefore runs on std::threads, whose
-// create/join edges TSan understands; real races between worker bodies stay
-// fully visible.
-#if defined(__SANITIZE_THREAD__)
-#define PARDFS_PRAM_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PARDFS_PRAM_TSAN 1
-#endif
-#endif
-
-#if defined(PARDFS_PRAM_TSAN)
-#include <atomic>
-#include <thread>
-#endif
-
 namespace pardfs::pram {
-
-#if defined(PARDFS_PRAM_TSAN)
-namespace detail {
-// The std::thread stand-in for an omp parallel region: region(t) for every
-// t < team, the calling thread being t = 0, joined before returning.
-template <typename Region>
-void tsan_region(int team, Region&& region) {
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(team - 1));
-  for (int t = 1; t < team; ++t) pool.emplace_back([&region, t] { region(t); });
-  region(0);
-  for (std::thread& th : pool) th.join();
-}
-}  // namespace detail
-#endif
 
 inline constexpr std::size_t kSerialGrain = 2048;
 
-// Number of worker threads every facade loop uses (defaults to OpenMP's
-// choice); set_num_threads(0) restores the default.
+// Number of slots every facade team uses (defaults to the worker budget);
+// set_num_threads(0) restores the default.
 int num_threads();
 void set_num_threads(int n);
+
+namespace detail {
+// The worker budget an OMP_NUM_THREADS value asks for: a positive int,
+// optionally followed by a ','-list (the nested form "4,2"; the first level
+// counts). Anything else, unset included, gives the hardware concurrency.
+int thread_budget(const char* env);
+
+// slot(region, t) once for every t < team, returning when all have finished.
+// Which thread runs which slot is unspecified; an exception escaping a slot
+// that ran on the pool terminates the process.
+void run_team(int team, void (*slot)(const void*, int), const void* region);
+template <typename Region>
+void run_team(int team, const Region& region) {
+  run_team(
+      team, [](const void* r, int t) { (*static_cast<const Region*>(r))(t); },
+      &region);
+}
+}  // namespace detail
 
 // for (i in [begin, end)) body(i), one logical processor per index. Body is
 // a template parameter (not std::function) so hot loops inline fully.
 template <typename Body>
 void parallel_for_t(std::size_t begin, std::size_t end, Body&& body) {
   const std::size_t count = end > begin ? end - begin : 0;
-  if (count == 0) return;
   const int threads = count < kSerialGrain ? 1 : num_threads();
   if (threads <= 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
-#if defined(PARDFS_PRAM_TSAN)
   const std::size_t block = (count + threads - 1) / threads;
-  detail::tsan_region(threads, [&](int t) {
+  detail::run_team(threads, [&](int t) {
     const std::size_t lo = begin + static_cast<std::size_t>(t) * block;
     const std::size_t hi = lo + block < end ? lo + block : end;
     for (std::size_t i = lo; i < hi; ++i) body(i);
   });
-  return;
-#endif
-#pragma omp parallel for schedule(static) num_threads(threads)
-  for (std::int64_t i = static_cast<std::int64_t>(begin);
-       i < static_cast<std::int64_t>(end); ++i) {
-    body(static_cast<std::size_t>(i));
-  }
 }
 
 // for (i in [0, count)) body(worker, i), where worker < threads identifies
@@ -103,37 +81,20 @@ void parallel_for_t(std::size_t begin, std::size_t end, Body&& body) {
 // accumulators with commutative ops).
 template <typename Body>
 void parallel_for_workers(std::size_t count, int threads, Body&& body) {
-  if (count == 0) return;
   if (threads <= 0) threads = num_threads();
-#if defined(PARDFS_PRAM_TSAN)
-  if (threads > 1 && count > 1) {
-    const int team =
-        threads < static_cast<int>(count) ? threads : static_cast<int>(count);
-    std::atomic<std::size_t> cursor{0};
-    detail::tsan_region(team, [&](int worker) {
-      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-           i < count; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-        body(worker, i);
-      }
-    });
+  const int team =
+      count < static_cast<std::size_t>(threads) ? static_cast<int>(count) : threads;
+  if (team <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
     return;
   }
-#elif defined(_OPENMP)
-  if (threads > 1 && count > 1) {
-    const int team =
-        threads < static_cast<int>(count) ? threads : static_cast<int>(count);
-#pragma omp parallel num_threads(team)
-    {
-      const int worker = omp_get_thread_num();
-#pragma omp for schedule(dynamic, 1)
-      for (std::int64_t i = 0; i < static_cast<std::int64_t>(count); ++i) {
-        body(worker, static_cast<std::size_t>(i));
-      }
+  std::atomic<std::size_t> cursor{0};
+  detail::run_team(team, [&](int worker) {
+    for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < count;
+         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      body(worker, i);
     }
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < count; ++i) body(0, i);
+  });
 }
 
 // Tree reduction: combine(identity, f(begin), ..., f(end-1)). `combine` must
@@ -159,15 +120,7 @@ T parallel_reduce(std::size_t begin, std::size_t end, T identity, Map&& map,
     for (std::size_t i = lo; i < hi; ++i) acc = combine(acc, map(i));
     partial[static_cast<std::size_t>(t)] = acc;
   };
-#if defined(PARDFS_PRAM_TSAN)
-  detail::tsan_region(threads, reduce_block);
-#else
-#pragma omp parallel num_threads(threads)
-  {
-#pragma omp for schedule(static)
-    for (int t = 0; t < threads; ++t) reduce_block(t);
-  }
-#endif
+  detail::run_team(threads, reduce_block);
   T acc = identity;
   for (const T& p : partial) acc = combine(acc, p);
   return acc;

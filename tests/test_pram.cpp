@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <thread>
 
 #include "pram/list_ranking.hpp"
 #include "pram/merge_sort.hpp"
@@ -31,6 +34,75 @@ TEST(ParallelReduce, EmptyRangeReturnsIdentity) {
       std::size_t{5}, std::size_t{5}, -1, [](std::size_t) { return 7; },
       [](int a, int b) { return a + b; });
   EXPECT_EQ(r, -1);
+}
+
+TEST(ThreadBudget, ParsesOmpNumThreadsAsOutsideInput) {
+  const int fallback =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  EXPECT_EQ(detail::thread_budget("4"), 4);
+  EXPECT_EQ(detail::thread_budget("4,2"), 4);  // nested form: the outer level
+  for (const char* bad : {"", "abc", "0", "-2", "4x", "99999999999"}) {
+    EXPECT_EQ(detail::thread_budget(bad), fallback) << '"' << bad << '"';
+  }
+  EXPECT_EQ(detail::thread_budget(nullptr), fallback);
+}
+
+// sum(i) over [0, n), through the facade's slot-per-block reduction.
+std::uint64_t facade_sum(std::size_t n) {
+  return parallel_reduce(
+      std::size_t{0}, n, std::uint64_t{0},
+      [](std::size_t i) { return std::uint64_t(i); },
+      [](std::uint64_t a, std::uint64_t b) { return a + b; });
+}
+
+constexpr std::size_t kPoolN = std::size_t{1} << 16;
+constexpr std::uint64_t kPoolSum = std::uint64_t{kPoolN} * (kPoolN - 1) / 2;
+
+TEST(WorkerPool, ReduceNestedInWorkerBodyMatchesSerial) {
+  // The outer team holds the pool, so every inner region runs inline.
+  std::vector<std::uint64_t> got(16, 0);
+  parallel_for_workers(got.size(), 4,
+                       [&](int, std::size_t i) { got[i] = facade_sum(kPoolN); });
+  for (const std::uint64_t g : got) EXPECT_EQ(g, kPoolSum);
+}
+
+TEST(WorkerPool, ConcurrentCallersMatchSerial) {
+  // Four callers race for the one pool; the losers run their slots inline.
+  std::vector<std::uint64_t> got(4 * 16, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < 4; ++c) {
+    callers.emplace_back([&got, c] {
+      for (std::size_t r = 0; r < 16; ++r) got[c * 16 + r] = facade_sum(kPoolN);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (const std::uint64_t g : got) EXPECT_EQ(g, kPoolSum);
+}
+
+TEST(WorkerPool, TeamAboveBudgetVisitsEveryIndexOnce) {
+  set_num_threads(8);
+  std::vector<std::atomic<int>> hits(kPoolN);
+  parallel_for_t(0, hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  set_num_threads(0);
+  EXPECT_TRUE(std::all_of(hits.begin(), hits.end(),
+                          [](const auto& h) { return h.load() == 1; }));
+}
+
+TEST(ParallelForDeathTest, ForkedChildCompletesRegion) {
+  // The parent's pool exists before the fork; none of its workers survive
+  // into the child, whose region must still finish on the calling thread.
+  set_num_threads(4);
+  EXPECT_EQ(facade_sum(kPoolN), kPoolSum);
+  EXPECT_EXIT(
+      {
+        std::vector<int> hits(kPoolN, 0);
+        parallel_for_t(0, hits.size(), [&](std::size_t i) { hits[i]++; });
+        const bool once =
+            std::all_of(hits.begin(), hits.end(), [](int h) { return h == 1; });
+        std::exit(once ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  set_num_threads(0);
 }
 
 TEST(Scan, ExclusivePrefixSums) {
