@@ -8,9 +8,9 @@
 //     the batching/layout win from vectorization;
 //   * batch_simd    — query_vertex_batch under the runtime dispatch
 //     decision: adds the AVX2 gather kernel where the CPU has it.
-// check_probe_ratio.py asserts batch_simd >= 1.3x single_scalar at
-// n = 2^15 (per-probe wall time); the `avx2` counter on batch_simd lets it
-// skip the assertion on hardware without AVX2.
+// The probe row of bench/gates.py asserts batch_simd >= 1.3x single_scalar
+// at n = 2^15 (per-probe wall time); the `avx2` counter on batch_simd lets
+// it skip the assertion on hardware without AVX2.
 //
 // BM_BuildOracleReuse pins the aligned-CSR build: steady-state rebuilds
 // must stay allocation-free (capacity_stable) and land on 32-byte

@@ -49,8 +49,8 @@ BENCHMARK(BM_BuildOracle)
     ->Complexity(benchmark::oNLogN);
 
 // range(1) picks the TreeBuildMode: 0 kAuto, 1 kSerial, 2 kParallel. The
-// kSerial and kParallel rows at the default team locate the crossover that
-// kAuto dispatches on (tree_index.cpp).
+// kSerial and kParallel rows at the default team are the measurement that
+// keeps kAuto serial (the TreeBuildMode comment in tree_index.hpp).
 void BM_BuildTreeIndex(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const auto mode = static_cast<TreeBuildMode>(state.range(1));

@@ -277,8 +277,8 @@ GraphUpdate intra_block_flip(Rng& rng, Vertex n, Vertex block) {
 
 // Read throughput vs shard count at a fixed reader pool: Args = (shards,
 // readers). One background producer churns intra-block flips through the
-// router the whole time. bench/check_shard_scaling.py pins the 4-shard /
-// 1-shard items_per_second ratio.
+// router the whole time. The shard_scaling row of bench/gates.py pins the
+// 4-shard / 1-shard items_per_second ratio.
 void BM_ShardedReadThroughput(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const int readers = static_cast<int>(state.range(1));
@@ -406,8 +406,8 @@ BENCHMARK(BM_ShardedClientSessions)
 // is one pipelined 64-update burst — the canonical client window (cf.
 // BM_ServiceScenarioMix), which the writers coalesce into batches — so the
 // gate reads as "a failover stalls its shard for less than 10 steady batch
-// cycles". Arg = shards. bench/check_recovery.py pins
-// p99(recovery) < 10 x p99(steady batch).
+// cycles". Arg = shards. The recovery row of bench/gates.py pins
+// p99(recovery) < 10 x p99(steady batch) at 4 shards.
 void BM_ShardRecovery(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const Vertex n = 1 << 15;

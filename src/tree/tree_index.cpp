@@ -2,42 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
 
 #include "pram/parallel.hpp"
 #include "tree/euler_tour.hpp"
 #include "util/check.hpp"
 
 namespace pardfs {
-namespace {
-
-// Smallest forest (parent-array length) at which kAuto takes the parallel
-// Theorem 4 build. Measured with BM_BuildTreeIndex (bench_preprocess:
-// in-place rebuild of a random_connected DFS tree, Release, default 4-thread
-// team on a 4-vCPU Xeon; rows committed in BENCH_preprocess.json),
-// kParallel vs kSerial wall time in microseconds:
-//   n = 2^10     105 vs     15      n = 2^16    6675 vs   2450
-//   n = 2^12     635 vs     81      n = 2^18   46658 vs  20407
-//   n = 2^14    1933 vs    449      n = 2^20  170815 vs 162709
-// kParallel never beats kSerial by the required 1.2x up to 2^20, so kAuto
-// is serial at every size. Re-measure on the target host before lowering.
-constexpr std::size_t kParallelBuildCrossover = std::numeric_limits<std::size_t>::max();
-
-}  // namespace
-}  // namespace pardfs
-
-namespace pardfs {
 
 void TreeIndex::build(std::span<const Vertex> parent,
                       std::span<const std::uint8_t> alive, TreeBuildMode mode) {
-  const std::size_t n = parent.size();
   parent_.assign(parent.begin(), parent.end());
   roots_.clear();
 
-  const bool parallel =
-      mode == TreeBuildMode::kParallel ||
-      (mode == TreeBuildMode::kAuto && n >= kParallelBuildCrossover &&
-       pram::num_threads() > 1);
+  const bool parallel = mode == TreeBuildMode::kParallel;
   build_children_csr(parent, alive, parallel);
   if (parallel) {
     build_parallel(parent, alive);

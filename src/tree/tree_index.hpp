@@ -30,10 +30,18 @@ namespace pardfs {
 // counting + exclusive scan, Euler tour + O(n)-work list ranking for
 // pre/post/depth/size and the orderings, parallel Fischer–Heun block fill).
 // Both produce byte-identical tables (pinned by tests/test_rebuild.cpp at
-// 1/2/4/8 workers). kAuto takes kParallel only at or above a crossover
-// measured on a 4-core host (kParallelBuildCrossover in tree_index.cpp);
-// there kParallel never won by 1.2x up to 2^20 vertices, so today kAuto is
-// kSerial at every size.
+// 1/2/4/8 workers). kAuto is kSerial: BM_BuildTreeIndex (bench_preprocess:
+// in-place rebuild of a random_connected DFS tree, Release, the default
+// 4-thread pool team on a 4-vCPU Xeon), kParallel vs kSerial wall time in
+// microseconds, medians of 3:
+//   n = 2^10     124 vs     29      n = 2^16   10917 vs   4189
+//   n = 2^12     809 vs    142      n = 2^18   49536 vs  31638
+//   n = 2^14    2559 vs    692      n = 2^20  280767 vs 315383
+// kParallel never beats kSerial by 1.2x. At 2^20 a single run is noise: the
+// one-iteration rows in BENCH_preprocess.json read 269727 vs 360777 while
+// kAuto, the same serial code, read 302233; 7 interleaved repetitions give
+// 380380 vs 336398. Re-measure on the target host before giving kAuto a
+// crossover.
 enum class TreeBuildMode : std::uint8_t { kAuto, kSerial, kParallel };
 
 class TreeIndex {

@@ -19,6 +19,7 @@
 
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "service/dfs_service.hpp"
 #include "service/journal.hpp"
 #include "service/shard_router.hpp"
@@ -746,6 +747,53 @@ TEST(ChaosHooks, CrashedInsertKeepsItsReservedIds) {
   chaos::disarm();
   router.stop();  // joins the watchdog: the recovery stat is settled now
   EXPECT_EQ(router.stats().recoveries, 1u);
+}
+
+// Compiled in: a batch_stall_ms that outlasts stall_timeout_ms is the one
+// fault only the watchdog can see. It fences the stalled writer (counted once
+// in pardfs_writer_stalls_total), the stall loop turns the fence into a
+// crash, journal replay recovers the shard, and the retried op lands on a
+// state byte-identical to an un-faulted single-shard run of the same ops.
+TEST(ChaosHooks, StalledWriterIsFencedAndRecovers) {
+  FaultPlan plan;
+  plan.specs.push_back(FaultSpec{FaultPoint::kBatchStallMs, /*shard=*/-1,
+                                 /*at_hit=*/0, /*param=*/1000});
+  chaos::arm(plan);
+  ServiceConfig config = supervised_config(2);
+  config.enable_chaos = true;
+  config.stall_timeout_ms = 20;
+  config.watchdog_poll_ms = 5;
+  obs::Counter& stalls =
+      obs::Registry::global().counter("pardfs_writer_stalls_total");
+  const std::uint64_t stalls_before = stalls.value();
+  ShardRouter router(disjoint_paths(4, 4), config);
+  ShardRouter reference(disjoint_paths(4, 4), supervised_config(1));
+  ToggleStream stream(disjoint_paths(4, 4), 11);
+
+  for (int i = 0; i < 24; ++i) {
+    const GraphUpdate u = stream.next();
+    const SubmitOutcome out = submit_with_retry(router, u);
+    ASSERT_TRUE(out.applied())
+        << "update " << i << " unresolved (result "
+        << UpdateTicket::status_name(out.result) << ")";
+    UpdateTicket rt = reference.submit(u);
+    ASSERT_FALSE(UpdateTicket::is_status(rt.wait()));
+    if (u.kind == GraphUpdate::Kind::kInsertVertex) {
+      ASSERT_EQ(out.assigned_vertex, rt.assigned_vertex());
+    }
+  }
+  EXPECT_EQ(chaos::faults_injected(), 1u);
+  EXPECT_EQ(router.assemble_parent(), reference.assemble_parent());
+  EXPECT_EQ(router.assemble_alive(), reference.assemble_alive());
+  chaos::disarm();
+  router.stop();  // joins the watchdog: stall and recovery counts settle
+  reference.stop();
+#if defined(PARDFS_NO_METRICS)
+  EXPECT_EQ(stalls.value(), stalls_before);
+#else
+  EXPECT_EQ(stalls.value() - stalls_before, 1u);
+#endif
+  EXPECT_GE(router.stats().recoveries, 1u);
 }
 
 #else  // !PARDFS_ENABLE_CHAOS

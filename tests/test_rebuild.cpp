@@ -145,7 +145,7 @@ TEST(Rebuild, ParallelBuildMatchesSerialAtEveryWorkerCount) {
 }
 
 TEST(Rebuild, AutoModeMatchesSerial) {
-  // Whatever kAuto dispatches to (worker count and size dependent), the
+  // kAuto is the serial build today; whatever it dispatches to, the
   // observable index must be the serial one.
   const auto shapes = build_shapes();
   for (const Shape& s : shapes) {

@@ -26,13 +26,12 @@
 // Exit code: 0 = all runs clean, 1 = mismatch found, 2 = bad usage
 // (including any malformed or out-of-range number).
 
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string_view>
-#include <system_error>
 
+#include "parse_number.hpp"
 #include "testing/fuzz.hpp"
 #include "util/simd.hpp"
 
@@ -40,6 +39,7 @@ namespace {
 
 using pardfs::testing::FuzzOptions;
 using pardfs::testing::FuzzResult;
+using pardfs::tools::parse_number;
 
 struct CliOptions {
   FuzzOptions fuzz;
@@ -59,18 +59,6 @@ void usage(const char* argv0) {
       "(a router run arms a fault plan when --chaos-faults > 0; it needs\n"
       " -DPARDFS_ENABLE_CHAOS=ON to actually inject)\n",
       argv0);
-}
-
-// The whole of `text` as a number no smaller than `min`; anything else
-// (empty, trailing junk, a sign on an unsigned, overflow) is malformed.
-template <typename T>
-bool parse_number(std::string_view text, T& out, T min) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < min) return false;
-  out = value;
-  return true;
 }
 
 bool parse_arg(std::string_view arg, CliOptions& cli) {

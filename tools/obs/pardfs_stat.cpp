@@ -28,7 +28,8 @@
 //                                     the page prints zeros — the knob the
 //                                     determinism pins exercise)
 //
-// Exit code 0 on success. See EXPERIMENTS.md E16 for a sample session.
+// Exit code 0 on success, 2 on a malformed argument (every number is parsed
+// in full, with a lower bound). See EXPERIMENTS.md E16 for a sample session.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -41,6 +42,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "parse_number.hpp"
 #include "service/shard_router.hpp"
 #include "service/workload.hpp"
 
@@ -48,6 +50,7 @@ namespace {
 
 using namespace pardfs;
 using namespace pardfs::service;
+using pardfs::tools::parse_number;
 
 struct Options {
   Scenario scenario = Scenario::kReadHeavy;
@@ -93,20 +96,19 @@ Options parse(int argc, char** argv) {
     if (const char* v = value("--scenario=")) {
       if (!parse_scenario(v, &o.scenario)) usage_error(a);
     } else if (const char* v = value("--n=")) {
-      o.n = static_cast<Vertex>(std::strtoll(v, nullptr, 10));
+      if (!parse_number(v, o.n, Vertex{1})) usage_error(a);
     } else if (const char* v = value("--seed=")) {
-      o.seed = std::strtoull(v, nullptr, 10);
+      if (!parse_number(v, o.seed, std::uint64_t{0})) usage_error(a);
     } else if (const char* v = value("--updates=")) {
-      o.updates = std::strtoull(v, nullptr, 10);
+      if (!parse_number(v, o.updates, std::uint64_t{0})) usage_error(a);
     } else if (const char* v = value("--threads=")) {
-      o.threads = static_cast<int>(std::strtol(v, nullptr, 10));
+      if (!parse_number(v, o.threads, 0)) usage_error(a);
     } else if (const char* v = value("--shards=")) {
-      o.shards = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-      if (o.shards == 0) usage_error(a);
+      if (!parse_number(v, o.shards, std::size_t{1})) usage_error(a);
     } else if (const char* v = value("--watch-ms=")) {
-      o.watch_ms = std::strtoull(v, nullptr, 10);
+      if (!parse_number(v, o.watch_ms, std::uint64_t{0})) usage_error(a);
     } else if (const char* v = value("--inject-failures=")) {
-      o.inject_failures = std::strtoull(v, nullptr, 10);
+      if (!parse_number(v, o.inject_failures, std::uint64_t{0})) usage_error(a);
     } else if (const char* v = value("--format=")) {
       if (std::strcmp(v, "json") == 0) {
         o.json = true;
