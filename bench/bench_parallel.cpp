@@ -13,6 +13,12 @@
 // wall-clock may move. Real speedup needs real cores: on a single-core host
 // every team size collapses to ~1×.
 //
+// BM_StaticRebuild_DynamicMap is the from-scratch side of the batch_cap gate
+// (bench/gates.py): a static DFS of the dynamic_map row's initial graph plus
+// its TreeIndex and D, on one thread. A capped batch (the 1-thread
+// dynamic_map row's batch_us counter) must not cost much more than that
+// rebuild (DESIGN.md §9, the work cap).
+//
 // BM_RerootRound measures the per-round fan-out decision behind
 // Rerooter::kParallelRoundWork: one engine round, stepped on the calling
 // thread, on a forced 4-worker team and under the real dispatch, swept over
@@ -88,6 +94,11 @@ void run_scenario(benchmark::State& state, service::Scenario scenario) {
   state.counters["threads"] = static_cast<double>(threads);
   state.counters["batch_size"] = static_cast<double>(batch_size);
   state.counters["batches"] = static_cast<double>(kReplayBatches);
+  // Real time per replayed batch (µs): the inverted rate of batches per µs.
+  // The batch_cap gate (bench/gates.py) divides it by a rebuild.
+  state.counters["batch_us"] = benchmark::Counter(
+      static_cast<double>(kReplayBatches) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
   state.counters["engine_rounds"] = benchmark::Counter(
       static_cast<double>(rounds), benchmark::Counter::kAvgIterations);
   // Per absorbed update (µs): how much of a batch is rerooting (the part
@@ -115,6 +126,26 @@ void BM_BatchUpdate_SocialMix(benchmark::State& state) {
 // inserts; reroot_us/update is the row the leftover grouping moves.
 void BM_BatchUpdate_DynamicMap(benchmark::State& state) {
   run_scenario(state, service::Scenario::kDynamicMap);
+}
+
+void BM_StaticRebuild_DynamicMap(benchmark::State& state) {
+  const auto n = static_cast<Vertex>(state.range(0));
+  pram::set_num_threads(1);
+  const Graph g =
+      service::make_initial_graph({service::Scenario::kDynamicMap, n, 42});
+  // Reused across iterations, as the engine reuses its retired buffers.
+  TreeIndex index;
+  AdjacencyOracle oracle;
+  for (auto _ : state) {
+    const std::vector<Vertex> parent = static_dfs(g);
+    index.build(parent, g.alive());
+    oracle.build(g, index);
+    benchmark::DoNotOptimize(parent.data());
+    benchmark::ClobberMemory();
+  }
+  pram::set_num_threads(0);
+  state.counters["n"] = static_cast<double>(g.num_vertices());
+  state.counters["m"] = static_cast<double>(g.num_edges());
 }
 
 // One engine round of 16-wide grid blocks inside a 2^15-vertex graph.
@@ -213,6 +244,8 @@ BENCHMARK(BM_BatchUpdate_DynamicMap)
     ->ArgNames({"threads", "n"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+BENCHMARK(BM_StaticRebuild_DynamicMap)->Arg(1 << 14)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pardfs

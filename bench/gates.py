@@ -20,6 +20,11 @@ from the google-benchmark JSON files that run_bench.sh writes:
   recovery       the 4-shard p99 journal-replay recovery latency must stay
                  under 10x the steady-state batch-cycle p99 (E18); a run
                  that injected no recoveries is a configuration error.
+  batch_cap      one dynamic_map batch (batch_us of the 1-thread fixed
+                 replay: its real time per replayed batch) may cost at most
+                 BOUND times a from-scratch rebuild of the same graph
+                 (static DFS + TreeIndex + D): the work cap of DESIGN.md §9
+                 (E22).
 
 A value is the `median` aggregate of its benchmark when the run has one, else
 its single run. The CPU count is the `context.num_cpus` the judged run
@@ -58,6 +63,12 @@ ORACLE = "BENCH_oracle.json"
 SERVICE = "BENCH_service.json"
 SIMD = "BM_OracleProbe/batch_simd/32768"
 RECOVERY = "BM_ShardRecovery/4/iterations:1/real_time"
+PARALLEL = "BENCH_parallel.json"
+
+# batch_cap (EXPERIMENTS.md E22; Release, 4-vCPU Xeon, two sets of five
+# interleaved runs each): the healthy build reads 0.85-1.36x, a build with
+# the work cap switched off 2.33-4.07x. The bound sits between them.
+BATCH_CAP_BOUND = 1.8
 
 GATES = [
     Gate("update",
@@ -80,6 +91,11 @@ GATES = [
          Value(SERVICE, RECOVERY, "recovery_p99_us"),
          Value(SERVICE, RECOVERY, "steady_batch_p99_us"), "<", 10.0,
          require=Value(SERVICE, RECOVERY, "recoveries")),
+    Gate("batch_cap",
+         Value(PARALLEL, "BM_BatchUpdate_DynamicMap/threads:1/n:16384/real_time",
+               "batch_us"),
+         Value(PARALLEL, "BM_StaticRebuild_DynamicMap/16384"), "<=",
+         BATCH_CAP_BOUND),
 ]
 
 OPS = {">=": operator.ge, "<=": operator.le, "<": operator.lt}

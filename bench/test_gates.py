@@ -22,6 +22,8 @@ SIMD = "BM_OracleProbe/batch_simd/32768"
 READS_1 = "BM_ShardedReadThroughput/1/4/real_time"
 READS_4 = "BM_ShardedReadThroughput/4/4/real_time"
 RECOVERY = "BM_ShardRecovery/4/iterations:1/real_time"
+BATCH = "BM_BatchUpdate_DynamicMap/threads:1/n:16384/real_time"
+REBUILD = "BM_StaticRebuild_DynamicMap/16384"
 
 
 def run(name, real_time, time_unit="us", **counters):
@@ -49,6 +51,9 @@ def healthy():
             run(RECOVERY, 900.0, "ms", recoveries=4, recovery_p99_us=3000.0,
                 steady_batch_p99_us=800.0),
         ],
+        # A 1.2 ms batch against a 1 ms rebuild: 1.2x.
+        "BENCH_parallel.json": [run(BATCH, 9.6, "ms", batch_us=1200.0),
+                                run(REBUILD, 1000.0)],
     }
 
 
@@ -72,6 +77,10 @@ REGRESSIONS = {
     "recovery": ("BENCH_service.json",
                  lambda rows: find(rows, RECOVERY).update(
                      recovery_p99_us=8000.0), RECOVERY),
+    # Cap off: the batches run the round machinery, 5x a rebuild each.
+    "batch_cap": ("BENCH_parallel.json",
+                  lambda rows: find(rows, BATCH).update(batch_us=5000.0),
+                  BATCH),
 }
 
 
@@ -168,6 +177,32 @@ class GatesTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertEqual(verdicts["shard_scaling"], "PASS")
         self.assertEqual(verdicts["recovery"], "FAIL")
+
+    def test_batch_cap_judges_the_per_batch_counter(self):
+        files = healthy()
+        bound = gates.BATCH_CAP_BOUND
+        batch = find(files["BENCH_parallel.json"], BATCH)
+        batch["batch_us"] = 1000.0 * bound
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 0)
+        self.assertEqual(verdicts["batch_cap"], "PASS")
+        batch["batch_us"] = 1000.0 * bound + 0.1
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 1)
+        self.assertEqual(verdicts["batch_cap"], "FAIL")
+        # The replay's total real time is not the per-batch figure.
+        del batch["batch_us"]
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 2)
+        self.assertEqual(verdicts["batch_cap"], "MISSING")
+
+    def test_batch_cap_reports_a_missing_rebuild_row(self):
+        files = healthy()
+        files["BENCH_parallel.json"] = [
+            r for r in files["BENCH_parallel.json"] if r["run_name"] != REBUILD]
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 2)
+        self.assertEqual(verdicts["batch_cap"], "MISSING")
 
     def test_median_is_preferred_over_the_single_run(self):
         files = healthy()

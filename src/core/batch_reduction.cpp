@@ -1,6 +1,7 @@
 #include "core/batch_reduction.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "util/check.hpp"
@@ -13,10 +14,102 @@ std::int32_t piece_size(const TreeIndex& cur, const Piece& p) {
   return cur.depth(p.bottom) - cur.depth(p.top) + 1;
 }
 
+// The work cap (see batch_reduction.hpp). Sums each change's predicted
+// reroot work into the pre-batch tree it lands in, merges the trees a
+// surviving insert joins into one region (a connected component of the
+// updated graph, or several once deletions split it), and emits every region
+// whose prediction reaches kRecomputeWorkRatio × its live vertex count as one
+// `recompute` component of whole trees. Returns the capped trees' roots,
+// ascending. O(k log deg) from the pre-batch index.
+std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
+                              const BatchChanges& changes,
+                              const std::vector<std::uint8_t>& dead,
+                              BatchReduction& out) {
+  const auto is_dead = [&](Vertex v) { return dead[static_cast<std::size_t>(v)] != 0; };
+  // One slot per touched tree, in first-touch order.
+  std::vector<Vertex> roots;
+  std::vector<std::int64_t> work;
+  std::vector<std::int64_t> deaths;
+  std::unordered_map<Vertex, std::size_t> slot_of;
+  const auto slot = [&](Vertex v) {
+    const auto [it, fresh] = slot_of.try_emplace(cur.root_of(v), roots.size());
+    if (fresh) {
+      roots.push_back(cur.root_of(v));
+      work.push_back(0);
+      deaths.push_back(0);
+    }
+    return it->second;
+  };
+  std::vector<std::pair<std::size_t, std::size_t>> joins;
+  for (const auto& [p, c] : changes.cut_edges) {
+    // A dead endpoint's children are charged once, by its deletion below.
+    if (is_dead(p) || is_dead(c)) continue;
+    work[slot(c)] += cur.size(c);
+  }
+  for (const Vertex v : changes.deleted_vertices) {
+    const std::size_t t = slot(v);
+    ++deaths[t];
+    for (const Vertex c : cur.children(v)) {
+      if (!is_dead(c)) work[t] += cur.size(c);
+    }
+  }
+  for (const Edge& e : changes.inserted_edges) {
+    if (is_dead(e.u) || is_dead(e.v) || !g.has_edge(e.u, e.v)) continue;
+    const Vertex ru = cur.root_of(e.u);
+    const Vertex rv = cur.root_of(e.v);
+    const std::size_t t = slot(e.u);
+    if (ru != rv) {
+      joins.emplace_back(t, slot(e.v));
+      work[t] += std::min(cur.size(ru), cur.size(rv));
+    } else {
+      const Vertex w = cur.lca(e.u, e.v);
+      work[t] += std::min(cur.size(cur.child_toward(w, e.u)),
+                          cur.size(cur.child_toward(w, e.v)));
+    }
+  }
+
+  // Regions: trees joined by surviving inserts.
+  PieceUf uf(roots.size());
+  for (const auto& [a, b] : joins) uf.unite(a, b);
+  std::vector<std::int64_t> region_work(roots.size(), 0);
+  std::vector<std::int64_t> region_live(roots.size(), 0);
+  for (std::size_t t = 0; t < roots.size(); ++t) {
+    const std::size_t r = uf.find(t);
+    region_work[r] += work[t];
+    region_live[r] += cur.size(roots[t]) - deaths[t];
+  }
+  std::vector<Vertex> capped;
+  std::vector<std::vector<Vertex>> members(roots.size());
+  for (std::size_t t = 0; t < roots.size(); ++t) {
+    const std::size_t r = uf.find(t);
+    if (region_work[r] > 0 && static_cast<double>(region_work[r]) >=
+                                  kRecomputeWorkRatio * region_live[r]) {
+      members[r].push_back(roots[t]);
+      capped.push_back(roots[t]);
+    }
+  }
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    // A region with no live vertex left needs no component.
+    if (members[r].empty() || region_live[r] == 0) continue;
+    std::sort(members[r].begin(), members[r].end());
+    Component comp;
+    comp.attach_parent = kNullVertex;
+    comp.budget = static_cast<std::int32_t>(region_live[r]);
+    comp.recompute = true;
+    for (const Vertex root : members[r]) comp.pieces.push_back(Piece::subtree(root));
+    // No entry: serial_finish roots the component's first tree at its first
+    // live vertex in piece pre-order, and restarts there after every split.
+    out.components.push_back(std::move(comp));
+  }
+  std::sort(capped.begin(), capped.end());
+  return capped;
+}
+
 }  // namespace
 
 BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
-                            const Graph& g, const BatchChanges& changes) {
+                            const Graph& g, const BatchChanges& changes,
+                            bool work_cap) {
   BatchReduction out;
   const auto cap = static_cast<std::size_t>(cur.capacity());
 
@@ -32,10 +125,21 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     return !cut.empty() && cut.contains(undirected_key(a, b));
   };
 
+  // ---- the work cap: trees recomputed whole --------------------------------
+  const std::vector<Vertex> capped_roots =
+      work_cap ? cap_trees(cur, g, changes, dead, out) : std::vector<Vertex>{};
+  const auto in_capped_tree = [&](Vertex v) {
+    return !capped_roots.empty() &&
+           std::binary_search(capped_roots.begin(), capped_roots.end(),
+                              cur.root_of(v));
+  };
+
   // ---- affected vertices (O(k) of them) ------------------------------------
   std::vector<Vertex> affected;
   const auto add_affected = [&](Vertex v) {
-    if (v != kNullVertex && cur.in_forest(v)) affected.push_back(v);
+    if (v != kNullVertex && cur.in_forest(v) && !in_capped_tree(v)) {
+      affected.push_back(v);
+    }
   };
   for (const auto& [p, c] : changes.cut_edges) {
     add_affected(p);
@@ -142,12 +246,14 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     join(i, static_cast<std::size_t>(piece_of_s[static_cast<std::size_t>(p)]));
   }
   // Inserted edges: both endpoints are affected, hence on chains. Skip edges
-  // that did not survive the batch (endpoint died / edge re-deleted).
+  // that did not survive the batch (endpoint died / edge re-deleted) and
+  // edges of capped trees (both ends recomputed: cap_trees merges the trees
+  // a surviving insert joins).
   for (const Edge& e : changes.inserted_edges) {
     if (dead[static_cast<std::size_t>(e.u)] || dead[static_cast<std::size_t>(e.v)]) {
       continue;
     }
-    if (!g.has_edge(e.u, e.v)) continue;
+    if (in_capped_tree(e.u) || !g.has_edge(e.u, e.v)) continue;
     const std::int32_t pu = piece_of_s[static_cast<std::size_t>(e.u)];
     const std::int32_t pv = piece_of_s[static_cast<std::size_t>(e.v)];
     PARDFS_CHECK_MSG(pu >= 0 && pv >= 0, "inserted endpoints must lie on S");

@@ -44,8 +44,43 @@ struct BatchChanges {
   }
 };
 
+// The work cap (DESIGN.md §9, "Brent completion"). With `work_cap` set,
+// reduce_batch first predicts the reroot work of each connected component
+// the batch touches: the sum, over the batch's structural changes landing in
+// it, of the subtree that change would reroot alone — |T(c)| for a cut tree
+// edge (p, c) and for each child c of a deleted vertex; for a cross insert
+// (u, v) the smaller of the two subtrees below their LCA, or the smaller tree
+// when u and v lie in different trees (whose components the insert merges).
+// Every term is read from the pre-batch TreeIndex in O(log deg). A component
+// whose prediction reaches kRecomputeWorkRatio × its live vertex count is
+// emitted whole, as one Component marked `recompute` (its pre-batch trees
+// as subtree pieces), and Rerooter::run_components finishes it with one DFS
+// of its rows in round 1: O(vertices + edges), where the prediction says the
+// rounds would cost more. Its vertices skip the skeleton and grouping below
+// entirely. The figure uses component-local sizes only, so the branch is a
+// pure function of (rows, current tree, batch) — identical at any thread or
+// shard count.
+// Measured (EXPERIMENTS.md E22; 4-vCPU Xeon, Release, one thread): 80
+// batches of epoch_period updates per stream; speedup of the total
+// apply_batch time over the cap-off replay at each ratio, medians of three,
+// and the share of batches the cap took at 0.5. Two cap-off replays differ
+// by 0.92-1.21x: that is the noise floor.
+//   stream             0.25   0.5    1.0    1.5    2.0    capped at 0.5
+//   read_heavy         2.45   2.37   1.57   1.35   1.07   74%
+//   insert_churn       0.99   0.99   0.98   0.92   1.01   49%
+//   adversarial_star   2.08   1.64   1.76   1.93   1.03   24%
+//   social_mix         1.01   1.09   1.07   1.02   1.13   64%
+//   dynamic_map        2.86   2.52   2.71   2.73   2.63   100%
+//   map_churn          2.42   2.77   2.42   2.79   2.82   100%
+//   social_churn       1.02   1.21   1.03   0.91   0.94   59%
+// read_heavy falls off from 1.0 up and adversarial_star at 2.0; the maps
+// are flat; the rest stays inside the noise floor. 0.5 sits in the flat
+// part for every stream.
+inline constexpr double kRecomputeWorkRatio = 0.5;
+
 struct BatchReduction {
-  // Edge-connected groups of pieces, ready for Rerooter::run_components.
+  // Edge-connected groups of pieces, ready for Rerooter::run_components;
+  // with the work cap, capped components come first.
   std::vector<Component> components;
   // Parent assignments needing no rerooting: roots of detached pieces that
   // keep their internal structure (single-piece groups). The caller also
@@ -54,6 +89,7 @@ struct BatchReduction {
 };
 
 BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
-                            const Graph& g, const BatchChanges& changes);
+                            const Graph& g, const BatchChanges& changes,
+                            bool work_cap = false);
 
 }  // namespace pardfs

@@ -79,6 +79,13 @@ struct Component {
   std::int32_t entry_piece = -1;       // index of the piece containing entry
   std::int32_t budget = 0;             // N0 of the originating reroot (thresholds)
   std::vector<Piece> pieces;
+  // Set only by the batch reduction's work cap (core/batch_reduction.hpp):
+  // a whole connected component — its pre-batch trees as subtree pieces,
+  // deleted vertices still inside them — whose predicted reroot work reached
+  // kRecomputeWorkRatio × budget. It has no entry: the engine finishes it
+  // with one DFS in its first round, which picks its roots
+  // (Rerooter::run_components, serial_finish).
+  bool recompute = false;
 };
 
 // A base-monotone fragment of a current-tree path, ordered near-to-far.

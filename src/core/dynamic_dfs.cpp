@@ -67,6 +67,8 @@ void mirror_reroot_stats(const RerootStats& s) {
       reg.counter("pardfs_reroot_serial_finishes_total");
   static obs::Counter& grouping_scanned =
       reg.counter("pardfs_reroot_grouping_scanned_total");
+  static obs::Counter& recomputes =
+      reg.counter("pardfs_update_recompute_total");
   if (s.global_rounds != 0) rounds.add(s.global_rounds);
   if (s.query_batches != 0) query_batches.add(s.query_batches);
   if (s.components_processed != 0) components.add(s.components_processed);
@@ -80,6 +82,7 @@ void mirror_reroot_stats(const RerootStats& s) {
   if (s.fallbacks != 0) fallbacks.add(s.fallbacks);
   if (s.serial_finishes != 0) serial_finishes.add(s.serial_finishes);
   if (s.grouping_scanned != 0) grouping_scanned.add(s.grouping_scanned);
+  if (s.recomputes != 0) recomputes.add(s.recomputes);
 }
 
 // Set once a shard-labeled engine exists in the process: phase_breakdown()
@@ -464,7 +467,10 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   {
     obs::ScopedPhase timer(*reroot_hist_, "reroot");
     const OracleView view(&oracle_, index_.get(), at_base());
-    BatchReduction reduction = reduce_batch(*index_, view, graph_, changes);
+    // The work cap rides on the serial finish: serial_cutoff = 0 keeps the
+    // pure round machinery (DESIGN.md §9).
+    BatchReduction reduction =
+        reduce_batch(*index_, view, graph_, changes, engine_cutoff() > 0);
     Rerooter engine(*index_, view, strategy_, cost_, num_threads_,
                   engine_cutoff(), &graph_);
     last_stats_ = engine.run_components(std::move(reduction.components), parent_);
@@ -515,8 +521,8 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   stats.segments += flush_segment(seg) ? 1 : 0;
   stats.index_rebuilds = index_rebuilds_ - index_rebuilds_before;
   stats.base_rebuilds = epoch_rebuilds_ - base_rebuilds_before;
-  // Update-mix counters: the observed structural/back-edge ratio is the
-  // signal the adaptive-backend cost model (ROADMAP) will consume.
+  // Update-mix counters: how many updates changed the forest and how many
+  // were patch-only, next to the segments that absorbed them.
   static obs::Counter& structural_ctr = obs::Registry::global().counter(
       "pardfs_updates_total", "kind=\"structural\"");
   static obs::Counter& back_edge_ctr = obs::Registry::global().counter(

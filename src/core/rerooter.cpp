@@ -27,6 +27,7 @@ void RerootStats::accumulate(const RerootStats& other) {
   heavy_special += other.heavy_special;
   fallbacks += other.fallbacks;
   serial_finishes += other.serial_finishes;
+  recomputes += other.recomputes;
   grouping_scanned += other.grouping_scanned;
   max_phase = std::max(max_phase, other.max_phase);
 }
@@ -148,18 +149,34 @@ bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
 // With `graph`, neighbors enumerate in adjacency-row order — a pure function
 // of the component's update history, identical across engines with different
 // rebase histories (see the cutoff comment in rerooter.hpp).
+// A work-capped component (Component::recompute) is finished the same way.
+// It holds whole pre-batch trees, so it skips their deleted vertices. It has
+// no entry: its first live member in piece pre-order roots the first tree,
+// and since the batch may have split it, every live member the DFS has not
+// reached when the stack empties roots a new tree, in the same order. The
+// caller counts which finish ran.
 void serial_finish(detail::EngineCtx& ctx, const Component& comp,
                    std::span<Vertex> parent_out, const Graph* graph) {
   const TreeIndex& cur = ctx.cur();
   const AdjacencyOracle& oracle = ctx.view().oracle();
+  PARDFS_CHECK_MSG(!comp.recompute || graph != nullptr,
+                   "a recomputed component needs the graph's rows");
   // Membership marks: the DFS must not escape the component.
   ctx.begin_mark();
   std::size_t total = 0;
   for (const Piece& p : comp.pieces) {
     if (p.kind == PieceKind::kSubtree) {
       const auto span = cur.subtree_span(p.root);
-      for (const Vertex v : span) ctx.mark(v);
-      total += span.size();
+      if (comp.recompute) {
+        for (const Vertex v : span) {
+          if (!graph->is_alive(v)) continue;
+          ctx.mark(v);
+          ++total;
+        }
+      } else {
+        for (const Vertex v : span) ctx.mark(v);
+        total += span.size();
+      }
     } else {
       for (Vertex v = p.bottom;; v = cur.parent(v)) {
         ctx.mark(v);
@@ -175,10 +192,32 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
   ctx.begin_visit();
   auto& stack = ctx.dfs_scratch();
   stack.clear();
-  parent_out[static_cast<std::size_t>(comp.entry)] = comp.attach_parent;
-  ctx.visit(comp.entry);
-  stack.push_back({comp.entry, 0, 0});
-  std::size_t visited = 1;
+  std::size_t visited = 0;
+  // Root cursor of a recomputed component: (piece, offset in its span).
+  std::size_t next_piece = 0;
+  std::size_t next_pos = 0;
+  const auto restart = [&] {
+    for (; next_piece < comp.pieces.size(); ++next_piece, next_pos = 0) {
+      const auto span = cur.subtree_span(comp.pieces[next_piece].root);
+      for (; next_pos < span.size(); ++next_pos) {
+        const Vertex v = span[next_pos];
+        if (!ctx.marked(v) || ctx.visited(v)) continue;
+        parent_out[static_cast<std::size_t>(v)] = kNullVertex;
+        ctx.visit(v);
+        ++visited;
+        stack.push_back({v, 0, 0});
+        return;
+      }
+    }
+  };
+  if (comp.recompute) {
+    restart();
+  } else {
+    parent_out[static_cast<std::size_t>(comp.entry)] = comp.attach_parent;
+    ctx.visit(comp.entry);
+    ++visited;
+    stack.push_back({comp.entry, 0, 0});
+  }
   while (!stack.empty()) {
     auto& frame = stack.back();
     const Vertex v = frame.v;
@@ -221,11 +260,11 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
       stack.push_back({child, 0, 0});
     } else {
       stack.pop_back();
+      if (stack.empty() && comp.recompute && visited < total) restart();
     }
   }
   PARDFS_CHECK_MSG(visited == total, "serial finish: component not connected");
   ctx.stats().vertices_traversed += total;
-  ++ctx.stats().serial_finishes;
 }
 
 // Applies a planned traversal: writes T* parents along the chain, then
@@ -490,8 +529,10 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
   if (active.empty()) return stats;
   for (const Component& c : active) {
     PARDFS_CHECK(!c.pieces.empty());
-    PARDFS_CHECK(c.entry_piece >= 0 &&
-                 c.entry_piece < static_cast<std::int32_t>(c.pieces.size()));
+    // A recomputed component's serial finish picks its own roots.
+    PARDFS_CHECK(c.recompute ||
+                 (c.entry_piece >= 0 &&
+                  c.entry_piece < static_cast<std::int32_t>(c.pieces.size())));
   }
 
   const int threads = num_threads_ > 0 ? num_threads_ : pram::num_threads();
@@ -530,9 +571,15 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
       const obs::Span step_span("engine_step");
       ++ctx.stats().components_processed;
       ctx.begin_step();
-      if (serial_cutoff_ > 0 &&
-          detail::component_size(cur_, active[i]) <= serial_cutoff_) {
+      // Only the batch reduction marks a component `recompute`, and only
+      // when the caller runs a serial cutoff, so the cap acts in round 1.
+      const bool capped = active[i].recompute;
+      PARDFS_CHECK_MSG(!capped || serial_cutoff_ > 0,
+                       "a recomputed component needs the serial finish");
+      if (capped || (serial_cutoff_ > 0 &&
+                     detail::component_size(cur_, active[i]) <= serial_cutoff_)) {
         detail::serial_finish(ctx, active[i], parent_out, graph_);
+        ++(capped ? ctx.stats().recomputes : ctx.stats().serial_finishes);
         comp_batches[i] = 0;
         return;
       }

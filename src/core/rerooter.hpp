@@ -72,6 +72,9 @@ struct RerootStats {
   std::uint64_t heavy_special = 0;  // special-case hits (handled by fallback)
   std::uint64_t fallbacks = 0;      // degenerate inputs absorbed by DisInt
   std::uint64_t serial_finishes = 0;  // sub-cutoff components finished directly
+  // Batch components over the work cap (Component::recompute), finished
+  // with one DFS in round 1 instead of the round machinery.
+  std::uint64_t recomputes = 0;
   // Non-tree adjacency entries read by the leftover-grouping sweeps (tree
   // edges between pieces are united without reading a row).
   std::uint64_t grouping_scanned = 0;
@@ -111,6 +114,10 @@ class Rerooter {
   // per engine (thread-count independent) but differs across rebase
   // histories. The update wrappers pass default_serial_cutoff(); raw engine
   // users default to the pure paper machinery.
+  // The same finish also takes every component the batch reduction marked
+  // `recompute` (the work cap, core/batch_reduction.hpp), whatever its size,
+  // counted as RerootStats::recomputes. The reduction marks components only
+  // for callers that run a cutoff, so 0 turns both finishes off.
   Rerooter(const TreeIndex& current, const OracleView& view, RerootStrategy strategy,
            pram::CostModel* cost = nullptr, int num_threads = 0,
            std::int32_t serial_cutoff = 0, const Graph* graph = nullptr);
@@ -149,7 +156,8 @@ class Rerooter {
   // engine with pre-built components — each a set of vertex-disjoint pieces
   // of the current forest, edge-connected in the updated graph — instead of
   // single-subtree reroot requests. Used by the combined batch reduction
-  // (core/batch_reduction); every piece vertex receives a new parent.
+  // (core/batch_reduction); every piece vertex receives a new parent. With a
+  // serial cutoff, a component marked `recompute` is finished in round 1.
   RerootStats run_components(std::vector<Component> initial,
                              std::span<Vertex> parent_out);
 

@@ -284,7 +284,7 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
   const std::size_t S = config_.num_shards;
   paused_ = config_.start_paused;
   directory_ = std::make_unique<Directory>();
-  global_next_ = initial.capacity();
+  global_next_.store(initial.capacity(), std::memory_order_relaxed);
   const Vertex n = initial.capacity();
 
   // Component partition: BFS over the initial graph, components assigned
@@ -626,8 +626,7 @@ std::size_t ShardRouter::queue_depth(std::size_t shard) const {
 }
 
 Vertex ShardRouter::capacity() const {
-  std::lock_guard lock(id_mu_);
-  return global_next_;
+  return global_next_.load(std::memory_order_acquire);
 }
 
 Vertex ShardRouter::num_vertices() const {
@@ -1063,9 +1062,10 @@ void ShardRouter::apply_locked(Shard& gateway, std::span<PendingUpdate> run,
     // The pad is journaled even if every insert then fails feasibility: the
     // live engine's capacity moved, so replay's must too (§13: the journal
     // mirrors every engine mutation, not every accepted update).
-    if (w.journal) w.journal->record_pad(global_next_);
-    w.dfs.pad_capacity(global_next_);
-    delta.next_vertex = global_next_;
+    const Vertex next = global_next_.load(std::memory_order_relaxed);
+    if (w.journal) w.journal->record_pad(next);
+    w.dfs.pad_capacity(next);
+    delta.next_vertex = next;
   }
   std::vector<GraphUpdate> batch;
   std::vector<PendingUpdate*> accepted;
@@ -1113,7 +1113,9 @@ void ShardRouter::apply_locked(Shard& gateway, std::span<PendingUpdate> run,
   // during the window before replay (which would ack the same id to two
   // clients). delta.next_vertex is exactly the capacity this batch leaves
   // behind: the pad to global_next_ plus one id per accepted insert.
-  if (has_insert) global_next_ = delta.next_vertex;
+  if (has_insert) {
+    global_next_.store(delta.next_vertex, std::memory_order_release);
+  }
   if (run_chaos) {
     chaos_site(static_cast<int>(chaos::FaultPoint::kWriterCrashMidBatch), w);
   }
@@ -1439,7 +1441,9 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
     // already below global_next_ and this is a no-op; kept as a defensive
     // floor in case the id space ever lags a replayed capacity.
     std::lock_guard id_lock(id_mu_);
-    global_next_ = std::max(global_next_, g.capacity());
+    if (g.capacity() > global_next_.load(std::memory_order_relaxed)) {
+      global_next_.store(g.capacity(), std::memory_order_release);
+    }
   }
   publish(sh, /*forest_unchanged=*/false);
   count_publish(sh);

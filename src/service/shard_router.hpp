@@ -211,7 +211,12 @@ class ShardRouter {
   ServiceStats shard_stats(std::size_t shard) const;
   std::size_t queue_depth() const;               // summed across shards
   std::size_t queue_depth(std::size_t shard) const;
-  // The global id space (next id a vertex insert would get).
+  // The global id space (next id a vertex insert would get): one acquire
+  // load, never the id lock, so read sessions do not wait on a writer that
+  // holds it through an apply. Ids are reserved at the WAL point, before
+  // their batch is applied and published, so ids below the returned value
+  // may not be published yet: the directory answers -1 for them and
+  // snapshot queries on them are total, which is all readers rely on.
   Vertex capacity() const;
   Vertex num_vertices() const;     // summed over current shard snapshots
   std::int64_t num_edges() const;  // summed over current shard snapshots
@@ -344,8 +349,10 @@ class ShardRouter {
 
   // Global id space: vertex inserts on any shard assign from here so ids
   // stay unique (and identical to a single-shard run). Innermost lock.
+  // global_next_ is written only under id_mu_; it is atomic so capacity()
+  // can read it without the lock.
   mutable std::mutex id_mu_;
-  Vertex global_next_ = 0;
+  std::atomic<Vertex> global_next_{0};
   // Round-robin spreading of isolated vertex inserts (routing only: the
   // forest is placement-independent).
   mutable std::atomic<std::uint64_t> isolated_rr_{0};

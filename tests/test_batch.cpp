@@ -6,8 +6,11 @@
 
 #include <algorithm>
 
+#include "baseline/static_dfs.hpp"
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "service/workload.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -274,6 +277,131 @@ TEST(Batch, DrainWholeGraphInBatches) {
   }
   dfs.apply_batch(kill);
   EXPECT_EQ(dfs.graph().num_vertices(), 0);
+}
+
+// ---- the work cap (Component::recompute, DESIGN.md §9) ---------------------
+
+// Tree-edge deletions whose child subtrees each hold more than half of the
+// graph, spread over the root path: each predicts over half the component's
+// vertex count, so `k` of them put the batch over the work cap for any
+// kRecomputeWorkRatio up to k / 2.
+std::vector<GraphUpdate> heavy_cuts(const DynamicDfs& dfs, std::size_t k) {
+  const TreeIndex& t = dfs.tree();
+  std::vector<Vertex> heavy;
+  for (Vertex v = 0; v < t.capacity(); ++v) {
+    if (dfs.parent_of(v) != kNullVertex && 2 * t.size(v) > dfs.graph().num_vertices()) {
+      heavy.push_back(v);
+    }
+  }
+  std::sort(heavy.begin(), heavy.end(),
+            [&](Vertex a, Vertex b) { return t.depth(a) < t.depth(b); });
+  std::vector<GraphUpdate> out;
+  const std::size_t stride = std::max<std::size_t>(1, heavy.size() / k);
+  for (std::size_t i = 0; i < heavy.size() && out.size() < k; i += stride) {
+    out.push_back(GraphUpdate::delete_edge(dfs.parent_of(heavy[i]), heavy[i]));
+  }
+  return out;
+}
+
+// The static-DFS differential: a fresh static recompute induces the same
+// component partition as the maintained forest.
+void expect_same_components_as_static(const DynamicDfs& dfs) {
+  const std::vector<Vertex> ref = static_dfs(dfs.graph());
+  const auto root = [](std::span<const Vertex> parent, Vertex v) {
+    while (parent[static_cast<std::size_t>(v)] != kNullVertex) {
+      v = parent[static_cast<std::size_t>(v)];
+    }
+    return v;
+  };
+  std::vector<Vertex> to_ref(ref.size(), kNullVertex);
+  std::vector<Vertex> to_dyn(ref.size(), kNullVertex);
+  for (Vertex v = 0; v < dfs.graph().capacity(); ++v) {
+    if (!dfs.graph().is_alive(v)) continue;
+    const Vertex a = root(dfs.parent(), v);
+    const Vertex b = root(ref, v);
+    Vertex& fwd = to_ref[static_cast<std::size_t>(a)];
+    Vertex& bwd = to_dyn[static_cast<std::size_t>(b)];
+    if (fwd == kNullVertex) fwd = b;
+    if (bwd == kNullVertex) bwd = a;
+    ASSERT_EQ(fwd, b) << "component of " << v << " differs from static_dfs";
+    ASSERT_EQ(bwd, a) << "component of " << v << " differs from static_dfs";
+  }
+}
+
+TEST(Batch, BatchOverTheWorkCapIsRecomputed) {
+  DynamicDfs dfs(gen::grid(32, 32));
+  const std::vector<GraphUpdate> batch = heavy_cuts(dfs, 8);
+  ASSERT_EQ(batch.size(), 8u);
+  ASSERT_LE(batch.size(), dfs.epoch_period()) << "one segment";
+  const std::uint64_t before =
+      obs::Registry::global().counter("pardfs_update_recompute_total").value();
+  const BatchStats bs = dfs.apply_batch(batch);
+  EXPECT_EQ(bs.segments, 1u);
+  EXPECT_GT(dfs.last_stats().recomputes, 0u);
+  // The capped component is finished in round 1, with no query batch.
+  EXPECT_EQ(dfs.last_stats().global_rounds, 1u);
+  EXPECT_EQ(dfs.last_stats().query_batches, 0u);
+#if !defined(PARDFS_NO_METRICS)
+  EXPECT_EQ(obs::Registry::global().counter("pardfs_update_recompute_total").value(),
+            before + dfs.last_stats().recomputes);
+#else
+  (void)before;
+#endif
+  const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+  ASSERT_TRUE(val.ok) << val.reason;
+  expect_same_components_as_static(dfs);
+}
+
+// serial_cutoff = 0 (DistributedDfs's setting) turns the cap off. The same
+// large dynamic_map batches, which the default engine recomputes, then run
+// the reduction's chains, grouping and rounds end to end, and both engines
+// must pass the validation oracle and the static-DFS differential.
+TEST(Batch, UncappedEngineRunsTheRoundsOnBatchesTheCapTakes) {
+  const service::WorkloadSpec spec{service::Scenario::kDynamicMap, 1024, 11};
+  const Graph g = service::make_initial_graph(spec);
+  DynamicDfs capped(g);
+  DynamicDfs uncapped(g, RerootStrategy::kPaper, nullptr, 0, /*serial_cutoff=*/0);
+  service::WorkloadDriver driver(spec);
+  std::uint64_t recomputed = 0;
+  std::uint64_t uncapped_rounds = 0;
+  std::vector<GraphUpdate> batch;
+  for (int b = 0; b < 24; ++b) {
+    batch.clear();
+    for (int i = 0; i < 16; ++i) batch.push_back(driver.next());
+    capped.apply_batch(batch);
+    uncapped.apply_batch(batch);
+    recomputed += capped.last_stats().recomputes;
+    ASSERT_EQ(uncapped.last_stats().recomputes, 0u) << "batch " << b;
+    uncapped_rounds = std::max(uncapped_rounds, uncapped.last_stats().global_rounds);
+    for (const DynamicDfs* dfs : {&capped, &uncapped}) {
+      const auto val = validate_dfs_forest(dfs->graph(), dfs->parent());
+      ASSERT_TRUE(val.ok) << "batch " << b << ": " << val.reason;
+      expect_same_components_as_static(*dfs);
+    }
+  }
+  EXPECT_GT(recomputed, 0u) << "the default engine never took the cap";
+  EXPECT_GT(uncapped_rounds, 1u) << "the uncapped engine never ran a second round";
+}
+
+// BM_DynamicUpdate's stream (bench_update: random_connected(2^15, 3n) with
+// seed 17, 64 updates of seed 1234) replayed through the per-update path:
+// that path never builds batch components, so the cap never fires and the
+// `update` gate keeps measuring the paper's machinery.
+TEST(Batch, PerUpdatePathNeverRecomputes) {
+  Rng rng(17);
+  const Vertex n = 1 << 15;
+  Graph g = gen::random_connected(n, 3 * static_cast<std::int64_t>(n), rng);
+  const std::vector<GraphUpdate> stream = make_stream(g, 64, 1234, 0.1, 0.1);
+  ASSERT_EQ(stream.size(), 64u);
+  DynamicDfs dfs(std::move(g));
+  const std::uint64_t before =
+      obs::Registry::global().counter("pardfs_update_recompute_total").value();
+  for (const GraphUpdate& u : stream) {
+    dfs.apply(u);
+    ASSERT_EQ(dfs.last_stats().recomputes, 0u);
+  }
+  EXPECT_EQ(obs::Registry::global().counter("pardfs_update_recompute_total").value(),
+            before);
 }
 
 TEST(Batch, EmptyBatchIsANoop) {

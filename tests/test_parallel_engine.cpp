@@ -31,14 +31,15 @@
 namespace pardfs {
 namespace {
 
-using FingerPrint = std::array<std::uint64_t, 14>;
+using FingerPrint = std::array<std::uint64_t, 16>;
 
 FingerPrint pack(const RerootStats& s) {
   return {s.global_rounds, s.query_batches,  s.components_processed,
           s.vertices_traversed, s.disintegrating, s.path_halving,
           s.disconnecting,      s.heavy_l,        s.heavy_p,
           s.heavy_r,            s.heavy_special,  s.fallbacks,
-          s.max_phase,          s.grouping_scanned};
+          s.max_phase,          s.grouping_scanned, s.serial_finishes,
+          s.recomputes};
 }
 
 struct StreamResult {
@@ -121,17 +122,32 @@ TEST_P(ParallelDeterminism, SameTreeAndStatsAtAnyThreadCount) {
     EXPECT_EQ(rounds_in_mode("team") > team0, kRecording)
         << "the stream never fanned a round out";
   }
+  // dynamic_map batches go over the work cap (DESIGN.md §9): the compared
+  // forests and stats include recomputed components.
+  if (scenario == service::Scenario::kDynamicMap) {
+    std::uint64_t recomputes = 0;
+    for (const FingerPrint& f : serial.stats) recomputes += f.back();  // recomputes
+    EXPECT_GT(recomputes, 0u) << "no batch took the work cap";
+  }
 }
+
+const auto kParamName = [](const auto& info) {
+  return std::string(service::scenario_name(std::get<0>(info.param))) +
+         (std::get<1>(info.param) == 1 ? "_single" : "_batch");
+};
 
 INSTANTIATE_TEST_SUITE_P(
     StarAndSocial, ParallelDeterminism,
     ::testing::Combine(::testing::Values(service::Scenario::kAdversarialStar,
                                          service::Scenario::kSocialMix),
                        ::testing::Values(std::size_t{1}, std::size_t{8})),
-    [](const auto& info) {
-      return std::string(service::scenario_name(std::get<0>(info.param))) +
-             (std::get<1>(info.param) == 1 ? "_single" : "_batch");
-    });
+    kParamName);
+
+INSTANTIATE_TEST_SUITE_P(
+    CappedMap, ParallelDeterminism,
+    ::testing::Combine(::testing::Values(service::Scenario::kDynamicMap),
+                       ::testing::Values(std::size_t{8})),
+    kParamName);
 
 TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {
   // The fault-tolerant wrapper drives the same engine through non-identity

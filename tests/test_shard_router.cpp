@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -270,6 +272,103 @@ TEST(ShardRouter, EventCountsMatchAtEveryShardCount) {
   EXPECT_EQ(four.cross_shard_inserts, 2u);
   EXPECT_EQ(four.shard_migrations, 3u);  // path 1, then paths 2 and 3
   EXPECT_EQ(one.cross_shard_inserts, 0u);
+}
+
+// k disjoint side x side grids: grid c covers ids [c*side², (c+1)*side²),
+// row-major; round-robin placement puts grid c on shard c % S.
+Graph disjoint_grids(int k, int side) {
+  Graph g;
+  for (int c = 0; c < k; ++c) {
+    const int base = c * side * side;
+    for (int i = 0; i < side * side; ++i) g.add_vertex();
+    for (int r = 0; r < side; ++r) {
+      for (int col = 0; col < side; ++col) {
+        const Vertex v = static_cast<Vertex>(base + r * side + col);
+        if (col + 1 < side) g.add_edge(v, v + 1);
+        if (r + 1 < side) g.add_edge(v, static_cast<Vertex>(v + side));
+      }
+    }
+  }
+  return g;
+}
+
+// The work cap (DESIGN.md §9) decides from component-local sizes only, so
+// its branch and bytes do not depend on placement: the same component —
+// one shard's only history at S = 1, two migrations into shard 0 at S = 4 —
+// takes the cap on the same coalesced batch and publishes the same forest.
+TEST(ShardRouter, WorkCapBranchAndBytesMatchAtEveryShardCount) {
+  constexpr int kSide = 16;
+  constexpr Vertex kGrid = kSide * kSide;
+  std::vector<GraphUpdate> batch;  // chosen on the S = 1 forest
+  std::vector<Vertex> want_parent;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServiceConfig config;
+    config.num_shards = shards;
+    config.max_batch = 9;  // the eight ops, plus the self loop below
+    ShardRouter router(disjoint_grids(4, kSide), config);
+    // Grid 1 joins grid 0, then grid 2 joins them: at S = 4 each insert
+    // migrates the smaller side into shard 0 (ties go to the lower shard).
+    ASSERT_NE(router.apply_sync(GraphUpdate::insert_edge(kGrid - 1, kGrid)),
+              UpdateTicket::kRejected);
+    ASSERT_NE(router.apply_sync(GraphUpdate::insert_edge(2 * kGrid - 1, 2 * kGrid)),
+              UpdateTicket::kRejected);
+    EXPECT_EQ(router.stats().shard_migrations, shards == 1 ? 0u : 2u);
+    if (batch.empty()) {
+      // Eight tree edges whose child subtrees each hold over half of the
+      // merged component, spread along the root path: together they predict
+      // several times the component's vertex count.
+      const RouterView view = router.view();
+      std::vector<Vertex> heavy;
+      for (Vertex v = 0; v < 3 * kGrid; ++v) {
+        if (view.parent_of(v) != kNullVertex &&
+            2 * view.subtree_size(v) > 3 * kGrid) {
+          heavy.push_back(v);
+        }
+      }
+      std::sort(heavy.begin(), heavy.end(), [&](Vertex a, Vertex b) {
+        return view.depth(a) < view.depth(b);
+      });
+      ASSERT_GE(heavy.size(), 8u);
+      for (std::size_t i = 0; batch.size() < 8; i += heavy.size() / 8) {
+        batch.push_back(GraphUpdate::delete_edge(view.parent_of(heavy[i]), heavy[i]));
+      }
+    }
+    // Coalesce the batch. A paused writer that is already blocked on its
+    // empty queue still drains the first op it sees, then holds it; one
+    // that had not got there yet holds before draining anything. Feed it an
+    // infeasible self loop first: it is either drained alone (the queue
+    // empties) or still queued when the eight ops join it. Either way the
+    // eight drain together on resume, and the filter drops the self loop
+    // before apply_batch.
+    router.pause();
+    const UpdateTicket loop = router.submit(GraphUpdate::insert_edge(0, 0));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (router.queue_depth(0) != 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    std::vector<UpdateTicket> tickets;
+    for (const GraphUpdate& u : batch) tickets.push_back(router.submit(u));
+    router.resume();
+    EXPECT_EQ(loop.wait(), UpdateTicket::kRejected);
+    for (const UpdateTicket& t : tickets) {
+      EXPECT_NE(t.wait(), UpdateTicket::kRejected);
+    }
+    const std::vector<Vertex> parent = router.assemble_parent();
+    router.stop();
+    const std::size_t owner = static_cast<std::size_t>(router.shard_of(0));
+    EXPECT_EQ(owner, 0u);
+    EXPECT_EQ(router.shard_of(2 * kGrid), 0);
+    EXPECT_GT(router.core(owner).last_stats().recomputes, 0u);
+    EXPECT_EQ(router.stats().max_batch, 8u) << "the batch coalesced";
+    if (want_parent.empty()) {
+      want_parent = parent;
+    } else {
+      EXPECT_EQ(parent, want_parent);
+    }
+  }
 }
 
 TEST(ShardRouter, CrossShardInsertRunsTheMergeProtocol) {

@@ -3,7 +3,8 @@
 // periodically re-print) the obs registry, as Prometheus exposition text or
 // JSON; optionally dump the phase trace as chrome://tracing JSON. At the end
 // a per-shard table (vertices, edges, version, updates, batches, queue
-// depth, how many reroot rounds ran serially vs on the worker team, and the
+// depth, how many reroot rounds ran serially vs on the worker team, how many
+// batch components the work cap recomputed, and the
 // entries the leftover-grouping sweeps read) goes to stderr so it never
 // pollutes the scrape-format stdout.
 //
@@ -177,6 +178,13 @@ void print_shard_table(const ShardRouter& router) {
   };
   std::fprintf(stderr, "       reroot rounds: %llu serial, %llu on the team\n",
                rounds("serial"), rounds("team"));
+  // Batch components over the work cap, finished with one DFS instead of
+  // the round machinery (pardfs_update_recompute_total).
+  std::fprintf(stderr, "       batch components recomputed: %llu\n",
+               static_cast<unsigned long long>(
+                   obs::Registry::global()
+                       .counter("pardfs_update_recompute_total")
+                       .value()));
   // Work of the leftover grouping: the non-tree adjacency entries its sweeps
   // read (pardfs_reroot_grouping_scanned_total; tree edges between pieces
   // are united without a read).
