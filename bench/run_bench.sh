@@ -24,7 +24,10 @@
 #   is broken, 2 if a gate is missing data.
 #   --smoke additionally runs a quick pardfs_fuzz soak against the Release
 #   build (and proves the corruption hook still fails loudly), so the bench
-#   toolchain and the fuzz gauntlet are exercised by one CI invocation.
+#   toolchain and the fuzz gauntlet are exercised by one CI invocation, and
+#   runs bench_fault_tolerant (E3) and bench_amortized (E10) at the given
+#   min-time without writing a BENCH_*.json: no gate reads them, but they
+#   must keep building and running.
 set -euo pipefail
 
 SMOKE=0
@@ -61,6 +64,8 @@ if [[ "$SMOKE" == 1 ]]; then
     exit 1
   fi
   echo "fuzz smoke soak passed"
+  "$BUILD/bench/bench_fault_tolerant" --benchmark_min_time="$MIN_TIME"
+  "$BUILD/bench/bench_amortized" --benchmark_min_time="$MIN_TIME"
 fi
 
 "$BUILD/bench/bench_update" \

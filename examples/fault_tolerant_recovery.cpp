@@ -4,14 +4,16 @@
 // data structure D). Afterwards, arbitrary k-failure scenarios — "these
 // links and switches just died" — are answered without touching D: the DFS
 // forest of the surviving fabric is produced per scenario, and with it the
-// connectivity/articulation picture the recovery planner needs.
+// connectivity/articulation picture the recovery planner needs. The engine
+// is a DynamicDfs whose epoch never closes (kNeverRebase); each scenario
+// rolls back to the preprocessed fabric and applies its batch. Exits 1 on
+// an invalid forest or if D was ever rebuilt.
 #include <cstdio>
 #include <vector>
 
-#include "core/fault_tolerant.hpp"
+#include "core/dynamic_dfs.hpp"
 #include "graph/graph.hpp"
 #include "tree/validation.hpp"
-#include "util/random.hpp"
 
 using namespace pardfs;
 
@@ -46,9 +48,9 @@ int main() {
   Graph fabric = clos_fabric(spines, leaves, hosts);
   std::printf("fabric: %d switches+hosts, %lld links; preprocessing D once...\n",
               fabric.num_vertices(), static_cast<long long>(fabric.num_edges()));
-  FaultTolerantDfs ft(fabric);
+  DynamicDfs ft(fabric, RerootStrategy::kPaper, nullptr, 0, -1, {},
+                DynamicDfs::kNeverRebase);
 
-  Rng rng(7);
   const struct {
     const char* name;
     std::vector<GraphUpdate> batch;
@@ -66,16 +68,24 @@ int main() {
   };
 
   for (const auto& sc : scenarios) {
-    const auto parent = ft.apply(sc.batch);
-    const auto check = validate_dfs_forest(ft.graph(), parent);
-    const int comps = count_components(parent, ft.graph());
-    std::printf("scenario '%s': k=%zu updates -> %d component(s), forest %s, "
-                "reroot rounds %llu, D untouched (patches only: %zu)\n",
+    ft.reset_to_base();
+    const BatchStats stats = ft.apply_batch(sc.batch);
+    const auto check = validate_dfs_forest(ft.graph(), ft.parent());
+    const int comps = count_components(ft.parent(), ft.graph());
+    std::printf("scenario '%s': k=%zu updates -> %d component(s), forest %s\n"
+                "  batch: %zu structural, %zu back-edge, %zu segment(s), "
+                "%zu index rebuild(s), reroot rounds %llu; D builds: %zu\n",
                 sc.name, sc.batch.size(), comps, check.ok ? "valid" : "INVALID",
+                stats.structural, stats.back_edges, stats.segments,
+                stats.index_rebuilds,
                 static_cast<unsigned long long>(ft.last_stats().global_rounds),
-                ft.graph().capacity() >= 0 ? ft.updates_applied() : 0);
+                ft.epoch_rebuilds());
     if (!check.ok) {
       std::printf("  reason: %s\n", check.reason.c_str());
+      return 1;
+    }
+    if (ft.epoch_rebuilds() != 1) {
+      std::printf("  D was rebuilt: the fault-tolerant contract is broken\n");
       return 1;
     }
   }

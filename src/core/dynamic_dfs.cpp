@@ -98,12 +98,14 @@ constexpr std::size_t kIndexPoolCap = 4;
 
 DynamicDfs::DynamicDfs(Graph graph, RerootStrategy strategy,
                        pram::CostModel* cost, int num_threads,
-                       std::int32_t serial_cutoff, std::string obs_shard)
+                       std::int32_t serial_cutoff, std::string obs_shard,
+                       std::size_t epoch_period)
     : graph_(std::move(graph)),
       strategy_(strategy),
       cost_(cost),
       num_threads_(num_threads),
-      serial_cutoff_(serial_cutoff) {
+      serial_cutoff_(serial_cutoff),
+      requested_period_(epoch_period) {
   // Eager registration: all four phase series of this instance appear (at
   // zero) on a metrics page even before the first update touches them.
   if (obs_shard.empty()) {
@@ -173,13 +175,28 @@ void DynamicDfs::rebase() {
   oracle_.build(graph_, *base_index_, cost_);
   structural_since_rebase_ = 0;
   ++epoch_rebuilds_;
+  if (requested_period_ == kNeverRebase) base_graph_ = graph_;
   const auto n = static_cast<std::uint64_t>(graph_.num_vertices());
-  epoch_period_ =
-      n > 1 ? static_cast<std::size_t>(64 - __builtin_clzll(n - 1)) : 1;
+  epoch_period_ = requested_period_ != 0 ? requested_period_
+                  : n > 1 ? static_cast<std::size_t>(64 - __builtin_clzll(n - 1))
+                          : 1;
   // Theorem 9 budgets k <= log n *updates*; one structural update can emit
   // several patches (a vertex insert emits 1 + degree), so the patch cap
-  // carries a constant slack over the epoch length.
-  patch_budget_ = 4 * epoch_period_;
+  // carries a constant slack over the epoch length. Saturates: a
+  // kNeverRebase engine has no budget.
+  patch_budget_ = epoch_period_ > kNeverRebase / 4 ? kNeverRebase : 4 * epoch_period_;
+}
+
+void DynamicDfs::reset_to_base() {
+  PARDFS_CHECK_MSG(requested_period_ == kNeverRebase,
+                   "reset_to_base needs a kNeverRebase engine");
+  oracle_.clear_patches();
+  graph_ = base_graph_;
+  const std::span<const Vertex> base = base_index_->parents();
+  parent_.assign(base.begin(), base.end());
+  structural_since_rebase_ = 0;
+  last_stats_ = {};
+  rebuild_index();
 }
 
 void DynamicDfs::maybe_rebase() {

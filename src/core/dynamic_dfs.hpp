@@ -11,14 +11,20 @@
 //     then rebuilds only the O(n) current-tree index (Theorem 10 allows
 //     this with n processors);
 //   * the O(m log n) base rebuild — the step the paper pays m processors
-//     for — runs only when an epoch closes: after Θ(log n) structural
+//     for — runs only when an epoch closes: after epoch_period() structural
 //     updates or when the patch count crosses the Theorem 9 budget.
+// The period is the one policy knob. The default is Θ(log n) (Theorem 1);
+// a fixed p trades rebuild work against query decomposition depth (the
+// paper's closing question, bench_amortized); kNeverRebase is Theorem 14's
+// fault-tolerant mode: D is built once, and reset_to_base() rolls a batch
+// back so the next one starts from the preprocessed state again.
 // See DESIGN.md §5 for the policy and budget discussion.
 //
 // Disconnected graphs are maintained as a forest (the paper's virtual root
 // kept implicit; see reduction.hpp).
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -78,11 +84,18 @@ class DynamicDfs {
   // `obs_shard` tags this instance's `pardfs_update_phase_us` series with a
   // shard="<obs_shard>" label (service/shard_router runs one engine per
   // shard); empty keeps the process-wide unlabeled series.
+  // `epoch_period` closes an epoch after that many structural updates:
+  // 0 = Θ(log n) (recomputed at every rebase), kNeverRebase = never.
   explicit DynamicDfs(Graph graph,
                       RerootStrategy strategy = RerootStrategy::kPaper,
                       pram::CostModel* cost = nullptr, int num_threads = 0,
                       std::int32_t serial_cutoff = -1,
-                      std::string obs_shard = {});
+                      std::string obs_shard = {}, std::size_t epoch_period = 0);
+
+  // Epoch period of a fault-tolerant engine (Theorem 14): D is never
+  // rebuilt, whatever the update count or patch volume.
+  static constexpr std::size_t kNeverRebase =
+      std::numeric_limits<std::size_t>::max();
 
   // Movable: the base index is held by shared_ptr, so its address — and the
   // oracle's pointer to it — survives the move untouched. Copying would
@@ -110,6 +123,12 @@ class DynamicDfs {
   // therefore performs exactly one index rebuild. Updates must be
   // sequentially feasible, exactly as if applied one by one through apply().
   BatchStats apply_batch(std::span<const GraphUpdate> updates);
+
+  // Rolls back to the preprocessed state (kNeverRebase engines only): drops
+  // D's patches and restores the graph and forest D was built over. A
+  // Theorem 14 batch is reset_to_base() then apply_batch(batch). O(n + m):
+  // a graph copy and one index rebuild; D is untouched.
+  void reset_to_base();
 
   // ---- sharding support (service/shard_router) -----------------------------
   // A whole connected component lifted out of one engine, ready to be spliced
@@ -167,7 +186,8 @@ class DynamicDfs {
   std::size_t epoch_rebuilds() const { return epoch_rebuilds_; }
   // Structural updates absorbed by the current epoch.
   std::size_t updates_since_rebase() const { return structural_since_rebase_; }
-  // Current epoch length: Θ(log n) structural updates.
+  // Current epoch length in structural updates: the constructor's period,
+  // or Θ(log n) when that was 0.
   std::size_t epoch_period() const { return epoch_period_; }
   // O(n) current-tree index rebuilds so far, including the constructor's
   // (the quantity apply_batch amortizes: one per segment, not per update).
@@ -206,6 +226,9 @@ class DynamicDfs {
   std::shared_ptr<TreeIndex> acquire_index_slot();
 
   Graph graph_;
+  // The graph D was built over; kept only under kNeverRebase, for
+  // reset_to_base().
+  Graph base_graph_;
   std::vector<Vertex> parent_;
   // Current forest and the epoch snapshot D is built over. Both are
   // immutable once built; rebase() aliases instead of deep-copying, and
@@ -227,6 +250,7 @@ class DynamicDfs {
   int num_threads_ = 0;
   std::int32_t serial_cutoff_ = -1;
   RerootStats last_stats_;
+  std::size_t requested_period_ = 0;  // constructor value; 0 = Θ(log n)
   std::size_t epoch_period_ = 1;
   std::size_t patch_budget_ = 1;
   std::size_t structural_since_rebase_ = 0;

@@ -7,7 +7,7 @@
 // exactly the behavior the dummy root's phantom edges would produce, without
 // polluting D with O(n) entries.
 //
-// Call protocol (enforced by the wrappers in dynamic_dfs/fault_tolerant):
+// Call protocol (enforced by DynamicDfs's update methods):
 // the oracle must already be patched with the update, the graph must already
 // be mutated, and the tree index must still describe the PRE-update forest.
 #pragma once
@@ -20,7 +20,7 @@
 
 namespace pardfs {
 
-// Update vocabulary for batch interfaces (fault tolerance, streaming, ...).
+// Update vocabulary for batch interfaces (apply_batch, streaming, ...).
 struct GraphUpdate {
   enum class Kind : std::uint8_t {
     kInsertEdge,

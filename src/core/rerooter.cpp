@@ -143,12 +143,11 @@ bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
 // Brent-style completion of a sub-cutoff component: one processor performs a
 // plain DFS of the component's induced subgraph from its entry. Any DFS of
 // the component is a valid completion (components property: external edges
-// lead to T* ancestors of the entry), the oracle's patched adjacency IS the
-// current graph's, and the neighbor order is fixed — so the result is
-// deterministic and thread-count independent. No query batches are issued.
-// With `graph`, neighbors enumerate in adjacency-row order — a pure function
-// of the component's update history, identical across engines with different
-// rebase histories (see the cutoff comment in rerooter.hpp).
+// lead to T* ancestors of the entry), and neighbors enumerate in the current
+// graph's adjacency-row order — a pure function of the component's update
+// history, so the result is thread-count independent and identical across
+// engines with different rebase histories (see the cutoff comment in
+// rerooter.hpp). No query batches are issued.
 // A work-capped component (Component::recompute) is finished the same way.
 // It holds whole pre-batch trees, so it skips their deleted vertices. It has
 // no entry: its first live member in piece pre-order roots the first tree,
@@ -158,9 +157,6 @@ bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
 void serial_finish(detail::EngineCtx& ctx, const Component& comp,
                    std::span<Vertex> parent_out, const Graph* graph) {
   const TreeIndex& cur = ctx.cur();
-  const AdjacencyOracle& oracle = ctx.view().oracle();
-  PARDFS_CHECK_MSG(!comp.recompute || graph != nullptr,
-                   "a recomputed component needs the graph's rows");
   // Membership marks: the DFS must not escape the component.
   ctx.begin_mark();
   std::size_t total = 0;
@@ -205,7 +201,7 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
         parent_out[static_cast<std::size_t>(v)] = kNullVertex;
         ctx.visit(v);
         ++visited;
-        stack.push_back({v, 0, 0});
+        stack.push_back({v, 0});
         return;
       }
     }
@@ -216,48 +212,27 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
     parent_out[static_cast<std::size_t>(comp.entry)] = comp.attach_parent;
     ctx.visit(comp.entry);
     ++visited;
-    stack.push_back({comp.entry, 0, 0});
+    stack.push_back({comp.entry, 0});
   }
   while (!stack.empty()) {
     auto& frame = stack.back();
     const Vertex v = frame.v;
     Vertex child = kNullVertex;
-    if (graph != nullptr) {
-      // Row entries are the live current edges by construction — no
-      // edge_alive filter needed, only the index-capacity guard.
-      const auto row = graph->neighbors(v);
-      while (frame.base_i < row.size()) {
-        const Vertex z = row[frame.base_i++];
-        if (z < cap && ctx.marked(z) && !ctx.visited(z)) {
-          child = z;
-          break;
-        }
-      }
-    } else {
-      const auto base = oracle.base_neighbor_list(v);
-      while (frame.base_i < base.size()) {
-        const Vertex z = base[frame.base_i++];
-        if (z < cap && ctx.marked(z) && !ctx.visited(z) && oracle.edge_alive(v, z)) {
-          child = z;
-          break;
-        }
-      }
-      if (child == kNullVertex) {
-        const auto extras = oracle.extra_neighbor_list(v);
-        while (frame.extra_i < extras.size()) {
-          const Vertex z = extras[frame.extra_i++];
-          if (z < cap && ctx.marked(z) && !ctx.visited(z) && oracle.edge_alive(v, z)) {
-            child = z;
-            break;
-          }
-        }
+    // Row entries are the live current edges by construction — no
+    // edge_alive filter needed, only the index-capacity guard.
+    const auto row = graph->neighbors(v);
+    while (frame.row_i < row.size()) {
+      const Vertex z = row[frame.row_i++];
+      if (z < cap && ctx.marked(z) && !ctx.visited(z)) {
+        child = z;
+        break;
       }
     }
     if (child != kNullVertex) {
       parent_out[static_cast<std::size_t>(child)] = v;
       ctx.visit(child);
       ++visited;
-      stack.push_back({child, 0, 0});
+      stack.push_back({child, 0});
     } else {
       stack.pop_back();
       if (stack.empty() && comp.recompute && visited < total) restart();
@@ -489,7 +464,10 @@ Rerooter::Rerooter(const TreeIndex& current, const OracleView& view,
       cost_(cost),
       num_threads_(num_threads),
       serial_cutoff_(serial_cutoff),
-      graph_(graph) {}
+      graph_(graph) {
+  PARDFS_CHECK_MSG(serial_cutoff == 0 || graph != nullptr,
+                   "a serial cutoff needs the graph's rows");
+}
 
 std::int32_t Rerooter::default_serial_cutoff(Vertex capacity) {
   const std::uint64_t n = static_cast<std::uint64_t>(capacity);

@@ -105,15 +105,13 @@ class Rerooter {
   // serially it skips the entire per-round query machinery. Any DFS of the
   // component rooted at its entry is a valid completion (the components
   // property, Lemma 1: all external edges lead to ancestors of the entry).
-  // Neighbor enumeration order: the current graph's adjacency rows when
-  // `graph` is supplied — a pure function of the component's update history,
-  // so two engines holding the same component produce the same completion
-  // even with different epoch/rebase histories (what makes sharded serving
-  // byte-identical to unsharded; see service/shard_router.hpp). Without a
-  // graph it falls back to the oracle's base+patch order, which is fixed
-  // per engine (thread-count independent) but differs across rebase
-  // histories. The update wrappers pass default_serial_cutoff(); raw engine
-  // users default to the pure paper machinery.
+  // A cutoff needs `graph`: neighbors enumerate in its adjacency-row order —
+  // a pure function of the component's update history, so two engines
+  // holding the same component produce the same completion even with
+  // different epoch/rebase histories (what makes sharded serving
+  // byte-identical to unsharded; see service/shard_router.hpp). DynamicDfs
+  // passes default_serial_cutoff(); raw engine users default to the pure
+  // paper machinery.
   // The same finish also takes every component the batch reduction marked
   // `recompute` (the work cap, core/batch_reduction.hpp), whatever its size,
   // counted as RerootStats::recomputes. The reduction marks components only

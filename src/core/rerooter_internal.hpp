@@ -179,11 +179,10 @@ class EngineCtx {
   bool visited(Vertex v) const {
     return visit_stamp_[static_cast<std::size_t>(v)] == visit_generation_;
   }
-  // Reusable DFS stack of (vertex, base cursor, extra cursor) frames.
+  // Reusable DFS stack of (vertex, adjacency-row cursor) frames.
   struct DfsFrame {
     Vertex v;
-    std::uint32_t base_i;
-    std::uint32_t extra_i;
+    std::uint32_t row_i;
   };
   std::vector<DfsFrame>& dfs_scratch() { return dfs_scratch_; }
 

@@ -62,6 +62,7 @@ class TreeIndex {
   }
 
   Vertex parent(Vertex v) const { return parent_[static_cast<std::size_t>(v)]; }
+  std::span<const Vertex> parents() const { return parent_; }
   std::int32_t depth(Vertex v) const { return depth_[static_cast<std::size_t>(v)]; }
   std::int32_t size(Vertex v) const { return size_[static_cast<std::size_t>(v)]; }
   std::int32_t pre(Vertex v) const { return pre_[static_cast<std::size_t>(v)]; }

@@ -21,7 +21,6 @@
 
 #include "baseline/static_dfs.hpp"
 #include "core/dynamic_dfs.hpp"
-#include "core/fault_tolerant.hpp"
 #include "core/rerooter_internal.hpp"
 #include "obs/metrics.hpp"
 #include "pram/parallel.hpp"
@@ -150,18 +149,20 @@ INSTANTIATE_TEST_SUITE_P(
     kParamName);
 
 TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {
-  // The fault-tolerant wrapper drives the same engine through non-identity
+  // A kNeverRebase engine drives the same engine through non-identity
   // oracle views (every query decomposes over the base tree); its parallel
   // rounds must honor the same contract.
   const auto run_ft = [](int threads) {
     const service::WorkloadSpec spec{service::Scenario::kAdversarialStar, 96, 5};
     service::WorkloadDriver driver(spec);
-    FaultTolerantDfs ft(service::make_initial_graph(spec), nullptr, threads);
+    DynamicDfs ft(service::make_initial_graph(spec), RerootStrategy::kPaper,
+                  nullptr, threads, -1, {}, DynamicDfs::kNeverRebase);
     std::vector<FingerPrint> stats;
     for (int i = 0; i < 6; ++i) {  // within the k <= log n batch budget
-      ft.apply_incremental(driver.next());
+      ft.apply(driver.next());
       stats.push_back(pack(ft.last_stats()));
     }
+    EXPECT_EQ(ft.epoch_rebuilds(), 1u);
     const auto val = validate_dfs_forest(ft.graph(), ft.parent());
     EXPECT_TRUE(val.ok) << val.reason;
     return std::make_pair(
