@@ -17,7 +17,8 @@
 // (bench/gates.py): a static DFS of the dynamic_map row's initial graph plus
 // its TreeIndex and D, on one thread. A capped batch (the 1-thread
 // dynamic_map row's batch_us counter) must not cost much more than that
-// rebuild (DESIGN.md §9, the work cap).
+// rebuild (DESIGN.md §9, the work cap). BM_StaticRebuild_SocialMix is the
+// same rebuild for the social_mix row (EXPERIMENTS.md E23).
 //
 // BM_RerootRound measures the per-round fan-out decision behind
 // Rerooter::kParallelRoundWork: one engine round, stepped on the calling
@@ -128,11 +129,10 @@ void BM_BatchUpdate_DynamicMap(benchmark::State& state) {
   run_scenario(state, service::Scenario::kDynamicMap);
 }
 
-void BM_StaticRebuild_DynamicMap(benchmark::State& state) {
+void run_static_rebuild(benchmark::State& state, service::Scenario scenario) {
   const auto n = static_cast<Vertex>(state.range(0));
   pram::set_num_threads(1);
-  const Graph g =
-      service::make_initial_graph({service::Scenario::kDynamicMap, n, 42});
+  const Graph g = service::make_initial_graph({scenario, n, 42});
   // Reused across iterations, as the engine reuses its retired buffers.
   TreeIndex index;
   AdjacencyOracle oracle;
@@ -146,6 +146,14 @@ void BM_StaticRebuild_DynamicMap(benchmark::State& state) {
   pram::set_num_threads(0);
   state.counters["n"] = static_cast<double>(g.num_vertices());
   state.counters["m"] = static_cast<double>(g.num_edges());
+}
+
+void BM_StaticRebuild_SocialMix(benchmark::State& state) {
+  run_static_rebuild(state, service::Scenario::kSocialMix);
+}
+
+void BM_StaticRebuild_DynamicMap(benchmark::State& state) {
+  run_static_rebuild(state, service::Scenario::kDynamicMap);
 }
 
 // One engine round of 16-wide grid blocks inside a 2^15-vertex graph.
@@ -238,6 +246,8 @@ BENCHMARK(BM_BatchUpdate_SocialMix)
     ->ArgNames({"threads", "n"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+BENCHMARK(BM_StaticRebuild_SocialMix)->Arg(1 << 15)->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_BatchUpdate_DynamicMap)
     ->ArgsProduct({{1, 2, 4, 8}, {1 << 14}})

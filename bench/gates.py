@@ -25,6 +25,10 @@ from the google-benchmark JSON files that run_bench.sh writes:
                  BOUND times a from-scratch rebuild of the same graph
                  (static DFS + TreeIndex + D): the work cap of DESIGN.md §9
                  (E22).
+  batch_cap_social  the same bound for one social_mix batch at n = 2^15,
+                 whose batches carry vertex inserts: they join their
+                 segment's combined reduction instead of each paying a
+                 reroot and an index rebuild (E23).
 
 A value is the `median` aggregate of its benchmark when the run has one, else
 its single run. The CPU count is the `context.num_cpus` the judged run
@@ -68,6 +72,9 @@ PARALLEL = "BENCH_parallel.json"
 # batch_cap (EXPERIMENTS.md E22; Release, 4-vCPU Xeon, two sets of five
 # interleaved runs each): the healthy build reads 0.85-1.36x, a build with
 # the work cap switched off 2.33-4.07x. The bound sits between them.
+# batch_cap_social shares it (E23; three interleaved full bench_parallel runs
+# per build): the healthy build reads 0.63-0.91x, the build before vertex
+# inserts joined the reduction 2.03-2.64x.
 BATCH_CAP_BOUND = 1.8
 
 GATES = [
@@ -95,6 +102,11 @@ GATES = [
          Value(PARALLEL, "BM_BatchUpdate_DynamicMap/threads:1/n:16384/real_time",
                "batch_us"),
          Value(PARALLEL, "BM_StaticRebuild_DynamicMap/16384"), "<=",
+         BATCH_CAP_BOUND),
+    Gate("batch_cap_social",
+         Value(PARALLEL, "BM_BatchUpdate_SocialMix/threads:1/n:32768/real_time",
+               "batch_us"),
+         Value(PARALLEL, "BM_StaticRebuild_SocialMix/32768"), "<=",
          BATCH_CAP_BOUND),
 ]
 
@@ -178,9 +190,10 @@ def main(argv):
         return 2
     cache = {}
     codes = set()
+    width = max(len(gate.name) for gate in GATES)
     for gate in GATES:
         code, message = judge(gate, argv[0], cache)
-        print(f"gates: {gate.name:<13} {message}")
+        print(f"gates: {gate.name:<{width}} {message}")
         codes.add(code)
     return 1 if 1 in codes else max(codes)
 

@@ -24,6 +24,8 @@ READS_4 = "BM_ShardedReadThroughput/4/4/real_time"
 RECOVERY = "BM_ShardRecovery/4/iterations:1/real_time"
 BATCH = "BM_BatchUpdate_DynamicMap/threads:1/n:16384/real_time"
 REBUILD = "BM_StaticRebuild_DynamicMap/16384"
+SOCIAL_BATCH = "BM_BatchUpdate_SocialMix/threads:1/n:32768/real_time"
+SOCIAL_REBUILD = "BM_StaticRebuild_SocialMix/32768"
 
 
 def run(name, real_time, time_unit="us", **counters):
@@ -51,9 +53,11 @@ def healthy():
             run(RECOVERY, 900.0, "ms", recoveries=4, recovery_p99_us=3000.0,
                 steady_batch_p99_us=800.0),
         ],
-        # A 1.2 ms batch against a 1 ms rebuild: 1.2x.
+        # A 1.2 ms batch against a 1 ms rebuild: 1.2x; social_mix 0.7x.
         "BENCH_parallel.json": [run(BATCH, 9.6, "ms", batch_us=1200.0),
-                                run(REBUILD, 1000.0)],
+                                run(REBUILD, 1000.0),
+                                run(SOCIAL_BATCH, 72.0, "ms", batch_us=9000.0),
+                                run(SOCIAL_REBUILD, 12.5, "ms")],
     }
 
 
@@ -81,6 +85,10 @@ REGRESSIONS = {
     "batch_cap": ("BENCH_parallel.json",
                   lambda rows: find(rows, BATCH).update(batch_us=5000.0),
                   BATCH),
+    # Each vertex insert pays its own reroot and rebuild: 2.6x a rebuild.
+    "batch_cap_social": ("BENCH_parallel.json",
+                         lambda rows: find(rows, SOCIAL_BATCH).update(
+                             batch_us=32500.0), SOCIAL_BATCH),
 }
 
 
@@ -203,6 +211,16 @@ class GatesTest(unittest.TestCase):
         code, verdicts = self.judge(files)
         self.assertEqual(code, 2)
         self.assertEqual(verdicts["batch_cap"], "MISSING")
+
+    def test_batch_cap_social_reports_a_missing_rebuild_row(self):
+        files = healthy()
+        files["BENCH_parallel.json"] = [
+            r for r in files["BENCH_parallel.json"]
+            if r["run_name"] != SOCIAL_REBUILD]
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 2)
+        self.assertEqual(verdicts["batch_cap_social"], "MISSING")
+        self.assertEqual(verdicts["batch_cap"], "PASS")
 
     def test_median_is_preferred_over_the_single_run(self):
         files = healthy()

@@ -2,7 +2,8 @@
 //
 // Used by the distributed DFS-forest maintenance (paper §6.2: each node
 // stores the articulation points/bridges to decide which components form
-// after a deletion) and by the network-resilience example. O(m + n).
+// after a deletion) and by the network-resilience example. O(m + n + b log b)
+// for b bridges: one sweep over the live vertices in reverse pre-order.
 #pragma once
 
 #include <span>
@@ -14,7 +15,7 @@ namespace pardfs {
 
 struct CutStructure {
   std::vector<std::uint8_t> is_articulation;  // indexed by vertex
-  std::vector<Edge> bridges;                  // (parent, child) tree edges
+  std::vector<Edge> bridges;  // (parent, child) tree edges, ascending child id
 };
 
 class TreeIndex;

@@ -18,25 +18,32 @@ std::int32_t piece_size(const TreeIndex& cur, const Piece& p) {
 // reroot work into the pre-batch tree it lands in, merges the trees a
 // surviving insert joins into one region (a connected component of the
 // updated graph, or several once deletions split it), and emits every region
-// whose prediction reaches kRecomputeWorkRatio × its live vertex count as one
-// `recompute` component of whole trees. Returns the capped trees' roots,
-// ascending. O(k log deg) from the pre-batch index.
+// whose prediction reaches kRecomputeWorkRatio × its live vertex count, or
+// that holds an inserted vertex with an edge, as one `recompute` component of
+// whole trees and new ids. Returns the capped trees' roots, ascending.
+// O(k log deg) from the pre-batch index, plus the inserted vertices' rows.
 std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
                               const BatchChanges& changes,
                               const std::vector<std::uint8_t>& dead,
                               BatchReduction& out) {
   const auto is_dead = [&](Vertex v) { return dead[static_cast<std::size_t>(v)] != 0; };
-  // One slot per touched tree, in first-touch order.
+  // Inserted vertices lie beyond the index; each is its own region.
+  const auto is_new = [&](Vertex v) { return v >= cur.capacity(); };
+  // One slot per touched tree or inserted vertex, in first-touch order, keyed
+  // by tree root or by the new id (the two ranges are disjoint).
   std::vector<Vertex> roots;
   std::vector<std::int64_t> work;
   std::vector<std::int64_t> deaths;
+  std::vector<std::uint8_t> forced;  // an inserted vertex with an edge
   std::unordered_map<Vertex, std::size_t> slot_of;
   const auto slot = [&](Vertex v) {
-    const auto [it, fresh] = slot_of.try_emplace(cur.root_of(v), roots.size());
+    const Vertex key = is_new(v) ? v : cur.root_of(v);
+    const auto [it, fresh] = slot_of.try_emplace(key, roots.size());
     if (fresh) {
-      roots.push_back(cur.root_of(v));
+      roots.push_back(key);
       work.push_back(0);
       deaths.push_back(0);
+      forced.push_back(0);
     }
     return it->second;
   };
@@ -67,36 +74,56 @@ std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
                           cur.size(cur.child_toward(w, e.v)));
     }
   }
+  for (const Vertex x : changes.inserted_vertices) {
+    if (!g.is_alive(x)) continue;
+    const std::size_t t = slot(x);
+    for (const Vertex w : g.neighbors(x)) {
+      forced[t] = 1;
+      joins.emplace_back(t, slot(w));
+    }
+    // No edge left: a forest root of its own, nothing to recompute.
+    if (!forced[t]) out.direct.emplace_back(x, kNullVertex);
+  }
 
-  // Regions: trees joined by surviving inserts.
+  // Regions: trees and inserted vertices joined by surviving inserts.
   PieceUf uf(roots.size());
   for (const auto& [a, b] : joins) uf.unite(a, b);
   std::vector<std::int64_t> region_work(roots.size(), 0);
   std::vector<std::int64_t> region_live(roots.size(), 0);
+  std::vector<std::uint8_t> region_forced(roots.size(), 0);
   for (std::size_t t = 0; t < roots.size(); ++t) {
     const std::size_t r = uf.find(t);
     region_work[r] += work[t];
-    region_live[r] += cur.size(roots[t]) - deaths[t];
+    region_live[r] += is_new(roots[t]) ? 1 : cur.size(roots[t]) - deaths[t];
+    region_forced[r] |= forced[t];
   }
   std::vector<Vertex> capped;
   std::vector<std::vector<Vertex>> members(roots.size());
   for (std::size_t t = 0; t < roots.size(); ++t) {
     const std::size_t r = uf.find(t);
-    if (region_work[r] > 0 && static_cast<double>(region_work[r]) >=
-                                  kRecomputeWorkRatio * region_live[r]) {
+    if (region_forced[r] ||
+        (region_work[r] > 0 && static_cast<double>(region_work[r]) >=
+                                   kRecomputeWorkRatio * region_live[r])) {
       members[r].push_back(roots[t]);
-      capped.push_back(roots[t]);
+      if (!is_new(roots[t])) capped.push_back(roots[t]);
     }
   }
   for (std::size_t r = 0; r < roots.size(); ++r) {
     // A region with no live vertex left needs no component.
     if (members[r].empty() || region_live[r] == 0) continue;
+    // Ascending, so the old roots come first and the new ids after them.
     std::sort(members[r].begin(), members[r].end());
     Component comp;
     comp.attach_parent = kNullVertex;
     comp.budget = static_cast<std::int32_t>(region_live[r]);
     comp.recompute = true;
-    for (const Vertex root : members[r]) comp.pieces.push_back(Piece::subtree(root));
+    for (const Vertex root : members[r]) {
+      if (is_new(root)) {
+        comp.new_vertices.push_back(root);
+      } else {
+        comp.pieces.push_back(Piece::subtree(root));
+      }
+    }
     // No entry: serial_finish roots the component's first tree at its first
     // live vertex in piece pre-order, and restarts there after every split.
     out.components.push_back(std::move(comp));
@@ -112,6 +139,8 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
                             bool work_cap) {
   BatchReduction out;
   const auto cap = static_cast<std::size_t>(cur.capacity());
+  PARDFS_CHECK_MSG(work_cap || changes.inserted_vertices.empty(),
+                   "inserted vertices are recomputed: they need the work cap");
 
   // ---- lookup structures for the batch's deletions -------------------------
   std::vector<std::uint8_t> dead(cap, 0);

@@ -37,10 +37,15 @@ struct BatchChanges {
   // Inserted edges that are not back edges of the pre-batch forest. Edges
   // whose endpoints died later in the same batch are filtered internally.
   std::vector<Edge> inserted_edges;
+  // Vertices the batch inserted, ascending: ids at or beyond the pre-batch
+  // index's capacity. Their surviving edges are read from the updated graph,
+  // so the lists above name no edge or deletion that touches them; one that
+  // died later in the batch is skipped. Needs the work cap.
+  std::vector<Vertex> inserted_vertices;
 
   bool structural() const {
     return !cut_edges.empty() || !deleted_vertices.empty() ||
-           !inserted_edges.empty();
+           !inserted_edges.empty() || !inserted_vertices.empty();
   }
 };
 
@@ -60,6 +65,13 @@ struct BatchChanges {
 // entirely. The figure uses component-local sizes only, so the branch is a
 // pure function of (rows, current tree, batch) — identical at any thread or
 // shard count.
+// An inserted vertex is a size-1 region of its own outside the index, joined
+// to the tree (or inserted vertex) at the far end of each edge it still has
+// at batch end, the way a surviving cross insert joins two trees. With no
+// such edge it becomes a forest root directly; otherwise its whole region is
+// recomputed, whatever the prediction, its new ids listed in
+// Component::new_vertices. So the skeleton and the rounds never meet an id
+// the pre-batch index does not cover.
 // Measured (EXPERIMENTS.md E22; 4-vCPU Xeon, Release, one thread): 80
 // batches of epoch_period updates per stream; speedup of the total
 // apply_batch time over the cap-off replay at each ratio, medians of three,
@@ -83,8 +95,9 @@ struct BatchReduction {
   // with the work cap, capped components come first.
   std::vector<Component> components;
   // Parent assignments needing no rerooting: roots of detached pieces that
-  // keep their internal structure (single-piece groups). The caller also
-  // nulls the slots of deleted vertices.
+  // keep their internal structure (single-piece groups), and inserted
+  // vertices left without an edge. The caller also nulls the slots of
+  // deleted vertices.
   std::vector<std::pair<Vertex, Vertex>> direct;
 };
 

@@ -86,6 +86,10 @@ struct Component {
   // with one DFS in its first round, which picks its roots
   // (Rerooter::run_components, serial_finish).
   bool recompute = false;
+  // Members of a `recompute` component that the batch inserted: ids at or
+  // beyond the pre-batch index's capacity, so no piece covers them.
+  // Ascending; the finish roots its trees at them after the pieces.
+  std::vector<Vertex> new_vertices;
 };
 
 // A base-monotone fragment of a current-tree path, ordered near-to-far.

@@ -410,11 +410,17 @@ void DynamicDfs::apply(const GraphUpdate& update) {
 }
 
 bool DynamicDfs::is_structural(const GraphUpdate& u) const {
+  // An id at or beyond the graph's capacity belongs to a vertex inserted
+  // earlier in the open segment: an isolated root of the pre-segment forest,
+  // so an edge to it never joins an ancestor pair and is never a tree edge.
+  const bool pending = u.u >= graph_.capacity() || u.v >= graph_.capacity();
   switch (u.kind) {
     case GraphUpdate::Kind::kInsertEdge:
+      if (pending) return true;
       PARDFS_CHECK(graph_.is_alive(u.u) && graph_.is_alive(u.v));
       return !index_->is_ancestor(u.u, u.v) && !index_->is_ancestor(u.v, u.u);
     case GraphUpdate::Kind::kDeleteEdge:
+      if (pending) return false;
       PARDFS_CHECK(graph_.is_alive(u.u) && graph_.is_alive(u.v));
       return parent_[static_cast<std::size_t>(u.v)] == u.u ||
              parent_[static_cast<std::size_t>(u.u)] == u.v;
@@ -427,9 +433,10 @@ bool DynamicDfs::is_structural(const GraphUpdate& u) const {
 
 bool DynamicDfs::flush_segment(Segment& seg) {
   if (seg.ops.empty()) return false;
-  if (seg.structural == 0 || seg.ops.size() == 1) {
-    // All patch-only, or a single update: the per-update path is exact (and
-    // for one structural update reroots only the affected subtrees).
+  // The combined reduction takes every segment with a structural member when
+  // the work cap is on; without it (serial_cutoff = 0), a single update
+  // keeps the per-update path. All patch-only: one patch each, no rebuild.
+  if (seg.structural == 0 || (seg.ops.size() == 1 && engine_cutoff() == 0)) {
     for (const GraphUpdate* op : seg.ops) apply(*op);
     seg.ops.clear();
     seg.structural = 0;
@@ -438,23 +445,33 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   // Epoch policy runs once, against the pre-batch graph (see insert_edge).
   maybe_rebase();
   // Phase 1: mutate the graph and patch D for the whole segment, collecting
-  // the structural changes against the still-pre-batch forest.
+  // the structural changes against the still-pre-batch forest. Ids from
+  // `fresh` on were inserted by this segment: the index does not cover them,
+  // and their edges reach the reduction through the graph, not `changes`.
+  const Vertex fresh = index_->capacity();
+  const auto touches_fresh = [&](const GraphUpdate& op) {
+    return op.u >= fresh || op.v >= fresh;
+  };
   BatchChanges changes;
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
     for (const GraphUpdate* op : seg.ops) {
       switch (op->kind) {
         case GraphUpdate::Kind::kInsertEdge: {
-          const bool back = index_->is_ancestor(op->u, op->v) ||
-                            index_->is_ancestor(op->v, op->u);
+          const bool cross = !touches_fresh(*op) &&
+                             !index_->is_ancestor(op->u, op->v) &&
+                             !index_->is_ancestor(op->v, op->u);
           PARDFS_CHECK(graph_.add_edge(op->u, op->v));
           oracle_.note_edge_inserted(op->u, op->v);
-          if (!back) changes.inserted_edges.push_back({op->u, op->v});
+          if (cross) changes.inserted_edges.push_back({op->u, op->v});
           break;
         }
         case GraphUpdate::Kind::kDeleteEdge: {
-          const bool u_parent = parent_[static_cast<std::size_t>(op->v)] == op->u;
-          const bool v_parent = parent_[static_cast<std::size_t>(op->u)] == op->v;
+          const bool tracked = !touches_fresh(*op);
+          const bool u_parent =
+              tracked && parent_[static_cast<std::size_t>(op->v)] == op->u;
+          const bool v_parent =
+              tracked && parent_[static_cast<std::size_t>(op->u)] == op->v;
           oracle_.note_edge_deleted(op->u, op->v);
           PARDFS_CHECK(graph_.remove_edge(op->u, op->v));
           if (u_parent) {
@@ -471,15 +488,19 @@ bool DynamicDfs::flush_segment(Segment& seg) {
           const std::vector<Vertex> former_neighbors(nbrs.begin(), nbrs.end());
           oracle_.note_vertex_deleted(v, former_neighbors);
           graph_.remove_vertex(v);
-          changes.deleted_vertices.push_back(v);
+          if (v < fresh) changes.deleted_vertices.push_back(v);
           break;
         }
-        case GraphUpdate::Kind::kInsertVertex:
-          PARDFS_CHECK_MSG(false, "vertex inserts close segments");
+        case GraphUpdate::Kind::kInsertVertex: {
+          const Vertex v = graph_.add_vertex(op->neighbors);
+          oracle_.note_vertex_inserted(v, op->neighbors);
+          changes.inserted_vertices.push_back(v);
           break;
+        }
       }
     }
   }
+  parent_.resize(static_cast<std::size_t>(graph_.capacity()), kNullVertex);
   // Phase 2 + 3: one combined reduction, one engine pass.
   {
     obs::ScopedPhase timer(*reroot_hist_, "reroot");
@@ -504,6 +525,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   rebuild_index();
   seg.ops.clear();
   seg.structural = 0;
+  seg.inserts = 0;
   return true;
 }
 
@@ -513,11 +535,14 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   const std::size_t index_rebuilds_before = index_rebuilds_;
   const std::size_t base_rebuilds_before = epoch_rebuilds_;
 
+  // Under the work cap a vertex insert joins the open segment: its id is the
+  // graph's capacity plus the inserts already pending, so later updates may
+  // reference it before the segment lands. Without the cap it closes the
+  // segment and runs through the per-update path.
+  const bool join_inserts = engine_cutoff() > 0;
   Segment seg;
   for (const GraphUpdate& u : updates) {
-    if (u.kind == GraphUpdate::Kind::kInsertVertex) {
-      // Vertex inserts assign an id later updates may reference: they close
-      // the pending segment and run through the per-update path.
+    if (u.kind == GraphUpdate::Kind::kInsertVertex && !join_inserts) {
       stats.segments += flush_segment(seg) ? 1 : 0;
       stats.new_vertices.push_back(insert_vertex(u.neighbors));
       ++stats.structural;
@@ -526,6 +551,9 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
     const bool structural = is_structural(u);
     if (structural && seg.structural >= epoch_period_) {
       stats.segments += flush_segment(seg) ? 1 : 0;
+    }
+    if (u.kind == GraphUpdate::Kind::kInsertVertex) {
+      stats.new_vertices.push_back(graph_.capacity() + seg.inserts++);
     }
     seg.ops.push_back(&u);
     seg.structural += structural ? 1 : 0;

@@ -115,12 +115,14 @@ class DynamicDfs {
   // Applies a whole batch with the combined k-update reduction
   // (core/batch_reduction): D is patched for every update, one engine pass
   // reroots the affected trees, and the O(n) index rebuild runs once per
-  // *segment* instead of once per update. A segment is a maximal run of edge
-  // updates and vertex deletions with at most epoch_period() structural
-  // members (the Theorem 9 patch budget); vertex insertions close segments
-  // (their id assignment feeds later updates) and single-update segments take
-  // the cheaper per-update path. A batch of 2..log n structural edge updates
-  // therefore performs exactly one index rebuild. Updates must be
+  // *segment* instead of once per update. A segment is a maximal run of
+  // updates with at most epoch_period() structural members (the Theorem 9
+  // patch budget). Under the work cap (a positive serial cutoff) a vertex
+  // insertion joins the segment: its id is the capacity plus the inserts
+  // already pending, so later updates may use it. With serial_cutoff = 0,
+  // vertex insertions close segments and single-update segments take the
+  // per-update path. A batch of up to log n structural updates therefore
+  // performs exactly one index rebuild under the cap. Updates must be
   // sequentially feasible, exactly as if applied one by one through apply().
   BatchStats apply_batch(std::span<const GraphUpdate> updates);
 
@@ -200,6 +202,7 @@ class DynamicDfs {
   struct Segment {
     std::vector<const GraphUpdate*> ops;
     std::size_t structural = 0;
+    Vertex inserts = 0;  // vertex inserts among ops (ids assigned on flush)
   };
 
   // Resolved Brent cutoff for the engine (-1 = capacity-derived default).

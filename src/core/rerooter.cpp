@@ -120,7 +120,7 @@ std::int32_t piece_size(const TreeIndex& cur, const Piece& p) {
 }
 
 std::int32_t component_size(const TreeIndex& cur, const Component& comp) {
-  std::int32_t total = 0;
+  auto total = static_cast<std::int32_t>(comp.new_vertices.size());
   for (const Piece& p : comp.pieces) total += piece_size(cur, p);
   return total;
 }
@@ -149,11 +149,13 @@ bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
 // engines with different rebase histories (see the cutoff comment in
 // rerooter.hpp). No query batches are issued.
 // A work-capped component (Component::recompute) is finished the same way.
-// It holds whole pre-batch trees, so it skips their deleted vertices. It has
-// no entry: its first live member in piece pre-order roots the first tree,
-// and since the batch may have split it, every live member the DFS has not
-// reached when the stack empties roots a new tree, in the same order. The
-// caller counts which finish ran.
+// It holds whole pre-batch trees, so it skips their deleted vertices, plus
+// the vertices its batch inserted (Component::new_vertices), which lie
+// beyond the index. It has no entry: its first live member in piece
+// pre-order, then in new_vertices order, roots the first tree, and since the
+// batch may have split it, every live member the DFS has not reached when
+// the stack empties roots a new tree, in the same order. The caller counts
+// which finish ran.
 void serial_finish(detail::EngineCtx& ctx, const Component& comp,
                    std::span<Vertex> parent_out, const Graph* graph) {
   const TreeIndex& cur = ctx.cur();
@@ -181,20 +183,29 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
       }
     }
   }
+  for (const Vertex v : comp.new_vertices) {
+    ctx.mark(v);
+    ++total;
+  }
   // Graph neighbors can be vertices inserted after the current index was
-  // built (ids at or beyond its capacity); they are never component members,
-  // and their mark slots do not exist.
-  const Vertex cap = cur.capacity();
+  // built (ids at or beyond its capacity). Only a recomputed component holds
+  // any, and the context has mark slots for those; the rest are never
+  // members.
+  const Vertex cap = ctx.mark_capacity();
   ctx.begin_visit();
   auto& stack = ctx.dfs_scratch();
   stack.clear();
   std::size_t visited = 0;
-  // Root cursor of a recomputed component: (piece, offset in its span).
+  // Root cursor of a recomputed component: (piece, offset in its span), then
+  // the new vertices as one more span.
   std::size_t next_piece = 0;
   std::size_t next_pos = 0;
   const auto restart = [&] {
-    for (; next_piece < comp.pieces.size(); ++next_piece, next_pos = 0) {
-      const auto span = cur.subtree_span(comp.pieces[next_piece].root);
+    for (; next_piece <= comp.pieces.size(); ++next_piece, next_pos = 0) {
+      const std::span<const Vertex> span =
+          next_piece < comp.pieces.size()
+              ? cur.subtree_span(comp.pieces[next_piece].root)
+              : std::span<const Vertex>(comp.new_vertices);
       for (; next_pos < span.size(); ++next_pos) {
         const Vertex v = span[next_pos];
         if (!ctx.marked(v) || ctx.visited(v)) continue;
@@ -506,10 +517,11 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
   RerootStats stats;
   if (active.empty()) return stats;
   for (const Component& c : active) {
-    PARDFS_CHECK(!c.pieces.empty());
-    // A recomputed component's serial finish picks its own roots.
+    PARDFS_CHECK(!c.pieces.empty() || !c.new_vertices.empty());
+    // A recomputed component's serial finish picks its own roots, and only
+    // it may hold vertices the index does not cover.
     PARDFS_CHECK(c.recompute ||
-                 (c.entry_piece >= 0 &&
+                 (c.new_vertices.empty() && c.entry_piece >= 0 &&
                   c.entry_piece < static_cast<std::int32_t>(c.pieces.size())));
   }
 
@@ -525,9 +537,12 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
       static_cast<std::size_t>(threads > 0 ? threads : 1));
   // The pass's non-tree rows, filled by the groupings that sweep them.
   detail::NonTreeRows rows(cur_, view_.oracle());
+  const Vertex mark_capacity = graph_ != nullptr ? graph_->capacity() : 0;
   const auto worker_ctx = [&](int w) -> detail::EngineCtx& {
     auto& slot = workers[static_cast<std::size_t>(w)];
-    if (!slot) slot = std::make_unique<detail::EngineCtx>(cur_, view_, &rows);
+    if (!slot) {
+      slot = std::make_unique<detail::EngineCtx>(cur_, view_, &rows, mark_capacity);
+    }
     return *slot;
   };
 

@@ -121,17 +121,24 @@ class NonTreeRows {
 // counters are sums (or max), so the merge is order-independent.
 class EngineCtx {
  public:
+  // The mark and visit slots span max(cur.capacity(), `mark_capacity`): a
+  // recomputed component's members include vertices its batch inserted,
+  // beyond the index (Component::new_vertices); pass the graph's capacity.
   EngineCtx(const TreeIndex& cur, const OracleView& view,
-            NonTreeRows* rows = nullptr)
+            NonTreeRows* rows = nullptr, Vertex mark_capacity = 0)
       : cur_(cur), view_(view), rows_(rows) {
-    mark_stamp_.assign(static_cast<std::size_t>(cur.capacity()), 0);
+    const auto marks =
+        static_cast<std::size_t>(std::max(cur.capacity(), mark_capacity));
+    mark_stamp_.assign(marks, 0);
     pos_stamp_.assign(static_cast<std::size_t>(cur.capacity()), 0);
     pos_val_.assign(static_cast<std::size_t>(cur.capacity()), -1);
-    visit_stamp_.assign(static_cast<std::size_t>(cur.capacity()), 0);
+    visit_stamp_.assign(marks, 0);
     piece_slot_.assign(static_cast<std::size_t>(cur.capacity()), {0, -1});
   }
 
   const TreeIndex& cur() const { return cur_; }
+  // Ids below this have mark and visit slots.
+  Vertex mark_capacity() const { return static_cast<Vertex>(mark_stamp_.size()); }
   const OracleView& view() const { return view_; }
   // The engine pass's shared non-tree rows, and this worker's arena for the
   // rows it fills.

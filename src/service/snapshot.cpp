@@ -1,5 +1,6 @@
 #include "service/snapshot.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -20,10 +21,18 @@ DfsSnapshot::DfsSnapshot(std::uint64_t version, std::uint64_t updates_applied,
 
 bool DfsSnapshot::is_bridge(Vertex u, Vertex v) const {
   if (cuts_ == nullptr || !contains(u) || !contains(v)) return false;
-  for (const Edge& b : cuts_->bridges) {
-    if ((b.u == u && b.v == v) || (b.u == v && b.v == u)) return true;
-  }
-  return false;
+  // A bridge is a tree edge: look its child side up among the bridges,
+  // which find_cuts lists by ascending child id.
+  const std::span<const Vertex> parent = forest_->parent;
+  const Vertex child = parent[static_cast<std::size_t>(v)] == u   ? v
+                       : parent[static_cast<std::size_t>(u)] == v ? u
+                                                                  : kNullVertex;
+  if (child == kNullVertex) return false;
+  const std::vector<Edge>& bridges = cuts_->bridges;
+  const auto it = std::lower_bound(
+      bridges.begin(), bridges.end(), child,
+      [](const Edge& b, Vertex c) { return b.v < c; });
+  return it != bridges.end() && it->v == child;
 }
 
 std::vector<Vertex> DfsSnapshot::path_to_root(Vertex v) const {

@@ -822,6 +822,11 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
     }
     result.updates += batch.size();
     ++result.batches;
+    if (std::any_of(batch.begin(), batch.end(), [](const GeneratedUpdate& u) {
+          return u.update.kind == GraphUpdate::Kind::kInsertVertex;
+        })) {
+      ++result.insert_batches;
+    }
     fuzz_batches_ctr().add();
 
     if (!check_batch({options, b, stream->mirror(), *engine, harness_rng, result})) {
@@ -838,6 +843,7 @@ FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
   const auto run_one = [&](const FuzzOptions& o) -> bool {
     FuzzResult r = run_fuzz(o);
     r.batches += total.batches;
+    r.insert_batches += total.insert_batches;
     r.updates += total.updates;
     r.queries += total.queries;
     r.faults_injected += total.faults_injected;

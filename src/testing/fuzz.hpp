@@ -106,6 +106,9 @@ struct FuzzResult {
   // oracle even fires. Empty on ok runs and under PARDFS_NO_METRICS.
   std::string obs_counters;
   std::uint64_t batches = 0;
+  // Batches holding at least one vertex insert: the engine's segments take
+  // them in with the rest of the batch, so this shows that path ran.
+  std::uint64_t insert_batches = 0;
   std::uint64_t updates = 0;
   std::uint64_t queries = 0;
   // Faults the armed plan fired (chaos::faults_injected); 0 without a plan

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "baseline/static_dfs.hpp"
+#include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
 #include "tree/tree_index.hpp"
 #include "util/random.hpp"
@@ -34,8 +40,7 @@ int count_components(const Graph& g, Vertex skip) {
   return comps;
 }
 
-void check_against_brute_force(const Graph& g) {
-  const auto parent = static_dfs(g);
+void check_against_brute_force(const Graph& g, std::span<const Vertex> parent) {
   const CutStructure cuts = find_cuts(g, parent);
   const int base = count_components(g, kNullVertex);
   for (Vertex v = 0; v < g.capacity(); ++v) {
@@ -70,6 +75,47 @@ void check_against_brute_force(const Graph& g) {
     EXPECT_EQ(parent[static_cast<std::size_t>(b.v)], b.u)
         << "bridge (" << b.u << "," << b.v << ") is not a tree edge";
   }
+}
+
+void check_against_brute_force(const Graph& g) {
+  check_against_brute_force(g, static_dfs(g));
+}
+
+// The textbook low-link over depths, with an explicit ancestor test per
+// neighbour and a pass over every id: the form find_cuts had before its
+// low-link moved to pre-order slots. Both must emit the same bytes.
+CutStructure depth_low_link(const Graph& g, const TreeIndex& index) {
+  CutStructure out;
+  out.is_articulation.assign(static_cast<std::size_t>(g.capacity()), 0);
+  std::vector<std::int32_t> low(static_cast<std::size_t>(g.capacity()), 0);
+  for (std::int32_t i = index.num_indexed() - 1; i >= 0; --i) {
+    const Vertex v = index.vertex_at_pre(i);
+    std::int32_t lv = index.depth(v);
+    for (const Vertex w : g.neighbors(v)) {
+      if (index.parent(w) == v || index.parent(v) == w) continue;
+      if (index.is_ancestor(w, v)) lv = std::min(lv, index.depth(w));
+    }
+    for (const Vertex c : index.children(v)) {
+      lv = std::min(lv, low[static_cast<std::size_t>(c)]);
+    }
+    low[static_cast<std::size_t>(v)] = lv;
+  }
+  for (Vertex v = 0; v < g.capacity(); ++v) {
+    if (!g.is_alive(v)) continue;
+    const Vertex p = index.parent(v);
+    if (p == kNullVertex) {
+      if (index.children(v).size() >= 2) {
+        out.is_articulation[static_cast<std::size_t>(v)] = 1;
+      }
+      continue;
+    }
+    if (low[static_cast<std::size_t>(v)] >= index.depth(v)) out.bridges.push_back({p, v});
+    if (index.parent(p) != kNullVertex &&
+        low[static_cast<std::size_t>(v)] >= index.depth(p)) {
+      out.is_articulation[static_cast<std::size_t>(p)] = 1;
+    }
+  }
+  return out;
 }
 
 TEST(Articulation, PathEveryInnerVertexIsCut) {
@@ -160,6 +206,52 @@ TEST(Articulation, IndexFormMatchesParentForm) {
     const CutStructure by_index = find_cuts(g, index);
     EXPECT_EQ(by_parent.is_articulation, by_index.is_articulation) << "trial " << trial;
     EXPECT_EQ(by_parent.bridges, by_index.bridges) << "trial " << trial;
+  }
+}
+
+// Every generator family, with an eighth of the ids deleted, plus forests a
+// DynamicDfs left after churn (not the static DFS, dead ids included): the
+// pre-order sweep answers as the brute-force oracles do and emits the same
+// CutStructure bytes as the depth form.
+TEST(Articulation, PreOrderSweepMatchesBruteForceAndDepthFormOnEveryFamily) {
+  Rng rng(408);
+  std::vector<Graph> graphs = {
+      gen::path(40),          gen::cycle(40),
+      gen::star(40),          gen::clique(12),
+      gen::broom(40, 10),     gen::binary_tree(40),
+      gen::grid(6, 7),        gen::hairy_path(8, 4),
+      gen::random_connected(60, 30, rng), gen::barabasi_albert(60, 2, rng),
+      gen::gnp(60, 2.0 / 60, rng),        gen::gnm(40, 70, rng)};
+  const auto check = [](const Graph& g, std::span<const Vertex> parent) {
+    check_against_brute_force(g, parent);
+    TreeIndex index;
+    index.build(parent, g.alive());
+    const CutStructure want = depth_low_link(g, index);
+    const CutStructure got = find_cuts(g, index);
+    EXPECT_EQ(got.is_articulation, want.is_articulation);
+    EXPECT_EQ(got.bridges, want.bridges);
+  };
+  for (std::size_t f = 0; f < graphs.size(); ++f) {
+    SCOPED_TRACE("family " + std::to_string(f));
+    Graph& g = graphs[f];
+    check(g, static_dfs(g));
+    for (Vertex d = 0; d < g.capacity() / 8; ++d) {
+      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(g.capacity())));
+      if (g.is_alive(v)) g.remove_vertex(v);
+    }
+    check(g, static_dfs(g));
+    DynamicDfs dfs(g);
+    for (int i = 0; i < 30; ++i) {
+      gen::Update u;
+      if (!gen::random_update(dfs.graph(), rng, 1.0, 1.0, 0.3, 0.3, u)) break;
+      switch (u.kind) {
+        case gen::UpdateKind::kInsertEdge: dfs.insert_edge(u.u, u.v); break;
+        case gen::UpdateKind::kDeleteEdge: dfs.delete_edge(u.u, u.v); break;
+        case gen::UpdateKind::kInsertVertex: dfs.insert_vertex(u.neighbors); break;
+        case gen::UpdateKind::kDeleteVertex: dfs.delete_vertex(u.u); break;
+      }
+    }
+    check(dfs.graph(), dfs.parent());
   }
 }
 

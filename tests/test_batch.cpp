@@ -404,6 +404,155 @@ TEST(Batch, PerUpdatePathNeverRecomputes) {
             before);
 }
 
+// ---- vertex inserts inside a segment (DESIGN.md §9) ------------------------
+
+// A batch that fits one epoch ran as one combined pass with one index
+// rebuild, and the forest it left passes the validation oracle and the
+// static-DFS differential.
+void expect_one_pass(const DynamicDfs& dfs, const BatchStats& bs) {
+  EXPECT_EQ(bs.segments, 1u);
+  EXPECT_EQ(bs.index_rebuilds, 1u);
+  const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+  ASSERT_TRUE(val.ok) << val.reason;
+  expect_same_components_as_static(dfs);
+}
+
+TEST(Batch, LaterOpsReachTheNewVertexInTheSameSegment) {
+  DynamicDfs dfs(gen::grid(8, 8));
+  std::vector<GraphUpdate> batch;
+  batch.push_back(GraphUpdate::delete_edge(dfs.parent_of(20), 20));
+  batch.push_back(GraphUpdate::insert_vertex({3, 60}));  // id 64
+  batch.push_back(GraphUpdate::insert_edge(64, 35));
+  batch.push_back(GraphUpdate::delete_edge(64, 3));
+  batch.push_back(GraphUpdate::insert_vertex({64, 7}));  // id 65, edge to 64
+  batch.push_back(GraphUpdate::insert_edge(65, 50));
+  ASSERT_LE(batch.size(), dfs.epoch_period());
+  const BatchStats bs = dfs.apply_batch(batch);
+  ASSERT_EQ(bs.new_vertices, (std::vector<Vertex>{64, 65}));
+  EXPECT_EQ(bs.structural, 5u) << "the delete of a new vertex's edge patches only";
+  EXPECT_GT(dfs.last_stats().recomputes, 0u);
+  EXPECT_FALSE(dfs.graph().has_edge(64, 3));
+  EXPECT_TRUE(dfs.graph().has_edge(64, 65));
+  EXPECT_EQ(dfs.root_of(64), dfs.root_of(0));
+  expect_one_pass(dfs, bs);
+}
+
+TEST(Batch, NewVertexDeletedLaterInTheSameSegment) {
+  DynamicDfs dfs(gen::grid(8, 8));
+  std::vector<GraphUpdate> batch;
+  batch.push_back(GraphUpdate::insert_vertex({0, 63}));  // id 64
+  batch.push_back(GraphUpdate::insert_edge(64, 27));
+  batch.push_back(GraphUpdate::delete_edge(dfs.parent_of(40), 40));
+  batch.push_back(GraphUpdate::delete_vertex(64));
+  const BatchStats bs = dfs.apply_batch(batch);
+  ASSERT_EQ(bs.new_vertices, (std::vector<Vertex>{64}));
+  EXPECT_FALSE(dfs.graph().is_alive(64));
+  EXPECT_EQ(dfs.parent_of(64), kNullVertex);
+  EXPECT_EQ(dfs.graph().capacity(), 65);
+  expect_one_pass(dfs, bs);
+}
+
+TEST(Batch, NewVertexWithoutEdgesAtSegmentEndIsARoot) {
+  DynamicDfs dfs(gen::grid(6, 6));
+  std::vector<GraphUpdate> batch;
+  batch.push_back(GraphUpdate::insert_vertex({}));    // id 36: no edge at all
+  batch.push_back(GraphUpdate::insert_vertex({14}));  // id 37
+  batch.push_back(GraphUpdate::delete_edge(dfs.parent_of(8), 8));
+  batch.push_back(GraphUpdate::delete_edge(37, 14));  // 37's last edge dies
+  const BatchStats bs = dfs.apply_batch(batch);
+  ASSERT_EQ(bs.new_vertices, (std::vector<Vertex>{36, 37}));
+  EXPECT_EQ(dfs.parent_of(36), kNullVertex);
+  EXPECT_EQ(dfs.parent_of(37), kNullVertex);
+  EXPECT_TRUE(dfs.tree().children(36).empty());
+  EXPECT_TRUE(dfs.tree().children(37).empty());
+  expect_one_pass(dfs, bs);
+}
+
+// New vertices whose edges all lead to each other form a region with no
+// pre-batch tree in it: the finish roots it at the smallest new id.
+TEST(Batch, NewVerticesJoinedOnlyToEachOther) {
+  DynamicDfs dfs(gen::grid(6, 6));
+  std::vector<GraphUpdate> batch;
+  batch.push_back(GraphUpdate::insert_vertex({}));    // id 36
+  batch.push_back(GraphUpdate::insert_vertex({36}));  // id 37
+  batch.push_back(GraphUpdate::insert_vertex({37, 5}));  // id 38
+  batch.push_back(GraphUpdate::delete_edge(38, 5));
+  batch.push_back(GraphUpdate::delete_edge(dfs.parent_of(20), 20));
+  const BatchStats bs = dfs.apply_batch(batch);
+  ASSERT_EQ(bs.new_vertices, (std::vector<Vertex>{36, 37, 38}));
+  EXPECT_EQ(dfs.parent_of(36), kNullVertex);
+  EXPECT_EQ(dfs.parent_of(37), 36);
+  EXPECT_EQ(dfs.parent_of(38), 37);
+  expect_one_pass(dfs, bs);
+}
+
+TEST(Batch, NewVertexBridgesTwoComponents) {
+  Graph g = gen::grid(5, 5);                         // ids 0..24
+  for (Vertex i = 0; i < 9; ++i) g.add_vertex();     // ids 25..33
+  for (Vertex i = 25; i + 1 < 34; ++i) g.add_edge(i, i + 1);  // a path
+  DynamicDfs dfs(std::move(g));
+  ASSERT_NE(dfs.root_of(12), dfs.root_of(30));
+  std::vector<GraphUpdate> batch;
+  batch.push_back(GraphUpdate::delete_edge(dfs.parent_of(18), 18));
+  batch.push_back(GraphUpdate::insert_vertex({12, 30}));  // id 34
+  batch.push_back(GraphUpdate::delete_edge(28, 29));      // splits the path
+  const BatchStats bs = dfs.apply_batch(batch);
+  ASSERT_EQ(bs.new_vertices, (std::vector<Vertex>{34}));
+  EXPECT_EQ(dfs.root_of(12), dfs.root_of(30));
+  EXPECT_EQ(dfs.root_of(12), dfs.root_of(34));
+  EXPECT_NE(dfs.root_of(12), dfs.root_of(25));
+  expect_one_pass(dfs, bs);
+}
+
+// Mixed streams with vertex inserts among the structural ops: every batch
+// that fits one epoch is one pass, whatever its inserts. The same stream
+// through a serial_cutoff = 0 engine keeps the per-update insert path (one
+// more rebuild per insert) and must agree on validity and components.
+TEST(Batch, InsertMixedStreamsRunOnePassPerEpochSizedBatch) {
+  const service::WorkloadSpec spec{service::Scenario::kDynamicMap, 1024, 23};
+  Rng rng(77);
+  const Graph random = gen::random_connected(200, 500, rng);
+  const std::vector<std::pair<Graph, std::vector<GraphUpdate>>> streams = {
+      {random, make_stream(random, 240, 91, 0.4, 0.2)},
+      {service::make_initial_graph(spec), [&] {
+         service::WorkloadDriver driver(spec);
+         std::vector<GraphUpdate> out;
+         for (int i = 0; i < 240; ++i) out.push_back(driver.next());
+         return out;
+       }()}};
+  for (const auto& [initial, stream] : streams) {
+    DynamicDfs capped(initial);
+    DynamicDfs uncapped(initial, RerootStrategy::kPaper, nullptr, 0,
+                        /*serial_cutoff=*/0);
+    std::size_t insert_batches = 0;
+    std::size_t uncapped_extra_rebuilds = 0;
+    for (std::size_t i = 0; i < stream.size(); i += 6) {
+      const auto chunk =
+          std::span(stream).subspan(i, std::min<std::size_t>(6, stream.size() - i));
+      const std::size_t period = capped.epoch_period();
+      const BatchStats bs = capped.apply_batch(chunk);
+      const BatchStats ubs = uncapped.apply_batch(chunk);
+      ASSERT_EQ(bs.new_vertices, ubs.new_vertices);
+      if (bs.structural > 0 && bs.structural <= period) {
+        SCOPED_TRACE("batch at update " + std::to_string(i));
+        expect_one_pass(capped, bs);
+      }
+      if (!bs.new_vertices.empty()) {
+        ++insert_batches;
+        uncapped_extra_rebuilds += ubs.index_rebuilds - 1;
+      }
+      for (const DynamicDfs* dfs : {&capped, &uncapped}) {
+        const auto val = validate_dfs_forest(dfs->graph(), dfs->parent());
+        ASSERT_TRUE(val.ok) << "update " << i << ": " << val.reason;
+        expect_same_components_as_static(*dfs);
+      }
+    }
+    EXPECT_GT(insert_batches, 0u) << "no batch carried a vertex insert";
+    EXPECT_GT(uncapped_extra_rebuilds, 0u)
+        << "the uncapped engine never took the per-update insert path";
+  }
+}
+
 TEST(Batch, EmptyBatchIsANoop) {
   DynamicDfs dfs(gen::path(5));
   const BatchStats stats = dfs.apply_batch({});

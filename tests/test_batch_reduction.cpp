@@ -22,6 +22,7 @@
 #include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
 #include "service/workload.hpp"
+#include "tree/validation.hpp"
 #include "util/random.hpp"
 
 namespace pardfs {
@@ -74,7 +75,7 @@ struct Harness {
           break;
         }
         case GraphUpdate::Kind::kInsertVertex:
-          ADD_FAILURE() << "vertex inserts close batches";
+          ADD_FAILURE() << "vertex inserts need the work cap";
           break;
       }
     }
@@ -357,6 +358,52 @@ TEST(BatchReduction, WithoutTheChordTheTailDetaches) {
   // Three detached groups: {0, 1}, {2, 3, 4} and {5, 6, 7} (the chain [5]
   // with its hanging subtree).
   EXPECT_EQ(red.direct.size() + red.components.size(), 3u);
+}
+
+// Under the work cap an inserted vertex is a region of its own outside the
+// pre-batch index: joined through its surviving edges to the trees at their
+// far ends and recomputed with them, a root of its own when no edge is left,
+// and nothing at all when it died in the batch.
+TEST(BatchReduction, InsertedVerticesAreRecomputedWithTheirRegion) {
+  Graph g(10);
+  for (Vertex i = 0; i + 1 < 5; ++i) g.add_edge(i, i + 1);  // tree 0..4
+  for (Vertex i = 5; i + 1 < 10; ++i) g.add_edge(i, i + 1);  // tree 5..9
+  g.add_vertex();                                            // 10, isolated
+  Harness h(g, static_dfs(g));
+  const std::vector<Vertex> joiner = {2, 7};
+  const std::vector<Vertex> doomed = {3};
+  const Vertex x = h.g.add_vertex(joiner);  // joins trees 0 and 5
+  h.oracle.note_vertex_inserted(x, joiner);
+  const Vertex y = h.g.add_vertex();        // no edge
+  h.oracle.note_vertex_inserted(y, {});
+  const Vertex z = h.g.add_vertex(doomed);  // dies in the same batch
+  h.oracle.note_vertex_inserted(z, doomed);
+  h.oracle.note_vertex_deleted(z, doomed);
+  h.g.remove_vertex(z);
+  h.changes.inserted_vertices = {x, y, z};
+  const OracleView view(&h.oracle, &h.cur, /*identity=*/true);
+  const BatchReduction red = reduce_batch(h.cur, view, h.g, h.changes, /*work_cap=*/true);
+  ASSERT_EQ(red.components.size(), 1u);
+  const Component& c = red.components.front();
+  EXPECT_TRUE(c.recompute);
+  EXPECT_EQ(c.new_vertices, std::vector<Vertex>{x});
+  ASSERT_EQ(c.pieces.size(), 2u);
+  EXPECT_EQ(c.pieces[0].root, h.cur.root_of(2));
+  EXPECT_EQ(c.pieces[1].root, h.cur.root_of(7));
+  EXPECT_EQ(c.budget, 11);
+  const std::vector<std::pair<Vertex, Vertex>> want_direct = {{y, kNullVertex}};
+  EXPECT_EQ(red.direct, want_direct) << "tree 10 and the dead z need nothing";
+
+  // The serial finish takes the new id as a member: one tree over all 11.
+  std::vector<Vertex> parent = h.parent;
+  parent.resize(static_cast<std::size_t>(h.g.capacity()), kNullVertex);
+  Rerooter engine(h.cur, view, RerootStrategy::kPaper, nullptr, 1,
+                  Rerooter::default_serial_cutoff(h.g.capacity()), &h.g);
+  const RerootStats stats = engine.run_components(red.components, parent);
+  EXPECT_EQ(stats.recomputes, 1u);
+  EXPECT_EQ(stats.vertices_traversed, 11u);
+  for (const auto& [v, p] : red.direct) parent[static_cast<std::size_t>(v)] = p;
+  EXPECT_TRUE(validate_dfs_forest(h.g, parent).ok);
 }
 
 }  // namespace

@@ -15,8 +15,10 @@
 // pins force every multi-component round onto the team (ForceRoundTeam).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "baseline/static_dfs.hpp"
@@ -44,6 +46,10 @@ FingerPrint pack(const RerootStats& s) {
 struct StreamResult {
   std::vector<Vertex> parent;
   std::vector<FingerPrint> stats;  // one per applied update / batch
+  // Batches with a vertex insert before their last update, and how many of
+  // those that fit one epoch ran in more than one index rebuild.
+  std::size_t mid_batch_inserts = 0;
+  std::size_t split_insert_batches = 0;
 
   bool operator==(const StreamResult& o) const {
     return parent == o.parent && stats == o.stats;
@@ -51,14 +57,15 @@ struct StreamResult {
 };
 
 // Drives `count` updates of the scenario stream through a fresh DynamicDfs
-// configured with `threads` engine workers, `chunk` updates at a time
-// (chunk 1 = the per-update path, larger = the combined batch path).
+// configured with `threads` engine workers and `serial_cutoff`, `chunk`
+// updates at a time (chunk 1 = the per-update path, larger = the combined
+// batch path).
 StreamResult drive(service::Scenario scenario, Vertex n, int count,
-                   std::size_t chunk, int threads) {
+                   std::size_t chunk, int threads, std::int32_t serial_cutoff = -1) {
   const service::WorkloadSpec spec{scenario, n, 77};
   service::WorkloadDriver driver(spec);
   DynamicDfs dfs(service::make_initial_graph(spec), RerootStrategy::kPaper,
-                 nullptr, threads);
+                 nullptr, threads, serial_cutoff);
   StreamResult result;
   std::vector<GraphUpdate> batch;
   for (int applied = 0; applied < count;) {
@@ -69,7 +76,16 @@ StreamResult drive(service::Scenario scenario, Vertex n, int count,
     if (chunk == 1) {
       dfs.apply(batch.front());
     } else {
-      dfs.apply_batch(batch);
+      const std::size_t period = dfs.epoch_period();
+      const BatchStats bs = dfs.apply_batch(batch);
+      if (std::any_of(batch.begin(), batch.end() - 1, [](const GraphUpdate& u) {
+            return u.kind == GraphUpdate::Kind::kInsertVertex;
+          })) {
+        ++result.mid_batch_inserts;
+        if (bs.structural <= period && bs.index_rebuilds != 1) {
+          ++result.split_insert_batches;
+        }
+      }
     }
     result.stats.push_back(pack(dfs.last_stats()));
   }
@@ -106,33 +122,49 @@ class ParallelDeterminism
 TEST_P(ParallelDeterminism, SameTreeAndStatsAtAnyThreadCount) {
   const auto [scenario, chunk] = GetParam();
   const ForceRoundTeam force;
-  const StreamResult serial = drive(scenario, 128, 80, chunk, 1);
-  const std::uint64_t team0 = rounds_in_mode("team");
-  for (const int threads : {2, 4, 8}) {
-    const StreamResult parallel = drive(scenario, 128, 80, chunk, threads);
-    ASSERT_EQ(serial.parent, parallel.parent)
-        << "parent array diverged at " << threads << " threads";
-    ASSERT_EQ(serial.stats, parallel.stats)
-        << "RerootStats diverged at " << threads << " threads";
-  }
-  // Each adversarial_star reroot is one component, so only social_mix has
-  // multi-component rounds to fan out.
-  if (scenario == service::Scenario::kSocialMix) {
-    EXPECT_EQ(rounds_in_mode("team") > team0, kRecording)
-        << "the stream never fanned a round out";
-  }
-  // dynamic_map batches go over the work cap (DESIGN.md §9): the compared
-  // forests and stats include recomputed components.
-  if (scenario == service::Scenario::kDynamicMap) {
-    std::uint64_t recomputes = 0;
-    for (const FingerPrint& f : serial.stats) recomputes += f.back();  // recomputes
-    EXPECT_GT(recomputes, 0u) << "no batch took the work cap";
+  // Batches run under the default work cap and again with serial_cutoff = 0,
+  // the pure rounds. Under the cap, a batch that carries a vertex insert
+  // recomputes the insert's component in one round, so social_mix's batches
+  // leave multi-component rounds for the team only on the uncapped engine.
+  const std::vector<std::int32_t> cutoffs =
+      chunk == 1 ? std::vector<std::int32_t>{-1} : std::vector<std::int32_t>{-1, 0};
+  for (const std::int32_t cutoff : cutoffs) {
+    SCOPED_TRACE("serial_cutoff=" + std::to_string(cutoff));
+    const StreamResult serial = drive(scenario, 128, 80, chunk, 1, cutoff);
+    const std::uint64_t team0 = rounds_in_mode("team");
+    for (const int threads : {2, 4, 8}) {
+      const StreamResult parallel = drive(scenario, 128, 80, chunk, threads, cutoff);
+      ASSERT_EQ(serial.parent, parallel.parent)
+          << "parent array diverged at " << threads << " threads";
+      ASSERT_EQ(serial.stats, parallel.stats)
+          << "RerootStats diverged at " << threads << " threads";
+    }
+    // Each adversarial_star reroot is one component, so only social_mix has
+    // multi-component rounds to fan out.
+    if (scenario == service::Scenario::kSocialMix && cutoff == cutoffs.back()) {
+      EXPECT_EQ(rounds_in_mode("team") > team0, kRecording)
+          << "the stream never fanned a round out";
+    }
+    // dynamic_map batches go over the work cap (DESIGN.md §9) and carry
+    // vertex inserts mid-batch, which join their segment: the compared
+    // forests and stats include recomputed components with new ids.
+    if (scenario == service::Scenario::kDynamicMap && cutoff < 0) {
+      std::uint64_t recomputes = 0;
+      for (const FingerPrint& f : serial.stats) recomputes += f.back();  // recomputes
+      EXPECT_GT(recomputes, 0u) << "no batch took the work cap";
+      EXPECT_GT(serial.mid_batch_inserts, 0u) << "no batch inserted a vertex mid-batch";
+      EXPECT_EQ(serial.split_insert_batches, 0u)
+          << "an epoch-sized batch with a vertex insert rebuilt the index twice";
+    }
   }
 }
 
 const auto kParamName = [](const auto& info) {
+  const std::size_t chunk = std::get<1>(info.param);
   return std::string(service::scenario_name(std::get<0>(info.param))) +
-         (std::get<1>(info.param) == 1 ? "_single" : "_batch");
+         (chunk == 1   ? std::string("_single")
+          : chunk == 8 ? std::string("_batch")
+                       : "_batch" + std::to_string(chunk));
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,10 +174,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{1}, std::size_t{8})),
     kParamName);
 
+// Batches of 14, map_churn's mean batch: most carry a vertex insert.
 INSTANTIATE_TEST_SUITE_P(
     CappedMap, ParallelDeterminism,
     ::testing::Combine(::testing::Values(service::Scenario::kDynamicMap),
-                       ::testing::Values(std::size_t{8})),
+                       ::testing::Values(std::size_t{8}, std::size_t{14})),
     kParamName);
 
 TEST(ParallelEngine, FaultTolerantPathDeterministicAcrossThreadCounts) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -556,6 +557,61 @@ TEST(Service, ServedCutsMatchBruteForceUnderChurn) {
       ASSERT_GT(count_components(h, kNullVertex), base)
           << "update " << i << " claimed bridge (" << b.u << "," << b.v << ")";
     }
+  }
+  svc.stop();
+}
+
+// is_bridge binary-searches the bridge list by child id. On a churned grid
+// map (dead ids, fresh-id inserts) it must answer every edge, either
+// orientation, as the remove-one-edge oracle does, and no non-edge.
+TEST(Service, IsBridgeMatchesBruteForceOnAChurnedGrid) {
+  const WorkloadSpec spec{Scenario::kDynamicMap, 256, 41};
+  WorkloadDriver driver(spec);
+  ServiceConfig config;
+  config.serve_cuts = true;
+  DfsService svc(make_initial_graph(spec), config);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_NE(svc.apply_sync(driver.next()), UpdateTicket::kRejected);
+  }
+  const SnapshotPtr snap = svc.snapshot();
+  const Graph& mirror = driver.graph();
+  ASSERT_LT(mirror.num_vertices(), mirror.capacity()) << "no dead ids";
+  const std::span<const Edge> bridges = snap->bridges();
+  ASSERT_GT(bridges.size(), 1u);
+  EXPECT_TRUE(std::is_sorted(bridges.begin(), bridges.end(),
+                             [](const Edge& a, const Edge& b) { return a.v < b.v; }));
+  const auto reach = [&](const Graph& g, Vertex from, Vertex to) {
+    std::vector<std::uint8_t> seen(static_cast<std::size_t>(g.capacity()), 0);
+    std::vector<Vertex> stack = {from};
+    seen[static_cast<std::size_t>(from)] = 1;
+    while (!stack.empty()) {
+      const Vertex v = stack.back();
+      stack.pop_back();
+      if (v == to) return true;
+      for (const Vertex w : g.neighbors(v)) {
+        if (!seen[static_cast<std::size_t>(w)]) {
+          seen[static_cast<std::size_t>(w)] = 1;
+          stack.push_back(w);
+        }
+      }
+    }
+    return false;
+  };
+  std::size_t found = 0;
+  for (const Edge& e : mirror.edges()) {
+    Graph h = mirror;
+    h.remove_edge(e.u, e.v);
+    const bool brute = !reach(h, e.u, e.v);
+    ASSERT_EQ(snap->is_bridge(e.u, e.v), brute) << "(" << e.u << "," << e.v << ")";
+    ASSERT_EQ(snap->is_bridge(e.v, e.u), brute) << "(" << e.v << "," << e.u << ")";
+    found += brute ? 1 : 0;
+  }
+  EXPECT_EQ(found, bridges.size());
+  Rng rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    const auto u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(mirror.capacity())));
+    const auto v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(mirror.capacity())));
+    if (!mirror.has_edge(u, v)) ASSERT_FALSE(snap->is_bridge(u, v));
   }
   svc.stop();
 }

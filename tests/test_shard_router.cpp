@@ -18,6 +18,8 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "service/dfs_service.hpp"
+#include "service/journal.hpp"
+#include "service/workload.hpp"
 #include "tree/validation.hpp"
 #include "util/random.hpp"
 
@@ -369,6 +371,108 @@ TEST(ShardRouter, WorkCapBranchAndBytesMatchAtEveryShardCount) {
       EXPECT_EQ(parent, want_parent);
     }
   }
+}
+
+// Vertex inserts join their batch's segment (DESIGN.md §9). Grids 0 and 4
+// share shard 0 at S = 4 as at S = 1, so one coalesced batch that inserts a
+// vertex bridging them, reaches the new ids with later edge ops, strips a
+// new vertex's only edge and deletes another, lands as one pass with one
+// index rebuild and the same bytes at both shard counts.
+TEST(ShardRouter, VertexInsertBatchBytesMatchAtEveryShardCount) {
+  constexpr int kSide = 8;
+  constexpr Vertex kGrid = kSide * kSide;
+  constexpr Vertex kFresh = 8 * kGrid;  // the first id an insert assigns
+  std::vector<Vertex> want_parent;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServiceConfig config;
+    config.num_shards = shards;
+    config.max_batch = 9;
+    config.start_paused = true;  // the nine ops queue up, then drain as one
+    ShardRouter router(disjoint_grids(8, kSide), config);
+    ASSERT_EQ(router.shard_of(4 * kGrid), 0);
+    const RouterView view = router.view();
+    const std::vector<GraphUpdate> batch = {
+        GraphUpdate::insert_vertex({5, 4 * kGrid + 4}),  // kFresh: joins grids 0, 4
+        GraphUpdate::insert_edge(kFresh, 40),
+        GraphUpdate::delete_edge(kFresh, 5),
+        GraphUpdate::insert_vertex({}),                      // kFresh + 1
+        GraphUpdate::insert_vertex({4 * kGrid + 44}),        // kFresh + 2
+        GraphUpdate::delete_edge(kFresh + 2, 4 * kGrid + 44),
+        GraphUpdate::insert_vertex({10, kFresh}),            // kFresh + 3
+        GraphUpdate::delete_vertex(kFresh + 3),
+        GraphUpdate::delete_edge(view.parent_of(20), 20),
+    };
+    const std::size_t rebuilds = router.core(0).index_rebuilds();
+    std::vector<UpdateTicket> tickets;
+    for (const GraphUpdate& u : batch) tickets.push_back(router.submit(u));
+    router.resume();
+    for (const UpdateTicket& t : tickets) {
+      EXPECT_NE(t.wait(), UpdateTicket::kRejected);
+    }
+    EXPECT_EQ(tickets[0].assigned_vertex(), kFresh);
+    EXPECT_EQ(tickets[3].assigned_vertex(), kFresh + 1);
+    EXPECT_EQ(tickets[4].assigned_vertex(), kFresh + 2);
+    EXPECT_EQ(tickets[6].assigned_vertex(), kFresh + 3);
+    const std::vector<Vertex> parent = router.assemble_parent();
+    router.stop();
+    EXPECT_EQ(router.stats().max_batch, batch.size()) << "the batch coalesced";
+    EXPECT_EQ(router.core(0).index_rebuilds(), rebuilds + 1);
+    EXPECT_GT(router.core(0).last_stats().recomputes, 0u);
+    const DynamicDfs& core = router.core(0);
+    EXPECT_EQ(core.root_of(kFresh), core.root_of(4 * kGrid));
+    EXPECT_EQ(core.root_of(kFresh), core.root_of(0));
+    EXPECT_EQ(parent[static_cast<std::size_t>(kFresh + 1)], kNullVertex);
+    EXPECT_EQ(parent[static_cast<std::size_t>(kFresh + 2)], kNullVertex);
+    EXPECT_FALSE(router.view().contains(kFresh + 3));
+    const auto val = validate_dfs_forest(core.graph(), core.parent());
+    EXPECT_TRUE(val.ok) << val.reason;
+    if (want_parent.empty()) {
+      want_parent = parent;
+    } else {
+      EXPECT_EQ(parent, want_parent);
+    }
+  }
+}
+
+// A live engine fed dynamic_map batches of 14 — most carry vertex inserts,
+// which join their segment — against journal replay of the same records, in
+// the shard writer's order (pad, then apply, each recorded first): the same
+// forest, the same aliveness, and the same RerootStats for the last batch.
+TEST(ShardRouter, JournalReplayOfVertexInsertBatchesIsByteIdentical) {
+  const WorkloadSpec spec{Scenario::kDynamicMap, 1024, 5};
+  const Graph genesis = make_initial_graph(spec);
+  UpdateJournal journal(genesis, {});
+  DynamicDfs live(genesis);
+  WorkloadDriver driver(spec);
+  std::uint64_t applied = 0;
+  std::size_t insert_batches = 0;
+  for (std::uint64_t version = 1; version <= 30; ++version) {
+    std::vector<GraphUpdate> batch;
+    for (int i = 0; i < 14; ++i) batch.push_back(driver.next());
+    journal.record_pad(live.graph().capacity());
+    live.pad_capacity(live.graph().capacity());
+    journal.record_apply(batch, version + 1, applied + batch.size());
+    insert_batches += live.apply_batch(batch).new_vertices.empty() ? 0 : 1;
+    applied += batch.size();
+  }
+  ASSERT_GT(insert_batches, 0u);
+  const UpdateJournal::ReplayResult r = journal.replay();
+  EXPECT_EQ(r.updates_applied, applied);
+  ASSERT_EQ(r.engine.graph().capacity(), live.graph().capacity());
+  EXPECT_EQ(std::vector<Vertex>(r.engine.parent().begin(), r.engine.parent().end()),
+            std::vector<Vertex>(live.parent().begin(), live.parent().end()));
+  const auto alive = [](const DynamicDfs& d) {
+    return std::vector<std::uint8_t>(d.graph().alive().begin(), d.graph().alive().end());
+  };
+  EXPECT_EQ(alive(r.engine), alive(live));
+  const RerootStats& a = r.engine.last_stats();
+  const RerootStats& b = live.last_stats();
+  EXPECT_EQ(a.global_rounds, b.global_rounds);
+  EXPECT_EQ(a.components_processed, b.components_processed);
+  EXPECT_EQ(a.vertices_traversed, b.vertices_traversed);
+  EXPECT_EQ(a.serial_finishes, b.serial_finishes);
+  EXPECT_EQ(a.recomputes, b.recomputes);
 }
 
 TEST(ShardRouter, CrossShardInsertRunsTheMergeProtocol) {

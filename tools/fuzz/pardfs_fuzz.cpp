@@ -107,9 +107,10 @@ bool parse_arg(std::string_view arg, CliOptions& cli) {
 int report(const FuzzResult& r) {
   if (r.ok) {
     std::printf(
-        "OK: %llu batches, %llu updates, %llu queries, %llu faults fired, "
-        "0 mismatches\n",
+        "OK: %llu batches (%llu with a vertex insert), %llu updates, "
+        "%llu queries, %llu faults fired, 0 mismatches\n",
         static_cast<unsigned long long>(r.batches),
+        static_cast<unsigned long long>(r.insert_batches),
         static_cast<unsigned long long>(r.updates),
         static_cast<unsigned long long>(r.queries),
         static_cast<unsigned long long>(r.faults_injected));
@@ -162,6 +163,7 @@ int main(int argc, char** argv) {
           cli.fuzz.num_threads, cli.fuzz.force_scalar);
       if (!r.ok) return report(r);
       total.batches += r.batches;
+      total.insert_batches += r.insert_batches;
       total.updates += r.updates;
       total.queries += r.queries;
       total.faults_injected += r.faults_injected;
