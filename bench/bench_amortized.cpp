@@ -37,7 +37,7 @@ void BM_AmortizedPeriodSweep(benchmark::State& state) {
       dfs = make();
       state.ResumeTiming();
     }
-    dfs->apply(benchutil::to_graph_update(stream[i % stream.size()]));
+    dfs->apply(stream[i % stream.size()]);
     rounds += dfs->last_stats().global_rounds;
     ++applied;
     ++i;

@@ -17,54 +17,23 @@
 namespace pardfs::benchutil {
 
 // A reproducible mixed update stream (feasible at every step).
-inline std::vector<gen::Update> make_update_stream(const Graph& initial, int count,
-                                                   std::uint64_t seed,
-                                                   double ins_e = 1.0,
-                                                   double del_e = 1.0,
-                                                   double ins_v = 0.2,
-                                                   double del_v = 0.2) {
+inline std::vector<GraphUpdate> make_update_stream(const Graph& initial, int count,
+                                                  std::uint64_t seed,
+                                                  double ins_e = 1.0,
+                                                  double del_e = 1.0,
+                                                  double ins_v = 0.2,
+                                                  double del_v = 0.2) {
   Graph g = initial;
   Rng rng(seed);
-  std::vector<gen::Update> out;
+  std::vector<GraphUpdate> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(g, rng, ins_e, del_e, ins_v, del_v, u)) break;
-    gen::apply_update(g, u);
+    g.apply(u);
     out.push_back(std::move(u));
   }
   return out;
-}
-
-inline void apply_to(DynamicDfs& dfs, const gen::Update& u) {
-  switch (u.kind) {
-    case gen::UpdateKind::kInsertEdge:
-      dfs.insert_edge(u.u, u.v);
-      break;
-    case gen::UpdateKind::kDeleteEdge:
-      dfs.delete_edge(u.u, u.v);
-      break;
-    case gen::UpdateKind::kInsertVertex:
-      dfs.insert_vertex(u.neighbors);
-      break;
-    case gen::UpdateKind::kDeleteVertex:
-      dfs.delete_vertex(u.u);
-      break;
-  }
-}
-
-inline GraphUpdate to_graph_update(const gen::Update& u) {
-  switch (u.kind) {
-    case gen::UpdateKind::kInsertEdge:
-      return GraphUpdate::insert_edge(u.u, u.v);
-    case gen::UpdateKind::kDeleteEdge:
-      return GraphUpdate::delete_edge(u.u, u.v);
-    case gen::UpdateKind::kInsertVertex:
-      return GraphUpdate::insert_vertex(u.neighbors);
-    case gen::UpdateKind::kDeleteVertex:
-      return GraphUpdate::delete_vertex(u.u);
-  }
-  return GraphUpdate::insert_edge(u.u, u.v);
 }
 
 }  // namespace pardfs::benchutil

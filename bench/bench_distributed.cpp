@@ -42,7 +42,7 @@ void BM_DistributedUpdate(benchmark::State& state) {
       dd = dist::DistributedDfs(g);
       state.ResumeTiming();
     }
-    dd.apply(benchutil::to_graph_update(updates[i++ % updates.size()]));
+    dd.apply(updates[i++ % updates.size()]);
     rounds += dd.last_cost().rounds;
     messages += dd.last_cost().messages;
     height = std::max<std::int64_t>(height, dd.last_cost().bfs_height);
@@ -75,7 +75,7 @@ void BM_DistributedMessageSize(benchmark::State& state) {
       dd = dist::DistributedDfs(g, b);
       state.ResumeTiming();
     }
-    dd.apply(benchutil::to_graph_update(updates[i++ % updates.size()]));
+    dd.apply(updates[i++ % updates.size()]);
     rounds += dd.last_cost().rounds;
     ++applied;
   }

@@ -33,8 +33,7 @@ void BM_StreamingUpdatePasses(benchmark::State& state) {
       sd = std::make_unique<stream::StreamingDfs>(*es, n);
       state.ResumeTiming();
     }
-    const auto& u = updates[i++ % updates.size()];
-    sd->apply(benchutil::to_graph_update(u));
+    sd->apply(updates[i++ % updates.size()]);
     passes += sd->passes_last_update();
     ++applied;
   }

@@ -45,7 +45,7 @@ void BM_DynamicUpdate(benchmark::State& state) {
       mark = DynamicDfs::phase_breakdown();
       state.ResumeTiming();
     }
-    benchutil::apply_to(dfs, stream[i % stream.size()]);
+    dfs.apply(stream[i % stream.size()]);
     absorb();
     rounds += dfs.last_stats().global_rounds;
     batches += dfs.last_stats().query_batches;
@@ -106,7 +106,7 @@ void BM_DynamicUpdateByKind(benchmark::State& state) {
       dfs = DynamicDfs(g);
       state.ResumeTiming();
     }
-    benchutil::apply_to(dfs, stream[i % stream.size()]);
+    dfs.apply(stream[i % stream.size()]);
     rounds += dfs.last_stats().global_rounds;
     ++updates;
     ++i;

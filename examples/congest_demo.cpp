@@ -19,12 +19,9 @@ void run(const char* name, Graph g, Rng& rng) {
               dd.graph().num_vertices(),
               static_cast<long long>(dd.graph().num_edges()), dd.message_words());
   for (int step = 0; step < 5; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(dd.graph(), rng, 1, 1, 0, 0, u)) break;
-    const GraphUpdate gu = u.kind == gen::UpdateKind::kInsertEdge
-                               ? GraphUpdate::insert_edge(u.u, u.v)
-                               : GraphUpdate::delete_edge(u.u, u.v);
-    dd.apply(gu);
+    dd.apply(u);
     const auto& c = dd.last_cost();
     const auto check = validate_dfs_forest(dd.graph(), dd.parent());
     std::printf("  update %d: rounds %6llu  messages %8llu  query sets %3llu  "

@@ -33,29 +33,14 @@ int main() {
   std::printf("monitoring %d routers, %lld links\n", n,
               static_cast<long long>(dfs.graph().num_edges()));
 
+  // Indexed by GraphUpdate::Kind.
+  constexpr const char* kWhat[] = {"link up  ", "link down", "node up  ", "node down"};
   std::uint64_t total_rounds = 0;
   for (int step = 0; step < 50; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(dfs.graph(), rng, 1.0, 1.2, 0.0, 0.05, u)) break;
-    const char* what = "";
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge:
-        dfs.insert_edge(u.u, u.v);
-        what = "link up  ";
-        break;
-      case gen::UpdateKind::kDeleteEdge:
-        dfs.delete_edge(u.u, u.v);
-        what = "link down";
-        break;
-      case gen::UpdateKind::kDeleteVertex:
-        dfs.delete_vertex(u.u);
-        what = "node down";
-        break;
-      case gen::UpdateKind::kInsertVertex:
-        dfs.insert_vertex(u.neighbors);
-        what = "node up  ";
-        break;
-    }
+    dfs.apply(u);
+    const char* what = kWhat[static_cast<int>(u.kind)];
     total_rounds += dfs.last_stats().global_rounds;
 
     const CutStructure cuts = find_cuts(dfs.graph(), dfs.parent());

@@ -23,15 +23,12 @@ int main() {
               static_cast<unsigned long long>(sd.static_build_passes()));
 
   for (int step = 0; step < 12; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(sd.graph(), rng, 1, 1, 0, 0, u)) break;
-    const GraphUpdate gu = u.kind == gen::UpdateKind::kInsertEdge
-                               ? GraphUpdate::insert_edge(u.u, u.v)
-                               : GraphUpdate::delete_edge(u.u, u.v);
-    sd.apply(gu);
+    sd.apply(u);
     const auto check = validate_dfs_forest(sd.graph(), sd.parent());
     std::printf("update %2d (%s %4d-%4d): %3llu passes   [forest %s]\n", step,
-                u.kind == gen::UpdateKind::kInsertEdge ? "insert" : "delete", u.u,
+                u.kind == GraphUpdate::Kind::kInsertEdge ? "insert" : "delete", u.u,
                 u.v, static_cast<unsigned long long>(sd.passes_last_update()),
                 check.ok ? "valid" : check.reason.c_str());
   }

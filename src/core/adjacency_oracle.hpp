@@ -80,10 +80,6 @@ class AdjacencyOracle {
   // fault-tolerant wrapper to answer independent update batches).
   void clear_patches();
 
-  // Re-points the oracle at the (moved) base index. Owners embedding both
-  // the index and the oracle call this from their move operations.
-  void rebind_base(const TreeIndex* base) { base_ = base; }
-
   // True if v existed at build time and is part of the base tree.
   bool is_base_vertex(Vertex v) const {
     return v >= 0 && v < base_capacity_ && base_->in_forest(v);
@@ -176,11 +172,6 @@ class AdjacencyOracle {
   // copy of the rows (the rerooter's non-tree rows).
   void charge_scan(std::uint64_t entries) const {
     if (cost_ != nullptr) cost_->add_query(entries);
-  }
-
-  // Cheap existence test built on the above.
-  bool segment_has_edge(PathSeg source, PathSeg target) const {
-    return query_segments(source, target, PathEnd::kTop).has_value();
   }
 
   // Software prefetch of u's CSR adjacency row (data + posts + patch flag)

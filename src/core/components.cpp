@@ -148,13 +148,6 @@ std::optional<Edge> OracleView::query_piece(const Piece& src, Vertex near,
   return std::nullopt;
 }
 
-std::optional<Edge> OracleView::query_vertices(std::span<const Vertex> sources,
-                                               Vertex near, Vertex far) const {
-  std::vector<CurSeg> target;
-  decompose(near, far, target);
-  return query_sources_over_segs(sources, target);
-}
-
 std::optional<Edge> OracleView::query_vertex_over(Vertex u,
                                                   const std::vector<CurSeg>& segs) const {
   for (const CurSeg& cs : segs) {

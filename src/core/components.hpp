@@ -120,11 +120,6 @@ class OracleView {
   // target endpoints nearest `near`. Returns {x in piece, y on path}.
   std::optional<Edge> query_piece(const Piece& src, Vertex near, Vertex far) const;
 
-  // Best edge from an explicit searcher set (each vertex one logical
-  // processor) to the path [near..far], preferring endpoints nearest `near`.
-  std::optional<Edge> query_vertices(std::span<const Vertex> sources, Vertex near,
-                                     Vertex far) const;
-
   // Any edge between the piece and the path?
   bool piece_has_edge(const Piece& src, Vertex a, Vertex b) const {
     return query_piece(src, a, b).has_value();

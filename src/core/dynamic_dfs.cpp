@@ -392,7 +392,7 @@ void DynamicDfs::delete_vertex(Vertex v) {
   finish_structural();
 }
 
-void DynamicDfs::apply(const GraphUpdate& update) {
+Vertex DynamicDfs::apply(const GraphUpdate& update) {
   switch (update.kind) {
     case GraphUpdate::Kind::kInsertEdge:
       insert_edge(update.u, update.v);
@@ -401,12 +401,12 @@ void DynamicDfs::apply(const GraphUpdate& update) {
       delete_edge(update.u, update.v);
       break;
     case GraphUpdate::Kind::kInsertVertex:
-      insert_vertex(update.neighbors);
-      break;
+      return insert_vertex(update.neighbors);
     case GraphUpdate::Kind::kDeleteVertex:
       delete_vertex(update.u);
       break;
   }
+  return kNullVertex;
 }
 
 bool DynamicDfs::is_structural(const GraphUpdate& u) const {

@@ -110,7 +110,9 @@ class DynamicDfs {
   void delete_edge(Vertex u, Vertex v);
   Vertex insert_vertex(std::span<const Vertex> neighbors);
   void delete_vertex(Vertex v);
-  void apply(const GraphUpdate& update);
+  // Dispatches to the call above; returns the new id for a vertex
+  // insertion and kNullVertex otherwise, like Graph::apply.
+  Vertex apply(const GraphUpdate& update);
 
   // Applies a whole batch with the combined k-update reduction
   // (core/batch_reduction): D is patched for every update, one engine pass

@@ -16,36 +16,9 @@
 
 #include "core/components.hpp"
 #include "core/rerooter.hpp"
-#include "graph/edge.hpp"
+#include "graph/graph.hpp"
 
 namespace pardfs {
-
-// Update vocabulary for batch interfaces (apply_batch, streaming, ...).
-struct GraphUpdate {
-  enum class Kind : std::uint8_t {
-    kInsertEdge,
-    kDeleteEdge,
-    kInsertVertex,
-    kDeleteVertex,
-  };
-  Kind kind = Kind::kInsertEdge;
-  Vertex u = kNullVertex;
-  Vertex v = kNullVertex;
-  std::vector<Vertex> neighbors;  // kInsertVertex: incident edge set
-
-  static GraphUpdate insert_edge(Vertex u, Vertex v) {
-    return {Kind::kInsertEdge, u, v, {}};
-  }
-  static GraphUpdate delete_edge(Vertex u, Vertex v) {
-    return {Kind::kDeleteEdge, u, v, {}};
-  }
-  static GraphUpdate insert_vertex(std::vector<Vertex> neighbors) {
-    return {Kind::kInsertVertex, kNullVertex, kNullVertex, std::move(neighbors)};
-  }
-  static GraphUpdate delete_vertex(Vertex v) {
-    return {Kind::kDeleteVertex, v, kNullVertex, {}};
-  }
-};
 
 struct ReductionResult {
   std::vector<RerootRequest> reroots;

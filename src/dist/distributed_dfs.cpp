@@ -145,10 +145,8 @@ void DistributedDfs::apply(const GraphUpdate& update) {
       break;  // the new vertex id is known only after the mutation
   }
 
-  dfs_.apply(update);
-  if (update.kind == GraphUpdate::Kind::kInsertVertex) {
-    anchor = graph().capacity() - 1;
-  }
+  const Vertex added = dfs_.apply(update);
+  if (added != kNullVertex) anchor = added;
 
   last_ = UpdateCost{};
   last_.query_sets = dfs_.last_stats().query_batches;

@@ -199,7 +199,7 @@ bool pick_present_edge(const Graph& g, Rng& rng, Vertex& u, Vertex& v) {
 
 bool random_update(const Graph& g, Rng& rng, double w_insert_edge,
                    double w_delete_edge, double w_insert_vertex,
-                   double w_delete_vertex, Update& out) {
+                   double w_delete_vertex, GraphUpdate& out) {
   double weights[4] = {w_insert_edge, w_delete_edge, w_insert_vertex,
                        w_delete_vertex};
   for (int attempt = 0; attempt < 16; ++attempt) {
@@ -208,24 +208,24 @@ bool random_update(const Graph& g, Rng& rng, double w_insert_edge,
     double pick = rng.uniform() * total;
     int kind = 0;
     while (kind < 3 && pick >= weights[kind]) pick -= weights[kind++];
-    switch (static_cast<UpdateKind>(kind)) {
-      case UpdateKind::kInsertEdge: {
+    switch (static_cast<GraphUpdate::Kind>(kind)) {
+      case GraphUpdate::Kind::kInsertEdge: {
         Vertex u, v;
         if (pick_absent_edge(g, rng, u, v)) {
-          out = {UpdateKind::kInsertEdge, u, v, {}};
+          out = GraphUpdate::insert_edge(u, v);
           return true;
         }
         break;
       }
-      case UpdateKind::kDeleteEdge: {
+      case GraphUpdate::Kind::kDeleteEdge: {
         Vertex u, v;
         if (pick_present_edge(g, rng, u, v)) {
-          out = {UpdateKind::kDeleteEdge, u, v, {}};
+          out = GraphUpdate::delete_edge(u, v);
           return true;
         }
         break;
       }
-      case UpdateKind::kInsertVertex: {
+      case GraphUpdate::Kind::kInsertVertex: {
         // Up to 8 random distinct neighbors (possibly zero).
         std::vector<Vertex> nbrs;
         if (g.num_vertices() > 0) {
@@ -237,12 +237,12 @@ bool random_update(const Graph& g, Rng& rng, double w_insert_edge,
           nbrs.assign(set.begin(), set.end());
           std::sort(nbrs.begin(), nbrs.end());
         }
-        out = {UpdateKind::kInsertVertex, kNullVertex, kNullVertex, std::move(nbrs)};
+        out = GraphUpdate::insert_vertex(std::move(nbrs));
         return true;
       }
-      case UpdateKind::kDeleteVertex: {
+      case GraphUpdate::Kind::kDeleteVertex: {
         if (g.num_vertices() > 1) {
-          out = {UpdateKind::kDeleteVertex, random_alive(g, rng), kNullVertex, {}};
+          out = GraphUpdate::delete_vertex(random_alive(g, rng));
           return true;
         }
         break;
@@ -251,23 +251,6 @@ bool random_update(const Graph& g, Rng& rng, double w_insert_edge,
     weights[kind] = 0.0;  // kind infeasible; retry among the rest
   }
   return false;
-}
-
-Vertex apply_update(Graph& g, const Update& u) {
-  switch (u.kind) {
-    case UpdateKind::kInsertEdge:
-      g.add_edge(u.u, u.v);
-      return kNullVertex;
-    case UpdateKind::kDeleteEdge:
-      g.remove_edge(u.u, u.v);
-      return kNullVertex;
-    case UpdateKind::kInsertVertex:
-      return g.add_vertex(u.neighbors);
-    case UpdateKind::kDeleteVertex:
-      g.remove_vertex(u.u);
-      return kNullVertex;
-  }
-  return kNullVertex;
 }
 
 }  // namespace pardfs::gen

@@ -65,30 +65,11 @@ Graph random_connected(Vertex n, std::int64_t extra, Rng& rng);
 // Θ(n) neighborhood. Connected; m ≥ 1; n ≥ m + 1.
 Graph barabasi_albert(Vertex n, Vertex m, Rng& rng);
 
-// A random update mix used by benchmarks and property tests.
-enum class UpdateKind : std::uint8_t {
-  kInsertEdge,
-  kDeleteEdge,
-  kInsertVertex,
-  kDeleteVertex,
-};
-
-struct Update {
-  UpdateKind kind;
-  Vertex u = kNullVertex;              // edge endpoint / deleted vertex
-  Vertex v = kNullVertex;              // edge endpoint
-  std::vector<Vertex> neighbors;       // for vertex insertion
-};
-
 // Generates a feasible random update for the current graph, drawing kinds
 // with the given weights (normalized internally). Returns false if no
 // feasible update exists (e.g. empty graph and zero insert weight).
 bool random_update(const Graph& g, Rng& rng, double w_insert_edge,
                    double w_delete_edge, double w_insert_vertex,
-                   double w_delete_vertex, Update& out);
-
-// Applies an update to the graph (keeps graph and DFS structures in sync in
-// tests). For kInsertVertex, `out_new_vertex` receives the id.
-Vertex apply_update(Graph& g, const Update& u);
+                   double w_delete_vertex, GraphUpdate& out);
 
 }  // namespace pardfs::gen

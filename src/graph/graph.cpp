@@ -67,6 +67,23 @@ bool Graph::remove_edge(Vertex u, Vertex v) {
   return true;
 }
 
+Vertex Graph::apply(const GraphUpdate& update) {
+  switch (update.kind) {
+    case GraphUpdate::Kind::kInsertEdge:
+      add_edge(update.u, update.v);
+      break;
+    case GraphUpdate::Kind::kDeleteEdge:
+      remove_edge(update.u, update.v);
+      break;
+    case GraphUpdate::Kind::kInsertVertex:
+      return add_vertex(update.neighbors);
+    case GraphUpdate::Kind::kDeleteVertex:
+      remove_vertex(update.u);
+      break;
+  }
+  return kNullVertex;
+}
+
 bool Graph::has_edge(Vertex u, Vertex v) const {
   if (!is_alive(u) || !is_alive(v)) return false;
   const auto& au = adjacency_[static_cast<std::size_t>(u)];

@@ -5,20 +5,50 @@
 // Vertex ids are dense 0..capacity-1; deleted vertices leave a hole (the
 // id is not recycled) so that ids remain stable across an update sequence.
 //
-// Adjacency is stored as per-vertex vectors. Deletion is O(degree) via
-// swap-erase; the library's per-update cost is dominated by tree/oracle work
-// anyway, and keeping adjacency compact makes the oracle rebuild a linear
-// scan. Parallel edges and self-loops are rejected (the DFS-tree machinery
-// assumes a simple graph, as does the paper).
+// Adjacency is stored as per-vertex vectors. Deletion is O(degree) and
+// order-preserving: the remaining neighbours keep their relative order, so a
+// row is a pure function of its update history. The DFS forests depend on
+// row order, and the byte-identical-at-any-shard-count argument (DESIGN.md,
+// "Determinism") relies on it. Parallel edges and self-loops are rejected
+// (the DFS-tree machinery assumes a simple graph, as does the paper).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/edge.hpp"
 
 namespace pardfs {
+
+// The paper's update model, shared by every layer: generators, the graph,
+// the dynamic engine, batches, streams and the service.
+struct GraphUpdate {
+  enum class Kind : std::uint8_t {
+    kInsertEdge,
+    kDeleteEdge,
+    kInsertVertex,
+    kDeleteVertex,
+  };
+  Kind kind = Kind::kInsertEdge;
+  Vertex u = kNullVertex;  // edge endpoint / deleted vertex
+  Vertex v = kNullVertex;  // edge endpoint
+  std::vector<Vertex> neighbors;  // kInsertVertex: incident edge set
+
+  static GraphUpdate insert_edge(Vertex u, Vertex v) {
+    return {Kind::kInsertEdge, u, v, {}};
+  }
+  static GraphUpdate delete_edge(Vertex u, Vertex v) {
+    return {Kind::kDeleteEdge, u, v, {}};
+  }
+  static GraphUpdate insert_vertex(std::vector<Vertex> neighbors) {
+    return {Kind::kInsertVertex, kNullVertex, kNullVertex, std::move(neighbors)};
+  }
+  static GraphUpdate delete_vertex(Vertex v) {
+    return {Kind::kDeleteVertex, v, kNullVertex, {}};
+  }
+};
 
 class Graph {
  public:
@@ -51,6 +81,9 @@ class Graph {
   bool add_edge(Vertex u, Vertex v);
   // Returns false if the edge does not exist.
   bool remove_edge(Vertex u, Vertex v);
+  // Applies one update through the calls above. Returns the new id for a
+  // vertex insertion, kNullVertex otherwise.
+  Vertex apply(const GraphUpdate& update);
 
   bool has_edge(Vertex u, Vertex v) const;
 

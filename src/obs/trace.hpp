@@ -49,9 +49,6 @@ class Stopwatch {
   Stopwatch() : start_(now_ns()) {}
   void reset() { start_ = now_ns(); }
   std::uint64_t elapsed_ns() const { return now_ns() - start_; }
-  double elapsed_us() const {
-    return static_cast<double>(elapsed_ns()) * 1e-3;
-  }
   double elapsed_seconds() const {
     return static_cast<double>(elapsed_ns()) * 1e-9;
   }

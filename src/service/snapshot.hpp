@@ -31,7 +31,7 @@ class DfsSnapshot {
   // The forest-shaped part of a snapshot. Patch-only batches (back-edge
   // inserts/deletes) change num_edges and the version but not the forest,
   // so consecutive snapshots share one immutable Forest instead of paying
-  // O(n) copies per publish (see DfsService::publish). The TreeIndex is
+  // O(n) copies per publish (see ShardRouter::publish). The TreeIndex is
   // shared with the core: DynamicDfs rebuilds produce a NEW index object
   // instead of mutating the published one, so structural-batch publication
   // is a pointer copy, not a megabyte clone.

@@ -13,7 +13,7 @@ namespace pardfs::service {
 namespace {
 
 // kRejected acks that never reached the writer: the submit-vs-stop race.
-// The drain-path twin (reason="infeasible") lives in DfsService.
+// The drain-path twin (reason="infeasible") lives in ShardRouter::reject.
 obs::Counter& shutdown_rejections() {
   static obs::Counter& c = obs::Registry::global().counter(
       "pardfs_acks_rejected_total", "reason=\"shutdown\"");

@@ -25,12 +25,11 @@
 #include <optional>
 #include <vector>
 
-#include "core/reduction.hpp"
+#include "graph/graph.hpp"
 
 namespace pardfs::service {
 
 class UpdateQueue;
-class DfsService;
 class ShardRouter;
 
 class UpdateTicket {
@@ -87,7 +86,6 @@ class UpdateTicket {
 
  private:
   friend class UpdateQueue;
-  friend class DfsService;
   friend class ShardRouter;
   // Transient claim sentinel for try_ack's claim-then-publish protocol: the
   // winning acker CASes `result` from 0 to this, publishes the vertex, then

@@ -91,23 +91,13 @@ GraphUpdate WorkloadDriver::next_mixed(double w_insert_edge,
                                        double w_delete_edge,
                                        double w_insert_vertex,
                                        double w_delete_vertex) {
-  gen::Update u;
+  GraphUpdate u;
   const bool ok = gen::random_update(mirror_, rng_, w_insert_edge,
                                      w_delete_edge, w_insert_vertex,
                                      w_delete_vertex, u);
   PARDFS_CHECK_MSG(ok, "workload stream became infeasible");
-  gen::apply_update(mirror_, u);
-  switch (u.kind) {
-    case gen::UpdateKind::kInsertEdge:
-      return GraphUpdate::insert_edge(u.u, u.v);
-    case gen::UpdateKind::kDeleteEdge:
-      return GraphUpdate::delete_edge(u.u, u.v);
-    case gen::UpdateKind::kInsertVertex:
-      return GraphUpdate::insert_vertex(std::move(u.neighbors));
-    case gen::UpdateKind::kDeleteVertex:
-      return GraphUpdate::delete_vertex(u.u);
-  }
-  return GraphUpdate::insert_edge(u.u, u.v);
+  mirror_.apply(u);
+  return u;
 }
 
 GraphUpdate WorkloadDriver::next() {

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/reduction.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "service/update_queue.hpp"

@@ -28,7 +28,6 @@ class EdgeStream {
   }
 
   std::uint64_t passes() const { return passes_; }
-  void reset_pass_counter() { passes_ = 0; }
   std::size_t size() const { return edges_.size(); }
 
   // ---- updates (maintaining the external input; not counted as passes) ----

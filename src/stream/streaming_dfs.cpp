@@ -64,6 +64,7 @@ StreamingDfs::StreamingDfs(EdgeStream& stream, Vertex n) : stream_(stream), dfs_
 }
 
 void StreamingDfs::apply(const GraphUpdate& update) {
+  const Vertex added = dfs_.apply(update);
   // Keep the external stream in sync with the update.
   switch (update.kind) {
     case GraphUpdate::Kind::kInsertEdge:
@@ -73,16 +74,11 @@ void StreamingDfs::apply(const GraphUpdate& update) {
       stream_.delete_edge(update.u, update.v);
       break;
     case GraphUpdate::Kind::kInsertVertex:
-      break;  // edges added below once the id is known
+      for (const Vertex u : update.neighbors) stream_.insert_edge(u, added);
+      break;
     case GraphUpdate::Kind::kDeleteVertex:
       stream_.delete_vertex(update.u);
       break;
-  }
-  if (update.kind == GraphUpdate::Kind::kInsertVertex) {
-    const Vertex v = dfs_.insert_vertex(update.neighbors);
-    for (const Vertex u : update.neighbors) stream_.insert_edge(u, v);
-  } else {
-    dfs_.apply(update);
   }
   // Pass ledger: the reduction performs O(1) sets of independent queries
   // (Theorem 2) — charge 2 (its query set + the back-edge/LCA checks are

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "core/dynamic_dfs.hpp"
-#include "core/reduction.hpp"
+#include "graph/graph.hpp"
 #include "stream/edge_stream.hpp"
 #include "tree/tree_index.hpp"
 

@@ -234,25 +234,11 @@ class RawStream final : public UpdateStream {
   const Graph& mirror() const override { return mirror_; }
 
   bool next(GeneratedUpdate& out) override {
-    gen::Update u;
-    if (!gen::random_update(mirror_, rng_, w_[0], w_[1], w_[2], w_[3], u)) {
+    if (!gen::random_update(mirror_, rng_, w_[0], w_[1], w_[2], w_[3],
+                            out.update)) {
       return false;
     }
-    out.expected_vertex = gen::apply_update(mirror_, u);
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge:
-        out.update = GraphUpdate::insert_edge(u.u, u.v);
-        break;
-      case gen::UpdateKind::kDeleteEdge:
-        out.update = GraphUpdate::delete_edge(u.u, u.v);
-        break;
-      case gen::UpdateKind::kInsertVertex:
-        out.update = GraphUpdate::insert_vertex(std::move(u.neighbors));
-        break;
-      case gen::UpdateKind::kDeleteVertex:
-        out.update = GraphUpdate::delete_vertex(u.u);
-        break;
-    }
+    out.expected_vertex = mirror_.apply(out.update);
     return true;
   }
 

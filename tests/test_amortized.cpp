@@ -13,20 +13,6 @@
 namespace pardfs {
 namespace {
 
-GraphUpdate convert(const gen::Update& u) {
-  switch (u.kind) {
-    case gen::UpdateKind::kInsertEdge:
-      return GraphUpdate::insert_edge(u.u, u.v);
-    case gen::UpdateKind::kDeleteEdge:
-      return GraphUpdate::delete_edge(u.u, u.v);
-    case gen::UpdateKind::kInsertVertex:
-      return GraphUpdate::insert_vertex(u.neighbors);
-    case gen::UpdateKind::kDeleteVertex:
-      return GraphUpdate::delete_vertex(u.u);
-  }
-  return GraphUpdate::insert_edge(u.u, u.v);
-}
-
 DynamicDfs with_period(Graph g, std::size_t period) {
   return DynamicDfs(std::move(g), RerootStrategy::kPaper, nullptr, 0, -1, {}, period);
 }
@@ -35,13 +21,13 @@ DynamicDfs with_period(Graph g, std::size_t period) {
 // or a cross-edge insert.
 GraphUpdate next_structural(const DynamicDfs& dfs, Rng& rng) {
   for (;;) {
-    gen::Update u;
+    GraphUpdate u;
     EXPECT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0, 0, u));
     const bool structural =
-        u.kind == gen::UpdateKind::kDeleteEdge
+        u.kind == GraphUpdate::Kind::kDeleteEdge
             ? dfs.parent_of(u.v) == u.u || dfs.parent_of(u.u) == u.v
             : !dfs.tree().is_back_edge(u.u, u.v);
-    if (structural) return convert(u);
+    if (structural) return u;
   }
 }
 
@@ -54,9 +40,9 @@ TEST_P(AmortizedSweep, ForestStaysValidForEveryPeriod) {
   DynamicDfs dfs = with_period(g, static_cast<std::size_t>(period));
   EXPECT_EQ(dfs.epoch_period(), static_cast<std::size_t>(period));
   for (int step = 0; step < 80; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0.4, 0.4, u));
-    dfs.apply(convert(u));
+    dfs.apply(u);
     const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
     ASSERT_TRUE(val.ok) << "period=" << period << " step=" << step << ": "
                         << val.reason;
@@ -129,9 +115,9 @@ TEST(FaultTolerantRebase, LongRunBeyondLogN) {
   Graph g = gen::random_connected(50, 80, rng);
   DynamicDfs dfs = with_period(g, 6);
   for (int step = 0; step < 100; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0.3, 0.3, u));
-    dfs.apply(convert(u));
+    dfs.apply(u);
     ASSERT_LE(dfs.updates_since_rebase(), 6u);
     const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
     ASSERT_TRUE(val.ok) << "step " << step << ": " << val.reason;

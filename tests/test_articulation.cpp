@@ -242,14 +242,9 @@ TEST(Articulation, PreOrderSweepMatchesBruteForceAndDepthFormOnEveryFamily) {
     check(g, static_dfs(g));
     DynamicDfs dfs(g);
     for (int i = 0; i < 30; ++i) {
-      gen::Update u;
+      GraphUpdate u;
       if (!gen::random_update(dfs.graph(), rng, 1.0, 1.0, 0.3, 0.3, u)) break;
-      switch (u.kind) {
-        case gen::UpdateKind::kInsertEdge: dfs.insert_edge(u.u, u.v); break;
-        case gen::UpdateKind::kDeleteEdge: dfs.delete_edge(u.u, u.v); break;
-        case gen::UpdateKind::kInsertVertex: dfs.insert_vertex(u.neighbors); break;
-        case gen::UpdateKind::kDeleteVertex: dfs.delete_vertex(u.u); break;
-      }
+      dfs.apply(u);
     }
     check(dfs.graph(), dfs.parent());
   }

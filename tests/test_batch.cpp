@@ -17,20 +17,6 @@
 namespace pardfs {
 namespace {
 
-GraphUpdate to_graph_update(const gen::Update& u) {
-  switch (u.kind) {
-    case gen::UpdateKind::kInsertEdge:
-      return GraphUpdate::insert_edge(u.u, u.v);
-    case gen::UpdateKind::kDeleteEdge:
-      return GraphUpdate::delete_edge(u.u, u.v);
-    case gen::UpdateKind::kInsertVertex:
-      return GraphUpdate::insert_vertex(u.neighbors);
-    case gen::UpdateKind::kDeleteVertex:
-      return GraphUpdate::delete_vertex(u.u);
-  }
-  return GraphUpdate::insert_edge(u.u, u.v);
-}
-
 // A feasible mixed update stream, pre-generated against a mirror graph.
 std::vector<GraphUpdate> make_stream(const Graph& initial, int count,
                                      std::uint64_t seed, double ins_v = 0.2,
@@ -40,10 +26,10 @@ std::vector<GraphUpdate> make_stream(const Graph& initial, int count,
   std::vector<GraphUpdate> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(mirror, rng, 1.0, 1.0, ins_v, del_v, u)) break;
-    gen::apply_update(mirror, u);
-    out.push_back(to_graph_update(u));
+    mirror.apply(u);
+    out.push_back(std::move(u));
   }
   return out;
 }

@@ -113,25 +113,12 @@ TEST(DistributedDfs, ForestStaysValidUnderChurn) {
   Graph g = gen::random_connected(40, 70, rng);
   DistributedDfs dd(std::move(g), 8);
   for (int step = 0; step < 30; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dd.graph(), rng, 1, 1, 0.3, 0.3, u));
-    GraphUpdate gu = [&] {
-      switch (u.kind) {
-        case gen::UpdateKind::kInsertEdge:
-          return GraphUpdate::insert_edge(u.u, u.v);
-        case gen::UpdateKind::kDeleteEdge:
-          return GraphUpdate::delete_edge(u.u, u.v);
-        case gen::UpdateKind::kInsertVertex:
-          return GraphUpdate::insert_vertex(u.neighbors);
-        case gen::UpdateKind::kDeleteVertex:
-          return GraphUpdate::delete_vertex(u.u);
-      }
-      return GraphUpdate::insert_edge(u.u, u.v);
-    }();
-    dd.apply(gu);
+    dd.apply(u);
     const auto val = validate_dfs_forest(dd.graph(), dd.parent());
     ASSERT_TRUE(val.ok) << "step " << step << ": " << val.reason;
-    if (u.kind == gen::UpdateKind::kInsertEdge) {
+    if (u.kind == GraphUpdate::Kind::kInsertEdge) {
       // Edge endpoints share a component of size >= 2: communication is
       // unavoidable. (Deletions may leave the leader in a singleton.)
       EXPECT_GT(dd.last_cost().rounds, 0u) << "step " << step;

@@ -185,14 +185,9 @@ TEST(DynamicDfs, MoveConstructThenUpdateThenValidate) {
   EXPECT_EQ(state, std::vector<Vertex>(moved.parent().begin(),
                                        moved.parent().end()));
   for (int step = 0; step < 30; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(moved.graph(), rng, 1, 1, 0.2, 0.2, u));
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge: moved.insert_edge(u.u, u.v); break;
-      case gen::UpdateKind::kDeleteEdge: moved.delete_edge(u.u, u.v); break;
-      case gen::UpdateKind::kInsertVertex: moved.insert_vertex(u.neighbors); break;
-      case gen::UpdateKind::kDeleteVertex: moved.delete_vertex(u.u); break;
-    }
+    moved.apply(u);
     expect_valid(moved, "update after move construction");
   }
 }
@@ -207,14 +202,9 @@ TEST(DynamicDfs, MoveAssignThenUpdateThenValidate) {
   // Mixed updates across at least one epoch boundary: the rebase path
   // (oracle rebuild over the moved base index) must work too.
   for (std::size_t step = 0; step <= target.epoch_period() + 4; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(target.graph(), rng, 1, 1, 0.2, 0.2, u));
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge: target.insert_edge(u.u, u.v); break;
-      case gen::UpdateKind::kDeleteEdge: target.delete_edge(u.u, u.v); break;
-      case gen::UpdateKind::kInsertVertex: target.insert_vertex(u.neighbors); break;
-      case gen::UpdateKind::kDeleteVertex: target.delete_vertex(u.u); break;
-    }
+    target.apply(u);
     expect_valid(target, "update after move assignment");
   }
 }

@@ -31,25 +31,12 @@ TEST_P(DynamicSweep, ForestStaysValid) {
   Graph g = gen::random_connected(n, static_cast<std::int64_t>(density) * n, rng);
   DynamicDfs dfs(g, strategy);
   for (int step = 0; step < 120; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(dfs.graph(), rng, mix.ins_e, mix.del_e, mix.ins_v,
                             mix.del_v, u)) {
       break;
     }
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge:
-        dfs.insert_edge(u.u, u.v);
-        break;
-      case gen::UpdateKind::kDeleteEdge:
-        dfs.delete_edge(u.u, u.v);
-        break;
-      case gen::UpdateKind::kInsertVertex:
-        dfs.insert_vertex(u.neighbors);
-        break;
-      case gen::UpdateKind::kDeleteVertex:
-        dfs.delete_vertex(u.u);
-        break;
-    }
+    dfs.apply(u);
     const auto validation = validate_dfs_forest(dfs.graph(), dfs.parent());
     ASSERT_TRUE(validation.ok)
         << "seed=" << seed << " density=" << density << " mix=" << mix.name
@@ -119,27 +106,14 @@ TEST_P(FamilySweep, ForestValidAndThreadCountInvariant) {
   Graph mirror = initial;
   Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 17);
   for (int step = 0; step < 100; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     if (!gen::random_update(mirror, rng, mix.ins_e, mix.del_e, mix.ins_v,
                             mix.del_v, u)) {
       break;
     }
-    gen::apply_update(mirror, u);
+    mirror.apply(u);
     for (DynamicDfs* dfs : {&serial, &parallel}) {
-      switch (u.kind) {
-        case gen::UpdateKind::kInsertEdge:
-          dfs->insert_edge(u.u, u.v);
-          break;
-        case gen::UpdateKind::kDeleteEdge:
-          dfs->delete_edge(u.u, u.v);
-          break;
-        case gen::UpdateKind::kInsertVertex:
-          dfs->insert_vertex(u.neighbors);
-          break;
-        case gen::UpdateKind::kDeleteVertex:
-          dfs->delete_vertex(u.u);
-          break;
-      }
+      dfs->apply(u);
     }
     const auto validation = validate_dfs_forest(mirror, serial.parent());
     ASSERT_TRUE(validation.ok) << "seed=" << seed << " family=" << family.name
@@ -222,13 +196,9 @@ TEST(DynamicAdversarial, HairyPathChurn) {
   DynamicDfs dfs(std::move(g));
   Rng rng(2718);
   for (int step = 0; step < 60; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0, 0, u));
-    if (u.kind == gen::UpdateKind::kInsertEdge) {
-      dfs.insert_edge(u.u, u.v);
-    } else {
-      dfs.delete_edge(u.u, u.v);
-    }
+    dfs.apply(u);
     const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
     ASSERT_TRUE(val.ok) << "step " << step << ": " << val.reason;
   }

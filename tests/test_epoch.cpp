@@ -66,23 +66,10 @@ TEST(Epoch, LongMixedStreamStaysValidAcrossEpochs) {
   const std::size_t rebuilds_at_start = dfs.epoch_rebuilds();
   int applied = 0;
   while (applied < 500) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1.0, 1.0, 0.3, 0.3, u))
         << "stream became infeasible at step " << applied;
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge:
-        dfs.insert_edge(u.u, u.v);
-        break;
-      case gen::UpdateKind::kDeleteEdge:
-        dfs.delete_edge(u.u, u.v);
-        break;
-      case gen::UpdateKind::kInsertVertex:
-        dfs.insert_vertex(u.neighbors);
-        break;
-      case gen::UpdateKind::kDeleteVertex:
-        dfs.delete_vertex(u.u);
-        break;
-    }
+    dfs.apply(u);
     ++applied;
     const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
     ASSERT_TRUE(val.ok) << "step " << applied << ": " << val.reason;

@@ -11,20 +11,6 @@
 namespace pardfs {
 namespace {
 
-GraphUpdate to_graph_update(const gen::Update& u) {
-  switch (u.kind) {
-    case gen::UpdateKind::kInsertEdge:
-      return GraphUpdate::insert_edge(u.u, u.v);
-    case gen::UpdateKind::kDeleteEdge:
-      return GraphUpdate::delete_edge(u.u, u.v);
-    case gen::UpdateKind::kInsertVertex:
-      return GraphUpdate::insert_vertex(u.neighbors);
-    case gen::UpdateKind::kDeleteVertex:
-      return GraphUpdate::delete_vertex(u.u);
-  }
-  return GraphUpdate::insert_edge(u.u, u.v);
-}
-
 DynamicDfs fault_tolerant(Graph g) {
   return DynamicDfs(std::move(g), RerootStrategy::kPaper, nullptr, 0, -1, {},
                     DynamicDfs::kNeverRebase);
@@ -77,10 +63,10 @@ TEST_P(FaultTolerantBatch, KUpdateBatchesStayValid) {
     Graph expected = ft.graph();
     std::vector<GraphUpdate> batch;
     for (int i = 0; i < k; ++i) {
-      gen::Update u;
+      GraphUpdate u;
       ASSERT_TRUE(gen::random_update(expected, rng, 1, 1, 0.4, 0.4, u));
-      gen::apply_update(expected, u);
-      batch.push_back(to_graph_update(u));
+      expected.apply(u);
+      batch.push_back(std::move(u));
     }
     const auto parent = apply_ft(ft, batch);
     const auto val = validate_dfs_forest(ft.graph(), parent);
@@ -106,9 +92,9 @@ TEST(FaultTolerant, ResetRestoresPreprocessedState) {
   const std::vector<Vertex> pristine(ft.parent().begin(), ft.parent().end());
   const std::vector<Edge> pristine_edges = ft.graph().edges();
   const Vertex capacity = ft.graph().capacity();
-  gen::Update u;
+  GraphUpdate u;
   ASSERT_TRUE(gen::random_update(ft.graph(), rng, 0, 1, 0, 0, u));
-  ft.apply(GraphUpdate::delete_edge(u.u, u.v));
+  ft.apply(u);
   ft.apply(GraphUpdate::insert_vertex({0, 7, 19}));
   ASSERT_EQ(ft.graph().capacity(), capacity + 1);
   ASSERT_TRUE(validate_dfs_forest(ft.graph(), ft.parent()).ok);
@@ -159,11 +145,9 @@ TEST(FaultTolerant, DeepRerootChainThenMoreUpdates) {
   // Keep cutting near the stitch points.
   Rng rng(777);
   for (int i = 0; i < 8; ++i) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(ft.graph(), rng, 0.5, 1, 0, 0, u));
-    ft.apply(u.kind == gen::UpdateKind::kInsertEdge
-                             ? GraphUpdate::insert_edge(u.u, u.v)
-                             : GraphUpdate::delete_edge(u.u, u.v));
+    ft.apply(u);
     const auto val = validate_dfs_forest(ft.graph(), ft.parent());
     ASSERT_TRUE(val.ok) << "update " << i << ": " << val.reason;
   }

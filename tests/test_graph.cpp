@@ -84,6 +84,51 @@ TEST(Graph, EdgesListing) {
   for (const Edge& e : edges) EXPECT_LT(e.u, e.v);
 }
 
+// Rows compared verbatim: apply must preserve neighbour order too.
+void expect_same_graph(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.capacity(), b.capacity());
+  EXPECT_EQ(a.num_vertices(), b.num_vertices());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  for (Vertex v = 0; v < a.capacity(); ++v) {
+    EXPECT_EQ(a.is_alive(v), b.is_alive(v)) << "vertex " << v;
+    EXPECT_TRUE(std::ranges::equal(a.neighbors(v), b.neighbors(v))) << "vertex " << v;
+  }
+}
+
+TEST(Graph, ApplyMatchesTheDirectCallForEveryKind) {
+  Graph base(5);
+  base.add_edge(0, 1);
+  base.add_edge(1, 2);
+  base.add_edge(2, 3);
+  base.add_edge(1, 3);
+
+  // `direct_call` mutates its graph directly and returns the id it expects.
+  const auto check = [&base](const GraphUpdate& u, auto direct_call) {
+    Graph direct = base, applied = base;
+    const Vertex expected = direct_call(direct);
+    EXPECT_EQ(applied.apply(u), expected);
+    expect_same_graph(direct, applied);
+  };
+  check(GraphUpdate::insert_edge(0, 4), [](Graph& g) {
+    g.add_edge(0, 4);
+    return kNullVertex;
+  });
+  check(GraphUpdate::delete_edge(1, 2), [](Graph& g) {
+    g.remove_edge(1, 2);
+    return kNullVertex;
+  });
+  check(GraphUpdate::insert_vertex({3, 0, 4}), [](Graph& g) {
+    const Vertex nbrs[] = {3, 0, 4};
+    const Vertex added = g.add_vertex(nbrs);
+    EXPECT_EQ(added, 5);
+    return added;
+  });
+  check(GraphUpdate::delete_vertex(1), [](Graph& g) {
+    g.remove_vertex(1);
+    return kNullVertex;
+  });
+}
+
 TEST(Graph, UndirectedKeyIsSymmetric) {
   EXPECT_EQ(undirected_key(3, 7), undirected_key(7, 3));
   EXPECT_NE(undirected_key(3, 7), undirected_key(3, 8));

@@ -23,23 +23,6 @@
 namespace pardfs::service {
 namespace {
 
-void apply_to_mirror(Graph& g, const GraphUpdate& u) {
-  switch (u.kind) {
-    case GraphUpdate::Kind::kInsertEdge:
-      g.add_edge(u.u, u.v);
-      break;
-    case GraphUpdate::Kind::kDeleteEdge:
-      g.remove_edge(u.u, u.v);
-      break;
-    case GraphUpdate::Kind::kInsertVertex:
-      g.add_vertex(u.neighbors);
-      break;
-    case GraphUpdate::Kind::kDeleteVertex:
-      g.remove_vertex(u.u);
-      break;
-  }
-}
-
 TEST(Service, InitialSnapshotServesQueries) {
   DfsService svc(gen::path(6));
   const SnapshotPtr snap = svc.snapshot();
@@ -407,7 +390,7 @@ TEST(Service, ConcurrentConsistencyUnderChurn) {
     ASSERT_LE(snap->updates_applied(), accepted.size());
     ASSERT_GE(snap->updates_applied(), mirrored) << "versions must be FIFO";
     while (mirrored < snap->updates_applied()) {
-      apply_to_mirror(mirror, accepted[static_cast<std::size_t>(mirrored)]);
+      mirror.apply(accepted[static_cast<std::size_t>(mirrored)]);
       ++mirrored;
     }
     ASSERT_EQ(static_cast<Vertex>(snap->parent().size()), mirror.capacity());
@@ -635,7 +618,7 @@ TEST(Service, WorkloadScenariosServeValidSnapshots) {
       if (i % 10 == 9) {
         const SnapshotPtr snap = svc.snapshot();
         while (mirrored < snap->updates_applied()) {
-          apply_to_mirror(mirror, accepted[static_cast<std::size_t>(mirrored)]);
+          mirror.apply(accepted[static_cast<std::size_t>(mirrored)]);
           ++mirrored;
         }
         const auto val = validate_dfs_forest(mirror, snap->parent());

@@ -110,22 +110,9 @@ TEST(StreamingDfs, ForestStaysValidUnderChurn) {
   EdgeStream stream(g.edges());
   StreamingDfs sd(stream, 50);
   for (int step = 0; step < 40; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(sd.graph(), rng, 1, 1, 0.3, 0.3, u));
-    GraphUpdate gu = [&] {
-      switch (u.kind) {
-        case gen::UpdateKind::kInsertEdge:
-          return GraphUpdate::insert_edge(u.u, u.v);
-        case gen::UpdateKind::kDeleteEdge:
-          return GraphUpdate::delete_edge(u.u, u.v);
-        case gen::UpdateKind::kInsertVertex:
-          return GraphUpdate::insert_vertex(u.neighbors);
-        case gen::UpdateKind::kDeleteVertex:
-          return GraphUpdate::delete_vertex(u.u);
-      }
-      return GraphUpdate::insert_edge(u.u, u.v);
-    }();
-    sd.apply(gu);
+    sd.apply(u);
     const auto val = validate_dfs_forest(sd.graph(), sd.parent());
     ASSERT_TRUE(val.ok) << "step " << step << ": " << val.reason;
     EXPECT_GT(sd.passes_last_update(), 0u);

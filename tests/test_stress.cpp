@@ -22,14 +22,9 @@ TEST(Stress, LargeGraphMixedChurn) {
   Graph g = gen::random_connected(1500, 3000, rng);
   DynamicDfs dfs(std::move(g));
   for (int step = 0; step < 30; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0.3, 0.3, u));
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge: dfs.insert_edge(u.u, u.v); break;
-      case gen::UpdateKind::kDeleteEdge: dfs.delete_edge(u.u, u.v); break;
-      case gen::UpdateKind::kInsertVertex: dfs.insert_vertex(u.neighbors); break;
-      case gen::UpdateKind::kDeleteVertex: dfs.delete_vertex(u.u); break;
-    }
+    dfs.apply(u);
     const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
     ASSERT_TRUE(val.ok) << "step " << step << ": " << val.reason;
     ASSERT_LE(dfs.last_stats().global_rounds, 256u) << "rounds must stay polylog";
@@ -273,14 +268,9 @@ TEST(Stress, SequentialStrategyAlsoCorrectUnderChurn) {
   Graph g = gen::random_connected(80, 120, rng);
   DynamicDfs dfs(std::move(g), RerootStrategy::kSequentialL);
   for (int step = 0; step < 40; ++step) {
-    gen::Update u;
+    GraphUpdate u;
     ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0.2, 0.2, u));
-    switch (u.kind) {
-      case gen::UpdateKind::kInsertEdge: dfs.insert_edge(u.u, u.v); break;
-      case gen::UpdateKind::kDeleteEdge: dfs.delete_edge(u.u, u.v); break;
-      case gen::UpdateKind::kInsertVertex: dfs.insert_vertex(u.neighbors); break;
-      case gen::UpdateKind::kDeleteVertex: dfs.delete_vertex(u.u); break;
-    }
+    dfs.apply(u);
     ASSERT_TRUE(validate_dfs_forest(dfs.graph(), dfs.parent()).ok);
   }
 }
