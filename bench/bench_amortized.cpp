@@ -33,7 +33,7 @@ void BM_AmortizedPeriodSweep(benchmark::State& state) {
   for (auto _ : state) {
     if (i != 0 && i % stream.size() == 0) {
       state.PauseTiming();
-      rebuilds += dfs->epoch_rebuilds() - 1;  // the constructor's build is setup
+      rebuilds += dfs->d_builds() - 1;  // the constructor's build is setup
       dfs = make();
       state.ResumeTiming();
     }
@@ -42,7 +42,7 @@ void BM_AmortizedPeriodSweep(benchmark::State& state) {
     ++applied;
     ++i;
   }
-  rebuilds += dfs->epoch_rebuilds() - 1;
+  rebuilds += dfs->d_builds() - 1;
   state.counters["period"] = benchmark::Counter(static_cast<double>(period));
   state.counters["rounds/update"] =
       benchmark::Counter(static_cast<double>(rounds) / applied);

@@ -46,12 +46,12 @@ void BM_FaultTolerantBatch(benchmark::State& state) {
     ++applications;
   }
   // Theorem 14's claim, checked so a smoke run fails loudly without it.
-  PARDFS_CHECK_MSG(ft.epoch_rebuilds() == 1, "fault-tolerant batches rebuilt D");
+  PARDFS_CHECK_MSG(ft.d_builds() == 1, "fault-tolerant batches rebuilt D");
   state.counters["k"] = benchmark::Counter(k);
   state.counters["rounds_last_pass"] =
       benchmark::Counter(static_cast<double>(rounds) / applications);
   state.counters["d_builds"] =
-      benchmark::Counter(static_cast<double>(ft.epoch_rebuilds()));
+      benchmark::Counter(static_cast<double>(ft.d_builds()));
   state.counters["index_rebuilds/batch"] = benchmark::Counter(
       static_cast<double>(ft.index_rebuilds() - index_rebuilds_before) /
       applications);

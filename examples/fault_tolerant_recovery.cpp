@@ -79,12 +79,12 @@ int main() {
                 stats.structural, stats.back_edges, stats.segments,
                 stats.index_rebuilds,
                 static_cast<unsigned long long>(ft.last_stats().global_rounds),
-                ft.epoch_rebuilds());
+                ft.d_builds());
     if (!check.ok) {
       std::printf("  reason: %s\n", check.reason.c_str());
       return 1;
     }
-    if (ft.epoch_rebuilds() != 1) {
+    if (ft.d_builds() != 1) {
       std::printf("  D was rebuilt: the fault-tolerant contract is broken\n");
       return 1;
     }

@@ -9,13 +9,14 @@
 namespace pardfs {
 
 void AdjacencyOracle::build(const Graph& g, const TreeIndex& base,
-                            pram::CostModel* cost) {
+                            pram::CostModel* cost,
+                            std::span<const Edge> patches) {
   base_ = &base;
   base_capacity_ = base.capacity();
   cost_ = cost;
-  PARDFS_CHECK_MSG(g.capacity() <= base.capacity(),
-                   "base tree index must cover the graph");
+  stale_ = false;
   const std::size_t n = static_cast<std::size_t>(g.capacity());
+  const auto base_cap = static_cast<std::size_t>(base_capacity_);
   built_capacity_ = n;
   // Steady-state rebuild is allocation-free: every buffer below is resized
   // in place (shrink keeps capacity; same shape re-grows nothing). The
@@ -33,11 +34,39 @@ void AdjacencyOracle::build(const Graph& g, const TreeIndex& base,
   // CSR build: parallel degree count, exclusive scan for bucket offsets,
   // then each bucket is filled and sorted independently. The scan total is
   // 2m, so the old serial total_work accumulation loop folds into it.
+  // Ids beyond the base get no row: their edges are all patches.
   count_scratch_.resize(n);
   pram::parallel_for_t(0, n, [&](std::size_t sv) {
     const Vertex v = static_cast<Vertex>(sv);
-    count_scratch_[sv] = g.is_alive(v) ? static_cast<std::uint32_t>(g.degree(v)) : 0;
+    count_scratch_[sv] =
+        sv < base_cap && g.is_alive(v) ? static_cast<std::uint32_t>(g.degree(v)) : 0;
   });
+  // Edges kept out of the CSR (see build's contract), each held once as an
+  // insert patch. has_extras_ then flags exactly the rows the fill below
+  // must filter, so rows without a held edge keep the unfiltered fast path.
+  std::unordered_set<std::uint64_t> held;
+  held_edges_.clear();
+  const auto hold = [&](Vertex u, Vertex v) {
+    if (!held.insert(undirected_key(u, v)).second) return;
+    held_edges_.push_back({u, v});
+    for (const Vertex w : {u, v}) {
+      const auto sw = static_cast<std::size_t>(w);
+      extras_[sw].push_back(w == u ? v : u);
+      has_extras_[sw] = 1;
+      if (sw < base_cap) --count_scratch_[sw];
+    }
+  };
+  for (const Edge& e : patches) {
+    PARDFS_DCHECK(g.has_edge(e.u, e.v));
+    hold(e.u, e.v);
+  }
+  for (std::size_t sx = base_cap; sx < n; ++sx) {
+    const Vertex x = static_cast<Vertex>(sx);
+    if (!g.is_alive(x)) continue;
+    for (const Vertex z : g.neighbors(x)) {
+      if (z < base_capacity_ || z > x) hold(x, z);
+    }
+  }
   sorted_offsets_.resize(n + 1);
   const std::uint64_t total_work =
       pram::exclusive_scan(count_scratch_, std::span(sorted_offsets_).first(n));
@@ -47,24 +76,28 @@ void AdjacencyOracle::build(const Graph& g, const TreeIndex& base,
   sorted_data_.resize(total_work);
   sorted_posts_.resize(total_work);
   sort_scratch_.resize(total_work);
-  pram::parallel_for_t(0, n, [&](std::size_t sv) {
+  pram::parallel_for_t(0, base_cap < n ? base_cap : n, [&](std::size_t sv) {
     const Vertex v = static_cast<Vertex>(sv);
     if (!g.is_alive(v)) return;
     const auto nbrs = g.neighbors(v);
+    const bool filter = has_extras_[sv] != 0;
     // Sort packed (post, vertex) keys: one contiguous uint64 compare per
     // step instead of two dependent loads through base.post per comparison.
     // Posts are unique, so the order equals the old post-comparator order.
     std::uint64_t* bucket = sort_scratch_.data() + sorted_offsets_[sv];
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      bucket[i] = (static_cast<std::uint64_t>(
-                       static_cast<std::uint32_t>(base.post(nbrs[i])))
-                   << 32) |
-                  static_cast<std::uint32_t>(nbrs[i]);
+    std::size_t len = 0;
+    for (const Vertex z : nbrs) {
+      if (filter && held.contains(undirected_key(v, z))) continue;
+      PARDFS_DCHECK(base.is_ancestor(v, z) || base.is_ancestor(z, v));
+      bucket[len++] =
+          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(base.post(z))) << 32) |
+          static_cast<std::uint32_t>(z);
     }
-    std::sort(bucket, bucket + nbrs.size());
+    PARDFS_DCHECK(len == count_scratch_[sv]);
+    std::sort(bucket, bucket + len);
     Vertex* data = sorted_data_.data() + sorted_offsets_[sv];
     std::int32_t* posts = sorted_posts_.data() + sorted_offsets_[sv];
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+    for (std::size_t i = 0; i < len; ++i) {
       data[i] = static_cast<Vertex>(bucket[i] & 0xFFFFFFFFu);
       posts[i] = static_cast<std::int32_t>(bucket[i] >> 32);
     }
@@ -77,6 +110,18 @@ void AdjacencyOracle::build(const Graph& g, const TreeIndex& base,
     cost_->add_round(logn, static_cast<std::uint64_t>(n) + total_work);
     cost_->add_round(logn, total_work * logn);
   }
+}
+
+void AdjacencyOracle::invalidate() {
+  stale_ = true;
+  patch_count_ = 0;
+  // Swap with empties so the memory goes back, not just the sizes.
+  std::vector<std::vector<Vertex>>().swap(extras_);
+  std::vector<std::uint8_t>().swap(has_extras_);
+  std::vector<std::uint8_t>().swap(has_deleted_);
+  std::vector<std::uint8_t>().swap(dead_);
+  std::unordered_set<std::uint64_t>().swap(deleted_edges_);
+  std::vector<Edge>().swap(held_edges_);
 }
 
 void AdjacencyOracle::clear_patches() {
@@ -93,6 +138,13 @@ void AdjacencyOracle::clear_patches() {
   std::fill(dead_.begin(), dead_.end(), 0);
   deleted_edges_.clear();
   patch_count_ = 0;
+  // The edges build() held as patches are part of the as-built state.
+  for (const Edge& e : held_edges_) {
+    for (const Vertex w : {e.u, e.v}) {
+      extras_[static_cast<std::size_t>(w)].push_back(w == e.u ? e.v : e.u);
+      has_extras_[static_cast<std::size_t>(w)] = 1;
+    }
+  }
 }
 
 std::size_t AdjacencyOracle::heap_capacity_bytes() const {
@@ -103,7 +155,8 @@ std::size_t AdjacencyOracle::heap_capacity_bytes() const {
                       has_extras_.capacity() + has_deleted_.capacity() +
                       dead_.capacity() +
                       sort_scratch_.capacity() * sizeof(std::uint64_t) +
-                      count_scratch_.capacity() * sizeof(std::uint32_t);
+                      count_scratch_.capacity() * sizeof(std::uint32_t) +
+                      held_edges_.capacity() * sizeof(Edge);
   for (const auto& ex : extras_) total += ex.capacity() * sizeof(Vertex);
   return total;
 }
@@ -121,6 +174,10 @@ void AdjacencyOracle::ensure_patch_capacity(Vertex v) {
 }
 
 void AdjacencyOracle::note_edge_inserted(Vertex u, Vertex v) {
+  if (stale_) {
+    ++patch_count_;
+    return;
+  }
   ensure_patch_capacity(std::max(u, v));
   const std::uint64_t key = undirected_key(u, v);
   if (deleted_edges_.erase(key) > 0) {
@@ -147,6 +204,7 @@ void AdjacencyOracle::note_edge_inserted(Vertex u, Vertex v) {
 }
 
 bool AdjacencyOracle::has_current_edge(Vertex u, Vertex z) const {
+  PARDFS_DCHECK(!stale_);
   if (!edge_alive(u, z) || vertex_dead(u)) return false;
   if (is_base_vertex(u) && is_base_vertex(z)) {
     const auto posts = base_posts(u);
@@ -158,6 +216,10 @@ bool AdjacencyOracle::has_current_edge(Vertex u, Vertex z) const {
 }
 
 void AdjacencyOracle::note_edge_deleted(Vertex u, Vertex v) {
+  if (stale_) {
+    ++patch_count_;
+    return;
+  }
   ensure_patch_capacity(std::max(u, v));
   auto drop_extra = [this](Vertex a, Vertex b) {
     auto& ex = extras_[static_cast<std::size_t>(a)];
@@ -180,6 +242,10 @@ void AdjacencyOracle::note_edge_deleted(Vertex u, Vertex v) {
 }
 
 void AdjacencyOracle::note_vertex_inserted(Vertex v, std::span<const Vertex> neighbors) {
+  if (stale_) {
+    patch_count_ += neighbors.size() + 1;
+    return;
+  }
   ensure_patch_capacity(v);
   // The inserted vertex conceptually receives the highest post-order number
   // (paper §5.2): it never lies on a base segment, so its edges live purely
@@ -190,6 +256,10 @@ void AdjacencyOracle::note_vertex_inserted(Vertex v, std::span<const Vertex> nei
 
 void AdjacencyOracle::note_vertex_deleted(Vertex v,
                                           std::span<const Vertex> former_neighbors) {
+  if (stale_) {
+    patch_count_ += former_neighbors.size() + 1;
+    return;
+  }
   ensure_patch_capacity(v);
   for (const Vertex u : former_neighbors) note_edge_deleted(u, v);
   dead_[static_cast<std::size_t>(v)] = 1;
@@ -311,6 +381,7 @@ AdjacencyOracle::Candidate AdjacencyOracle::probe_extras(Vertex u, PathSeg seg,
 
 AdjacencyOracle::Candidate AdjacencyOracle::probe_all(Vertex u, PathSeg seg,
                                                       PathEnd end) const {
+  PARDFS_DCHECK(!stale_);
   if (vertex_dead(u)) return {};
   // Singleton segment holding an inserted vertex: only patched edges can
   // reach it; direct membership test over u's extras.
@@ -336,7 +407,7 @@ AdjacencyOracle::Candidate AdjacencyOracle::probe_all(Vertex u, PathSeg seg,
 void AdjacencyOracle::probe_batch(const Vertex* sources, std::size_t count,
                                   PathSeg seg, PathEnd end,
                                   Candidate* out) const {
-  PARDFS_DCHECK(count <= simd::kBatchLanes);
+  PARDFS_DCHECK(count <= simd::kBatchLanes && !stale_);
   // Singleton segments holding an inserted vertex never reach the base
   // binary search; take probe_all's dedicated branch per lane.
   if (seg.top == seg.bottom && !is_base_vertex(seg.top)) {
@@ -461,6 +532,7 @@ std::optional<Edge> AdjacencyOracle::query_sources(std::span<const Vertex> sourc
 }
 
 std::optional<Vertex> AdjacencyOracle::probe_into_subtree(Vertex u, Vertex r) const {
+  PARDFS_DCHECK(!stale_);
   if (vertex_dead(u)) return std::nullopt;
   Vertex best = kNullVertex;
   if (is_base_vertex(u) && is_base_vertex(r)) {

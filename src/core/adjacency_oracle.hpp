@@ -43,6 +43,7 @@
 #include "graph/graph.hpp"
 #include "pram/cost_model.hpp"
 #include "tree/tree_index.hpp"
+#include "util/check.hpp"
 #include "util/simd.hpp"
 
 namespace pardfs {
@@ -63,7 +64,23 @@ class AdjacencyOracle {
   // Builds D over g and the base tree index (which must outlive this oracle
   // or be re-`build`()-built together with it). O(m log n) work; the cost
   // model records one O(log n)-deep sort round (Theorem 8).
-  void build(const Graph& g, const TreeIndex& base, pram::CostModel* cost = nullptr);
+  // CSR invariant: the sorted rows hold only base ancestor-descendant pairs
+  // (probe_up_pick takes the first in-window entry unfiltered). Every edge of
+  // g is one when `base` is a DFS forest of g. A graph mutated after `base`
+  // was built may hold others; they enter as Theorem 9 insert patches
+  // instead: the edges listed in `patches` (cross edges between base
+  // vertices; duplicates allowed) and every edge at an id beyond
+  // base.capacity(), each edge once. patch_count() stays 0: it counts the
+  // note_* patches since the build.
+  void build(const Graph& g, const TreeIndex& base, pram::CostModel* cost = nullptr,
+             std::span<const Edge> patches = {});
+
+  // Marks D stale and frees its patch lists. A stale oracle answers no
+  // query; note_* calls only add to patch_count() (a caller's budget keeps
+  // its meaning) until the next build(). The CSR buffers are kept for that
+  // build to reuse.
+  void invalidate();
+  bool stale() const { return stale_; }
 
   // ---- Theorem 9 patches ---------------------------------------------------
   void note_edge_inserted(Vertex u, Vertex v);
@@ -77,7 +94,8 @@ class AdjacencyOracle {
   std::size_t patch_count() const { return patch_count_; }
 
   // Drops all Theorem 9 patches, restoring the as-built oracle (used by the
-  // fault-tolerant wrapper to answer independent update batches).
+  // fault-tolerant wrapper to answer independent update batches). The edges
+  // build() held as patches stay.
   void clear_patches();
 
   // True if v existed at build time and is part of the base tree.
@@ -153,6 +171,7 @@ class AdjacencyOracle {
   // ledger honest.
   template <typename Fn>
   void for_each_current_neighbor(Vertex u, Fn&& fn) const {
+    PARDFS_DCHECK(!stale_);
     const auto base = base_neighbors(u);
     std::uint64_t probes = base.size();
     for (const Vertex z : base) {
@@ -297,7 +316,11 @@ class AdjacencyOracle {
   std::unordered_set<std::uint64_t> deleted_edges_;
   simd::aligned_vector<std::uint64_t> sort_scratch_;   // (post, vertex) pairs, reused
   simd::aligned_vector<std::uint32_t> count_scratch_;  // degree counts, reused
+  // The edges the last build() held as patches (its contract), which
+  // clear_patches() restores.
+  std::vector<Edge> held_edges_;
   std::size_t patch_count_ = 0;
+  bool stale_ = true;  // never built, or invalidate()d since the last build
   mutable pram::CostModel* cost_ = nullptr;
 };
 

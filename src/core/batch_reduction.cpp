@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace pardfs {
 namespace {
@@ -292,13 +293,16 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
   // forest. They are back edges, so their ancestor endpoint lies on S — on a
   // chain, since dead S vertices have no surviving edges. The PRAM
   // formulation is one batch of pairwise (piece, chain) D queries; serially
-  // the same partition comes out of one sweep over the chains' current
-  // adjacency (the oracle's patched lists ARE the updated graph): map every
-  // neighbor back to its piece — chain vertices through piece_of_s, hanging
-  // subtrees by binary search over their disjoint pre-order intervals — and
-  // union the pair. The union-find partition is edge-set determined, so the
-  // emitted components do not depend on the sweep order, and the sweep stops
-  // at the first row end where one group remains.
+  // the same partition comes out of one sweep over the chains' rows in the
+  // updated graph: map every neighbor back to its piece — chain vertices
+  // through piece_of_s, hanging subtrees by binary search over their
+  // disjoint pre-order intervals — and union the pair. The sweep reads the
+  // graph, not D, so a batch whose components all finish serially needs no
+  // D at all (DynamicDfs builds it on demand); each row is charged to the
+  // cost model as the adjacency scan it is. The union-find partition is
+  // edge-set determined, so the emitted components do not depend on the
+  // sweep order, and the sweep stops at the first row end where one group
+  // remains.
   if (num_groups > 1) {
     std::vector<std::pair<std::int32_t, std::int32_t>> hang_by_pre;  // (pre, piece)
     hang_by_pre.reserve(pieces.size() - num_chains);
@@ -324,16 +328,18 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
     for (std::size_t j = 0; j < num_chains && num_groups > 1; ++j) {
       const Piece& chain = pieces[j];
       for (Vertex v = chain.bottom;; v = cur.parent(v)) {
-        // The next chain vertex's adjacency row is a dependent pointer chase
-        // away; issue its prefetch before sweeping v's row.
-        if (v != chain.top) oracle.prefetch_adjacency(cur.parent(v));
-        oracle.for_each_current_neighbor(v, [&](Vertex z) {
-          if (num_groups == 1) return;  // the rest of the row is moot
+        // The next chain vertex's row is a dependent pointer chase away;
+        // issue its prefetch before sweeping v's row.
+        if (v != chain.top) simd::prefetch(g.neighbors(cur.parent(v)).data());
+        const auto row = g.neighbors(v);
+        for (const Vertex z : row) {
           const std::int32_t i = piece_of(z);
           if (i >= 0 && static_cast<std::size_t>(i) != j) {
             join(j, static_cast<std::size_t>(i));
+            if (num_groups == 1) break;  // the rest of the row is moot
           }
-        });
+        }
+        oracle.charge_scan(row.size());
         if (num_groups == 1 || v == chain.top) break;
       }
     }

@@ -1,5 +1,6 @@
 #include "core/dynamic_dfs.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -128,7 +129,7 @@ DynamicDfs::DynamicDfs(Graph graph, RerootStrategy strategy,
   }
   parent_ = static_dfs(graph_);
   rebuild_index();
-  rebase();
+  close_epoch(/*build_now=*/true);
 }
 
 std::int32_t DynamicDfs::engine_cutoff() const {
@@ -166,16 +167,9 @@ void DynamicDfs::rebuild_index() {
   ++index_rebuilds_;
 }
 
-void DynamicDfs::rebase() {
-  obs::ScopedPhase timer(*rebase_hist_, "rebase");
-  // index_ already describes the current forest: alias it as the epoch's
-  // base tree (it is immutable — rebuild_index() swaps in a new object
-  // rather than mutating) and rebuild D over it. No O(n) copy.
-  base_index_ = index_;
-  oracle_.build(graph_, *base_index_, cost_);
+void DynamicDfs::close_epoch(bool build_now) {
   structural_since_rebase_ = 0;
   ++epoch_rebuilds_;
-  if (requested_period_ == kNeverRebase) base_graph_ = graph_;
   const auto n = static_cast<std::uint64_t>(graph_.num_vertices());
   epoch_period_ = requested_period_ != 0 ? requested_period_
                   : n > 1 ? static_cast<std::size_t>(64 - __builtin_clzll(n - 1))
@@ -185,6 +179,27 @@ void DynamicDfs::rebase() {
   // carries a constant slack over the epoch length. Saturates: a
   // kNeverRebase engine has no budget.
   patch_budget_ = epoch_period_ > kNeverRebase / 4 ? kNeverRebase : 4 * epoch_period_;
+  // D goes stale with the epoch: the next traversal that queries it builds
+  // it over the graph of that moment (build_d). The oracle keeps counting
+  // the epoch's patches meanwhile.
+  oracle_.invalidate();
+  base_index_.reset();
+  patches_before_build_ = 0;
+  if (build_now || requested_period_ == kNeverRebase) build_d();
+}
+
+void DynamicDfs::build_d(std::span<const Edge> patches) {
+  obs::ScopedPhase timer(*rebase_hist_, "rebase");
+  // index_ already describes the forest the coming queries traverse: alias
+  // it as D's base tree (it is immutable — rebuild_index() swaps in a new
+  // object rather than mutating) and build D over it. No O(n) copy. The
+  // build zeroes the oracle's count; the epoch's total carries on here.
+  patches_before_build_ += oracle_.patch_count();
+  base_index_ = index_;
+  oracle_.build(graph_, *base_index_, cost_, patches);
+  base_is_current_ = true;
+  ++d_builds_;
+  if (requested_period_ == kNeverRebase) base_graph_ = graph_;
 }
 
 void DynamicDfs::reset_to_base() {
@@ -195,19 +210,26 @@ void DynamicDfs::reset_to_base() {
   const std::span<const Vertex> base = base_index_->parents();
   parent_.assign(base.begin(), base.end());
   structural_since_rebase_ = 0;
+  base_is_current_ = true;
   last_stats_ = {};
   rebuild_index();
 }
 
-void DynamicDfs::maybe_rebase() {
+void DynamicDfs::maybe_close_epoch() {
   if (structural_since_rebase_ >= epoch_period_ ||
-      oracle_.patch_count() > patch_budget_) {
-    rebase();
+      patches_before_build_ + oracle_.patch_count() > patch_budget_) {
+    close_epoch(/*build_now=*/false);
   }
+}
+
+void DynamicDfs::prepare_update() {
+  maybe_close_epoch();
+  if (oracle_.stale()) build_d();
 }
 
 void DynamicDfs::finish_structural() {
   ++structural_since_rebase_;
+  base_is_current_ = false;
   rebuild_index();
 }
 
@@ -283,9 +305,9 @@ DynamicDfs::ComponentTransfer DynamicDfs::extract_component(Vertex v) {
   }
   // The component is gone: rebuild the current index over the survivors and
   // open a fresh epoch (D must not retain sorted lists or patches that
-  // reference the extracted rows).
+  // reference the extracted rows; it is rebuilt when next queried).
   rebuild_index();
-  rebase();
+  close_epoch(/*build_now=*/false);
   return t;
 }
 
@@ -299,16 +321,17 @@ void DynamicDfs::adopt_component(ComponentTransfer t) {
     parent_[static_cast<std::size_t>(t.vertices[i])] = t.parent[i];
   }
   rebuild_index();
-  rebase();
+  close_epoch(/*build_now=*/false);
 }
 
 void DynamicDfs::insert_edge(Vertex u, Vertex v) {
   // Checked before the back-edge test, which indexes by vertex id.
   PARDFS_CHECK(graph_.is_alive(u) && graph_.is_alive(v));
   const bool back = index_->is_ancestor(u, v) || index_->is_ancestor(v, u);
-  // Rebase (if due) against the pre-update graph so the fresh D never holds
-  // (u, v) in both its sorted lists and its patch lists.
-  if (!back) maybe_rebase();
+  // Close the epoch (if due) and build D against the pre-update graph, so
+  // the fresh D never holds (u, v) in both its sorted lists and its patch
+  // lists.
+  if (!back) prepare_update();
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
     PARDFS_CHECK(graph_.add_edge(u, v));
@@ -332,7 +355,7 @@ void DynamicDfs::delete_edge(Vertex u, Vertex v) {
   const bool u_parent = parent_[static_cast<std::size_t>(v)] == u;
   const bool v_parent = parent_[static_cast<std::size_t>(u)] == v;
   const bool tree_edge = u_parent || v_parent;
-  if (tree_edge) maybe_rebase();
+  if (tree_edge) prepare_update();
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
     oracle_.note_edge_deleted(u, v);
@@ -353,7 +376,7 @@ void DynamicDfs::delete_edge(Vertex u, Vertex v) {
 }
 
 Vertex DynamicDfs::insert_vertex(std::span<const Vertex> neighbors) {
-  maybe_rebase();
+  prepare_update();
   Vertex v = kNullVertex;
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
@@ -371,7 +394,7 @@ Vertex DynamicDfs::insert_vertex(std::span<const Vertex> neighbors) {
 }
 
 void DynamicDfs::delete_vertex(Vertex v) {
-  maybe_rebase();
+  prepare_update();
   const auto nbrs = graph_.neighbors(v);
   const std::vector<Vertex> former_neighbors(nbrs.begin(), nbrs.end());
   std::vector<Vertex> children(index_->children(v).begin(), index_->children(v).end());
@@ -443,7 +466,8 @@ bool DynamicDfs::flush_segment(Segment& seg) {
     return false;
   }
   // Epoch policy runs once, against the pre-batch graph (see insert_edge).
-  maybe_rebase();
+  // D is built only below, if the engine will query it.
+  maybe_close_epoch();
   // Phase 1: mutate the graph and patch D for the whole segment, collecting
   // the structural changes against the still-pre-batch forest. Ids from
   // `fresh` on were inserted by this segment: the index does not cover them,
@@ -504,13 +528,31 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   // Phase 2 + 3: one combined reduction, one engine pass.
   {
     obs::ScopedPhase timer(*reroot_hist_, "reroot");
-    const OracleView view(&oracle_, index_.get(), at_base());
+    const std::int32_t cutoff = engine_cutoff();
     // The work cap rides on the serial finish: serial_cutoff = 0 keeps the
-    // pure round machinery (DESIGN.md §9).
+    // pure round machinery (DESIGN.md §9). The reduction reads graph rows.
     BatchReduction reduction =
-        reduce_batch(*index_, view, graph_, changes, engine_cutoff() > 0);
-    Rerooter engine(*index_, view, strategy_, cost_, num_threads_,
-                  engine_cutoff(), &graph_);
+        reduce_batch(*index_, OracleView(&oracle_, index_.get(), at_base()),
+                     graph_, changes, cutoff > 0);
+    // A stale D is built only if a component takes the round machinery. It
+    // is built over the mutated graph, with the pre-batch forest as base,
+    // and the CSR invariant keeps it exact there: the batch's surviving
+    // cross inserts enter as patches, and so do the edges of inserted ids
+    // (AdjacencyOracle::build).
+    if (oracle_.stale() &&
+        !std::all_of(reduction.components.begin(), reduction.components.end(),
+                     [&](const Component& c) {
+                       return Rerooter::finishes_serially(*index_, c, cutoff);
+                     })) {
+      std::vector<Edge> cross;
+      for (const Edge& e : changes.inserted_edges) {
+        if (graph_.has_edge(e.u, e.v)) cross.push_back(e);
+      }
+      build_d(cross);
+    }
+    const OracleView view(&oracle_, index_.get(), at_base());
+    Rerooter engine(*index_, view, strategy_, cost_, num_threads_, cutoff,
+                    &graph_);
     last_stats_ = engine.run_components(std::move(reduction.components), parent_);
     mirror_reroot_stats(last_stats_);
     for (const auto& [v, p] : reduction.direct) {
@@ -522,6 +564,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   }
   // Phase 4: one O(n) index rebuild for the whole segment.
   structural_since_rebase_ += seg.structural;
+  base_is_current_ = false;
   rebuild_index();
   seg.ops.clear();
   seg.structural = 0;
@@ -533,7 +576,7 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   BatchStats stats;
   stats.updates = updates.size();
   const std::size_t index_rebuilds_before = index_rebuilds_;
-  const std::size_t base_rebuilds_before = epoch_rebuilds_;
+  const std::size_t d_builds_before = d_builds_;
 
   // Under the work cap a vertex insert joins the open segment: its id is the
   // graph's capacity plus the inserts already pending, so later updates may
@@ -565,7 +608,7 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   }
   stats.segments += flush_segment(seg) ? 1 : 0;
   stats.index_rebuilds = index_rebuilds_ - index_rebuilds_before;
-  stats.base_rebuilds = epoch_rebuilds_ - base_rebuilds_before;
+  stats.base_rebuilds = d_builds_ - d_builds_before;
   // Update-mix counters: how many updates changed the forest and how many
   // were patch-only, next to the segments that absorbed them.
   static obs::Counter& structural_ctr = obs::Registry::global().counter(

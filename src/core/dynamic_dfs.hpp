@@ -2,7 +2,8 @@
 // undirected graph under edge/vertex insertions and deletions.
 //
 // Epoch-based update loop. The data structure D is built over a *base* tree
-// once per epoch and absorbs the epoch's updates as Theorem 9 patches:
+// at most once per epoch and absorbs the epoch's updates as Theorem 9
+// patches:
 //   * a back-edge insert/delete leaves the forest untouched and costs one
 //     oracle patch — no rebuild of anything;
 //   * a structural update patches D, mutates the graph, reduces to
@@ -10,9 +11,15 @@
 //     algorithm (§4) with queries decomposed onto the base tree (Theorem 9),
 //     then rebuilds only the O(n) current-tree index (Theorem 10 allows
 //     this with n processors);
-//   * the O(m log n) base rebuild — the step the paper pays m processors
-//     for — runs only when an epoch closes: after epoch_period() structural
-//     updates or when the patch count crosses the Theorem 9 budget.
+//   * an epoch closes after epoch_period() structural updates or when the
+//     patch count crosses the Theorem 9 budget. The close is O(1): it resets
+//     the counters and marks D stale.
+//   * the O(m log n) D build — the step the paper pays m processors for —
+//     runs only where a traversal is about to query a stale D: before a
+//     per-update reduction, or in apply_batch once the reduction hands the
+//     engine a component that takes the round machinery. A work-capped or
+//     sub-cutoff component is finished by one DFS of its graph rows and
+//     queries nothing, so a stream of such batches builds no D at all.
 // The period is the one policy knob. The default is Θ(log n) (Theorem 1);
 // a fixed p trades rebuild work against query decomposition depth (the
 // paper's closing question, bench_amortized); kNeverRebase is Theorem 14's
@@ -56,7 +63,7 @@ struct UpdatePhaseBreakdown {
   double patch_us = 0.0;          // oracle patches + graph mutation
   double reroot_us = 0.0;         // reduction + rerooting engine passes
   double index_rebuild_us = 0.0;  // O(n) current-tree index rebuilds
-  double rebase_us = 0.0;         // epoch boundaries: D rebuild + swap
+  double rebase_us = 0.0;         // D builds (O(m log n)), on demand
 };
 
 // Outcome of one DynamicDfs::apply_batch call.
@@ -66,7 +73,7 @@ struct BatchStats {
   std::size_t back_edges = 0;      // patch-only updates (no structural work)
   std::size_t segments = 0;        // combined reduction + engine passes run
   std::size_t index_rebuilds = 0;  // O(n) TreeIndex rebuilds performed
-  std::size_t base_rebuilds = 0;   // epoch rebases (O(m log n)) triggered
+  std::size_t base_rebuilds = 0;   // D builds (O(m log n)) the batch ran
   // Ids assigned to kInsertVertex updates, in batch order.
   std::vector<Vertex> new_vertices;
 };
@@ -85,7 +92,7 @@ class DynamicDfs {
   // shard="<obs_shard>" label (service/shard_router runs one engine per
   // shard); empty keeps the process-wide unlabeled series.
   // `epoch_period` closes an epoch after that many structural updates:
-  // 0 = Θ(log n) (recomputed at every rebase), kNeverRebase = never.
+  // 0 = Θ(log n) (recomputed at every epoch close), kNeverRebase = never.
   explicit DynamicDfs(Graph graph,
                       RerootStrategy strategy = RerootStrategy::kPaper,
                       pram::CostModel* cost = nullptr, int num_threads = 0,
@@ -151,8 +158,8 @@ class DynamicDfs {
   // oracle needs nothing (dead ids have no adjacency and are never queried).
   void pad_capacity(Vertex capacity);
   // Removes v's connected component (== the tree rooted at root_of(v)) and
-  // returns it for adoption by another engine. O(n + m log n): an index
-  // rebuild plus an epoch rebase over the shrunken graph.
+  // returns it for adoption by another engine. O(n + m): an index rebuild
+  // and an epoch close; D is rebuilt when next queried.
   ComponentTransfer extract_component(Vertex v);
   // Splices a component extracted from another engine, padding the id space
   // as needed. The transferred ids must be dead here. Same cost profile as
@@ -185,9 +192,12 @@ class DynamicDfs {
   static UpdatePhaseBreakdown phase_breakdown();
 
   // ---- epoch state (tested / benchmarked) ----------------------------------
-  // Full base-tree + D rebuilds so far, including the constructor's initial
-  // build. Back-edge updates must never advance this counter.
+  // Epoch closes so far, including the constructor's. Back-edge updates must
+  // never advance this counter. A close does not build D (see d_builds()).
   std::size_t epoch_rebuilds() const { return epoch_rebuilds_; }
+  // O(m log n) D builds so far, including the constructor's: at most one
+  // per epoch, and none in an epoch whose traversals never query D.
+  std::size_t d_builds() const { return d_builds_; }
   // Structural updates absorbed by the current epoch.
   std::size_t updates_since_rebase() const { return structural_since_rebase_; }
   // Current epoch length in structural updates: the constructor's period,
@@ -209,8 +219,17 @@ class DynamicDfs {
 
   // Resolved Brent cutoff for the engine (-1 = capacity-derived default).
   std::int32_t engine_cutoff() const;
-  void rebase();            // epoch boundary: base tree + D rebuild, O(m log n)
-  void maybe_rebase();      // epoch policy; runs before structural work
+  // Epoch boundary, O(1) unless `build_now`: resets the counters, recomputes
+  // the period and patch budget, and marks D stale. The constructor and
+  // kNeverRebase engines build D here, eagerly.
+  void close_epoch(bool build_now);
+  void maybe_close_epoch();  // epoch policy; runs before structural work
+  // D over the current graph with index_ as base, O(m log n). `patches`:
+  // edges of the graph that are not ancestor pairs of index_ (see
+  // AdjacencyOracle::build).
+  void build_d(std::span<const Edge> patches = {});
+  // The per-update methods' prologue: epoch policy, then D if stale.
+  void prepare_update();
   void rebuild_index();     // current-tree index only, O(n)
   void finish_structural();
   // True iff the update would change the forest, judged against the current
@@ -221,9 +240,9 @@ class DynamicDfs {
   // rebuild); false for the per-update fallbacks.
   bool flush_segment(Segment& seg);
   void execute(const ReductionResult& reduction, const OracleView& view);
-  // The current tree equals the base tree (only back-edge patches may have
+  // The current tree equals D's base tree (only back-edge patches may have
   // accumulated), so oracle queries need no Theorem 9 path decomposition.
-  bool at_base() const { return structural_since_rebase_ == 0; }
+  bool at_base() const { return base_is_current_; }
 
   // A recycled (count == 1, never handed out) or fresh TreeIndex to build
   // the next current forest into. Keeps the steady-state rebuild
@@ -235,9 +254,10 @@ class DynamicDfs {
   // reset_to_base().
   Graph base_graph_;
   std::vector<Vertex> parent_;
-  // Current forest and the epoch snapshot D is built over. Both are
-  // immutable once built; rebase() aliases instead of deep-copying, and
-  // retired indices rotate through index_pool_ for buffer reuse.
+  // Current forest and the snapshot D is built over (null while D is
+  // stale). Both are immutable once built; build_d() aliases instead of
+  // deep-copying, and retired indices rotate through index_pool_ for buffer
+  // reuse.
   std::shared_ptr<TreeIndex> index_;
   std::shared_ptr<const TreeIndex> base_index_;
   std::vector<std::shared_ptr<TreeIndex>> index_pool_;
@@ -259,7 +279,12 @@ class DynamicDfs {
   std::size_t epoch_period_ = 1;
   std::size_t patch_budget_ = 1;
   std::size_t structural_since_rebase_ = 0;
+  // The epoch's patches noted before D was built in it (the oracle's own
+  // count restarts at each build); the budget reads the sum.
+  std::size_t patches_before_build_ = 0;
+  bool base_is_current_ = false;  // see at_base()
   std::size_t epoch_rebuilds_ = 0;
+  std::size_t d_builds_ = 0;
   std::size_t index_rebuilds_ = 0;
 };
 

@@ -489,6 +489,12 @@ std::int32_t Rerooter::default_serial_cutoff(Vertex capacity) {
   return static_cast<std::int32_t>(4 * logn * logn);
 }
 
+bool Rerooter::finishes_serially(const TreeIndex& cur, const Component& c,
+                                 std::int32_t serial_cutoff) {
+  return c.recompute ||
+         (serial_cutoff > 0 && detail::component_size(cur, c) <= serial_cutoff);
+}
+
 RerootStats Rerooter::run(std::span<const RerootRequest> requests,
                           std::span<Vertex> parent_out) {
   // Direct-only reductions (detached components, isolated inserts) reroot
@@ -569,8 +575,7 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
       const bool capped = active[i].recompute;
       PARDFS_CHECK_MSG(!capped || serial_cutoff_ > 0,
                        "a recomputed component needs the serial finish");
-      if (capped || (serial_cutoff_ > 0 &&
-                     detail::component_size(cur_, active[i]) <= serial_cutoff_)) {
+      if (finishes_serially(cur_, active[i], serial_cutoff_)) {
         detail::serial_finish(ctx, active[i], parent_out, graph_);
         ++(capped ? ctx.stats().recomputes : ctx.stats().serial_finishes);
         comp_batches[i] = 0;

@@ -144,6 +144,14 @@ class Rerooter {
   // Θ(log² n) — the depth one serially-finished component may add.
   static std::int32_t default_serial_cutoff(Vertex capacity);
 
+  // True iff run_components finishes `c` in its first step with one DFS of
+  // the graph's rows: a `recompute` component, or one at or below a positive
+  // `serial_cutoff`. Such a step issues no D query, and only the other
+  // components emit later rounds, so a pass whose initial components all
+  // qualify never reads D (DynamicDfs builds D only when one does not).
+  static bool finishes_serially(const TreeIndex& cur, const Component& c,
+                                std::int32_t serial_cutoff);
+
   // Executes all reroots (they must target disjoint subtrees). parent_out
   // must be pre-filled with the current tree's parent array; entries inside
   // each rerooted subtree are overwritten.

@@ -842,7 +842,7 @@ void ShardRouter::writer_loop(Shard& sh) {
       pending.clear();
       std::size_t cap = config_.max_batch;
       if (cap == 0) {
-        // The epoch period moves on rebases; merges mutate the engine from
+        // The epoch period moves at epoch closes; merges mutate the engine from
         // other writers, so even this read takes the (uncontended) lock.
         std::lock_guard lock(sh.mu);
         cap = sh.dfs.epoch_period();

@@ -81,7 +81,7 @@ struct ServiceConfig {
   bool enable_journal = true;
   // Non-empty: each shard also appends a human-readable journal line to
   // "<prefix><shard>.log" (post-mortem aid; replay never reads it).
-  std::string journal_path_prefix;
+  std::string journal_path_prefix = {};
   // Checkpoint a shard's journal once it holds this many entries: the
   // engine's current state (graph + forest + version) becomes the new replay
   // base and the entry prefix is dropped, bounding per-shard journal memory
@@ -121,7 +121,7 @@ struct ServiceStats {
   std::uint64_t back_edges = 0;          // accepted patch-only updates
   std::uint64_t segments = 0;            // combined engine passes
   std::uint64_t index_rebuilds = 0;      // O(n) rebuilds across all batches
-  std::uint64_t base_rebuilds = 0;       // epoch rebases across all batches
+  std::uint64_t base_rebuilds = 0;       // D builds across all batches
   // kRejected acks that never reach a writer: submits that lost the race
   // against stop() and were pre-rejected by the queue. Not part of
   // updates_rejected, which counts the drain-time infeasible rejections.

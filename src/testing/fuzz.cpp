@@ -331,18 +331,22 @@ class Engine {
 
   // Faults the armed plan has fired so far (0 without a plan).
   virtual std::uint64_t faults_fired() const { return 0; }
+  // D builds the engine ran inside batches so far.
+  virtual std::uint64_t d_builds() const = 0;
 };
 
 class CoreEngine final : public Engine {
  public:
   CoreEngine(Graph initial, int num_threads)
-      : dfs_(std::move(initial), RerootStrategy::kPaper, nullptr, num_threads) {}
+      : dfs_(std::move(initial), RerootStrategy::kPaper, nullptr, num_threads,
+             kCoreSerialCutoff) {}
 
   bool apply(const std::vector<GeneratedUpdate>& batch, std::string* err) override {
     std::vector<GraphUpdate> updates;
     updates.reserve(batch.size());
     for (const GeneratedUpdate& g : batch) updates.push_back(g.update);
     const BatchStats stats = dfs_.apply_batch(updates);
+    d_builds_ += stats.base_rebuilds;
     std::size_t next_new = 0;
     for (const GeneratedUpdate& g : batch) {
       if (g.update.kind != GraphUpdate::Kind::kInsertVertex) continue;
@@ -389,10 +393,12 @@ class CoreEngine final : public Engine {
     return false;
   }
   std::vector<Edge> q_bridges() const override { return cuts_.bridges; }
+  std::uint64_t d_builds() const override { return d_builds_; }
 
  private:
   DynamicDfs dfs_;
   CutStructure cuts_;  // refreshed after every batch
+  std::uint64_t d_builds_ = 0;
 };
 
 // The router differential (FuzzEntry::kRouter): an S-shard router in
@@ -512,6 +518,7 @@ class RouterEngine final : public Engine {
   std::uint64_t faults_fired() const override {
     return faulted_ ? chaos::faults_injected() : 0;
   }
+  std::uint64_t d_builds() const override { return router_.stats().base_rebuilds; }
 
  private:
   static service::ServiceConfig make_config(const FuzzOptions& o,
@@ -799,6 +806,7 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
     if (batch.empty()) break;  // stream exhausted (degenerate mixes)
 
     std::string err;
+    const std::uint64_t d_builds_before = engine->d_builds();
     const bool applied = engine->apply(batch, &err);
     result.faults_injected = engine->faults_fired();
     if (!applied) {
@@ -813,6 +821,7 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
         })) {
       ++result.insert_batches;
     }
+    if (engine->d_builds() > d_builds_before) ++result.d_build_batches;
     fuzz_batches_ctr().add();
 
     if (!check_batch({options, b, stream->mirror(), *engine, harness_rng, result})) {
@@ -830,6 +839,7 @@ FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
     FuzzResult r = run_fuzz(o);
     r.batches += total.batches;
     r.insert_batches += total.insert_batches;
+    r.d_build_batches += total.d_build_batches;
     r.updates += total.updates;
     r.queries += total.queries;
     r.faults_injected += total.faults_injected;

@@ -3,7 +3,9 @@
 //
 // A run is a deterministic-per-seed interleaving of random updates and
 // queries over one graph family, driven through one of two entry points:
-//   * core   — DynamicDfs::apply_batch with combined k-update batches;
+//   * core   — DynamicDfs::apply_batch with combined k-update batches, at
+//              serial cutoff kCoreSerialCutoff so components past it take
+//              the paper's rounds, querying a D built on demand;
 //   * router — a num_shards ShardRouter in lock-step with an un-faulted
 //              1-shard DfsService reference: every update goes through the
 //              client retry loop (workload.hpp's submit_with_retry) until
@@ -54,6 +56,12 @@ enum class FuzzFamily : std::uint8_t {
 };
 
 enum class FuzzEntry : std::uint8_t { kCore, kRouter };
+
+// Serial cutoff of the core entry's engine. The default, 4 log² n, exceeds
+// every component at fuzz scale (n ~ 100), so every batch would finish
+// serially and neither the rounds nor the on-demand D build would run; the
+// router entries keep the default.
+inline constexpr std::int32_t kCoreSerialCutoff = 8;
 
 // Faults the `chaos` entry name arms when chaos_faults is unset (0).
 inline constexpr int kDefaultChaosFaults = 6;
@@ -109,6 +117,9 @@ struct FuzzResult {
   // Batches holding at least one vertex insert: the engine's segments take
   // them in with the rest of the batch, so this shows that path ran.
   std::uint64_t insert_batches = 0;
+  // Batches during which the engine built D on demand, mid-batch: a stale D
+  // rebuilt over the mutated graph because a component took the rounds.
+  std::uint64_t d_build_batches = 0;
   std::uint64_t updates = 0;
   std::uint64_t queries = 0;
   // Faults the armed plan fired (chaos::faults_injected); 0 without a plan

@@ -539,6 +539,109 @@ TEST(Batch, InsertMixedStreamsRunOnePassPerEpochSizedBatch) {
   }
 }
 
+// ---- D on demand (DESIGN.md §5) ------------------------------------------
+
+// A capped stream closes epochs but never queries D, so it builds none: on
+// the 2^12 dynamic_map stream in epoch-sized batches every component is
+// recomputed from its graph rows, and the only D build is the constructor's.
+TEST(Batch, CappedStreamClosesEpochsWithoutBuildingD) {
+  const service::WorkloadSpec spec{service::Scenario::kDynamicMap, 1 << 12, 5};
+  DynamicDfs dfs(service::make_initial_graph(spec));
+  service::WorkloadDriver driver(spec);
+  const std::size_t closes0 = dfs.epoch_rebuilds();
+  std::vector<GraphUpdate> batch;
+  for (int b = 0; b < 32; ++b) {
+    batch.clear();
+    const std::size_t period = dfs.epoch_period();
+    for (std::size_t i = 0; i < period; ++i) batch.push_back(driver.next());
+    const BatchStats bs = dfs.apply_batch(batch);
+    EXPECT_EQ(bs.base_rebuilds, 0u) << "batch " << b;
+    EXPECT_EQ(dfs.last_stats().query_batches, 0u) << "batch " << b;
+    const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+    ASSERT_TRUE(val.ok) << "batch " << b << ": " << val.reason;
+  }
+  expect_same_components_as_static(dfs);
+  EXPECT_GE(dfs.epoch_rebuilds() - closes0, 16u) << "epochs must still roll over";
+  EXPECT_EQ(dfs.d_builds(), 1u) << "only the constructor builds D";
+}
+
+std::uint64_t forest_fingerprint(std::span<const Vertex> parent) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const Vertex p : parent) {
+    h ^= static_cast<std::uint32_t>(p);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// One segment on a stale D that holds a cross insert, a back-edge insert and
+// a vertex insert with edges, where the cross insert's component takes the
+// rounds: D is built once, over the mutated graph, with the cross insert and
+// the new vertex's edges held as patches. The pinned fingerprint is the
+// forest an engine that rebuilds D at every epoch close leaves on the same
+// updates: building D late, over another base, must not change it.
+TEST(Batch, StaleDIsBuiltOnceOverTheMutatedSegment) {
+  // Component A: a random connected graph on 0..599 (above the default
+  // serial cutoff); component B: the path 600..619.
+  Rng rng(4242);
+  Graph g = gen::random_connected(600, 1200, rng);
+  for (int i = 0; i < 20; ++i) g.add_vertex();
+  for (Vertex v = 600; v < 619; ++v) g.add_edge(v, v + 1);
+  DynamicDfs dfs(std::move(g), RerootStrategy::kPaper, nullptr, 0, -1, {},
+                 /*epoch_period=*/2);
+  // Two structural updates in B fill the epoch.
+  const std::vector<GraphUpdate> fill = {
+      GraphUpdate::delete_edge(dfs.parent_of(606), 606),
+      GraphUpdate::delete_edge(dfs.parent_of(612), 612)};
+  EXPECT_EQ(dfs.apply_batch(fill).base_rebuilds, 0u);
+
+  // Two leaf siblings in A: a cross edge whose predicted reroot work is one
+  // vertex, far under the cap, so A's component takes the rounds.
+  const TreeIndex& t = dfs.tree();
+  Vertex u = kNullVertex;
+  Vertex v = kNullVertex;
+  for (Vertex p = 0; p < 600 && v == kNullVertex; ++p) {
+    Vertex leaf = kNullVertex;
+    for (const Vertex c : t.children(p)) {
+      if (t.size(c) != 1) continue;
+      if (leaf == kNullVertex) {
+        leaf = c;
+      } else {
+        u = leaf;
+        v = c;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(v, kNullVertex);
+  // A back edge: some vertex to its grandparent.
+  Vertex x = kNullVertex;
+  for (Vertex w = 0; w < 600 && x == kNullVertex; ++w) {
+    if (t.depth(w) >= 2 && w != u && w != v &&
+        !dfs.graph().has_edge(w, t.parent(t.parent(w)))) {
+      x = w;
+    }
+  }
+  ASSERT_NE(x, kNullVertex);
+  const std::vector<GraphUpdate> batch = {
+      GraphUpdate::insert_edge(u, v),
+      GraphUpdate::insert_edge(x, t.parent(t.parent(x))),
+      GraphUpdate::insert_vertex({600, 615})};
+  const std::size_t closes = dfs.epoch_rebuilds();
+  const BatchStats bs = dfs.apply_batch(batch);
+  EXPECT_EQ(dfs.epoch_rebuilds(), closes + 1) << "the segment closes the epoch";
+  EXPECT_EQ(bs.segments, 1u);
+  EXPECT_EQ(bs.structural, 2u);
+  EXPECT_EQ(bs.base_rebuilds, 1u);
+  EXPECT_EQ(bs.new_vertices, (std::vector<Vertex>{620}));
+  EXPECT_GT(dfs.last_stats().query_batches, 0u) << "no component queried D";
+  EXPECT_GT(dfs.last_stats().recomputes, 0u) << "B's region is recomputed";
+  const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+  ASSERT_TRUE(val.ok) << val.reason;
+  expect_same_components_as_static(dfs);
+  EXPECT_EQ(forest_fingerprint(dfs.parent()), 0x0be601bdb424fb2cULL);
+}
+
 TEST(Batch, EmptyBatchIsANoop) {
   DynamicDfs dfs(gen::path(5));
   const BatchStats stats = dfs.apply_batch({});

@@ -94,6 +94,68 @@ TEST(Oracle, SingleVertexQueriesMatchBruteForce) {
   }
 }
 
+// D built over a graph that gained edges after its base tree: cross edges
+// between unrelated base vertices (listed as patches, one of them twice) and
+// vertices beyond the base with edges (held as patches by the build). The
+// CSR rows keep only ancestor pairs, so every query still matches brute
+// force over the graph.
+TEST(Oracle, NonAncestorEdgesHeldAsPatchesMatchBruteForce) {
+  Rng rng(35);
+  for (int trial = 0; trial < 12; ++trial) {
+    const Vertex n = 150;
+    Graph g = gen::random_connected(n, 300, rng);
+    TreeIndex index;
+    index.build(static_dfs(g));
+    std::vector<Edge> cross;
+    while (cross.size() < 16) {
+      const auto u = static_cast<Vertex>(rng.below(n));
+      const auto v = static_cast<Vertex>(rng.below(n));
+      if (u == v || index.is_ancestor(u, v) || index.is_ancestor(v, u)) continue;
+      if (g.add_edge(u, v)) cross.push_back({u, v});
+    }
+    cross.push_back({cross.front().v, cross.front().u});
+    for (int i = 0; i < 4; ++i) {
+      // Neighbors among the base vertices and the new vertices so far.
+      std::vector<Vertex> nbrs;
+      while (nbrs.size() < 3) {
+        const auto z = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(g.capacity())));
+        if (std::find(nbrs.begin(), nbrs.end(), z) == nbrs.end()) nbrs.push_back(z);
+      }
+      g.add_vertex(nbrs);
+    }
+    AdjacencyOracle oracle;
+    oracle.build(g, index, nullptr, cross);
+    EXPECT_EQ(oracle.patch_count(), 0u) << "build-time patches are not noted ones";
+    for (int q = 0; q < 300; ++q) {
+      const PathSeg seg = random_segment(index, n, rng);
+      const auto u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(g.capacity())));
+      if (index.in_forest(u) && index.is_ancestor(seg.top, u) &&
+          index.is_ancestor(u, seg.bottom)) {
+        continue;  // disjointness precondition
+      }
+      for (const PathEnd end : {PathEnd::kTop, PathEnd::kBottom}) {
+        const Vertex src[] = {u};
+        const auto expected = brute_query(g, index, src, seg, end);
+        const auto got = oracle.query_vertex(u, seg, end);
+        ASSERT_EQ(got.has_value(), expected.has_value())
+            << "u=" << u << " seg=[" << seg.top << ".." << seg.bottom << "]";
+        if (got) {
+          EXPECT_EQ(got->v, expected->v);
+        }
+      }
+    }
+    // Every current edge is enumerated exactly once per endpoint.
+    for (Vertex u = 0; u < g.capacity(); ++u) {
+      std::vector<Vertex> seen;
+      oracle.for_each_current_neighbor(u, [&](Vertex z) { seen.push_back(z); });
+      std::vector<Vertex> row(g.neighbors(u).begin(), g.neighbors(u).end());
+      std::sort(seen.begin(), seen.end());
+      std::sort(row.begin(), row.end());
+      EXPECT_EQ(seen, row) << "u=" << u;
+    }
+  }
+}
+
 TEST(Oracle, SubtreeQueriesMatchBruteForce) {
   Rng rng(32);
   for (int trial = 0; trial < 15; ++trial) {

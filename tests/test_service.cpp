@@ -594,7 +594,9 @@ TEST(Service, IsBridgeMatchesBruteForceOnAChurnedGrid) {
   for (int i = 0; i < 2000; ++i) {
     const auto u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(mirror.capacity())));
     const auto v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(mirror.capacity())));
-    if (!mirror.has_edge(u, v)) ASSERT_FALSE(snap->is_bridge(u, v));
+    if (!mirror.has_edge(u, v)) {
+      ASSERT_FALSE(snap->is_bridge(u, v));
+    }
   }
   svc.stop();
 }

@@ -108,11 +108,13 @@ int report(const FuzzResult& r) {
   if (r.ok) {
     std::printf(
         "OK: %llu batches (%llu with a vertex insert), %llu updates, "
-        "%llu queries, %llu faults fired, 0 mismatches\n",
+        "%llu queries, %llu batches built D on demand, %llu faults fired, "
+        "0 mismatches\n",
         static_cast<unsigned long long>(r.batches),
         static_cast<unsigned long long>(r.insert_batches),
         static_cast<unsigned long long>(r.updates),
         static_cast<unsigned long long>(r.queries),
+        static_cast<unsigned long long>(r.d_build_batches),
         static_cast<unsigned long long>(r.faults_injected));
     return 0;
   }
@@ -164,6 +166,7 @@ int main(int argc, char** argv) {
       if (!r.ok) return report(r);
       total.batches += r.batches;
       total.insert_batches += r.insert_batches;
+      total.d_build_batches += r.d_build_batches;
       total.updates += r.updates;
       total.queries += r.queries;
       total.faults_injected += r.faults_injected;
