@@ -39,7 +39,7 @@ void run_strategy(benchmark::State& state, RerootStrategy strategy, int family) 
   std::uint64_t rounds = 0, runs = 0;
   for (auto _ : state) {
     std::vector<Vertex> out(parent.begin(), parent.end());
-    Rerooter engine(index, view, strategy);
+    Rerooter engine(index, g, view, strategy);
     const RerootRequest reqs[] = {{index.root_of(new_root), new_root, kNullVertex}};
     const RerootStats s = engine.run(reqs, out);
     rounds += s.global_rounds;

@@ -209,8 +209,8 @@ void BM_RerootRound(benchmark::State& state) {
     comp.pieces = {Piece::subtree(index.root_of(bases[c]))};
     round.push_back(std::move(comp));
   }
-  Rerooter engine(index, view, RerootStrategy::kPaper, nullptr, mode == 0 ? 1 : 4,
-                  /*serial_cutoff=*/kDominant, &g);
+  Rerooter engine(index, g, view, RerootStrategy::kPaper, nullptr,
+                  mode == 0 ? 1 : 4, /*serial_cutoff=*/kDominant);
   detail::set_force_round_team(mode == 1);
   std::vector<Vertex> out = parent;
   for (auto _ : state) {

@@ -56,7 +56,7 @@ void BM_RerootRounds(benchmark::State& state) {
   std::uint32_t max_phase = 0;
   for (auto _ : state) {
     std::vector<Vertex> out(parent.begin(), parent.end());
-    Rerooter engine(index, view, RerootStrategy::kPaper);
+    Rerooter engine(index, g, view, RerootStrategy::kPaper);
     const Vertex new_root =
         static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(g.capacity())));
     const RerootRequest reqs[] = {{index.root_of(new_root), new_root, kNullVertex}};

@@ -9,7 +9,10 @@ from the google-benchmark JSON files that run_bench.sh writes:
   probe          batched dispatched D probes must stay >= 1.3x faster than
                  the scalar single-probe reference at n = 2^15 (E15,
                  DESIGN.md §10); skipped when batch_simd ran without AVX2 (no
-                 AVX2 on the machine, or PARDFS_FORCE_SCALAR set).
+                 AVX2 on the machine, or PARDFS_FORCE_SCALAR set). The rows'
+                 fast and slow modes are fixed per process, so run_bench.sh
+                 runs bench_oracle as several processes and the gate reads
+                 the median of the per-process ratios.
   obs_overhead   BM_DynamicUpdate/32768 from the instrumented build may be at
                  most 3% slower than from the -DPARDFS_NO_METRICS=ON twin
                  (DESIGN.md §11 budget; medians of the repetitions).
@@ -31,16 +34,24 @@ from the google-benchmark JSON files that run_bench.sh writes:
                  reroot and an index rebuild (E23).
 
 A value is the `median` aggregate of its benchmark when the run has one, else
-its single run. The CPU count is the `context.num_cpus` the judged run
+its single run. A gate's ratio is the median of its per-process ratios over
+the processes of num's file (see --merge below); a file without process tags
+is one process. The CPU count is the `context.num_cpus` the judged run
 recorded, not the checking machine's. Every row is evaluated and printed.
 
 Usage: gates.py DIR    (DIR holds the BENCH_*.json files)
 Exit: 0 every gate passed or skipped, 1 any gate failed, else 2 when a gate
       is missing data.
+
+       gates.py --merge OUT IN...
+Writes the benchmark rows of the IN files (one google-benchmark JSON per
+process) into OUT, each row tagged with "process": the IN file's index, and
+OUT's context taken from the first IN file.
 """
 import json
 import operator
 import os
+import statistics
 import sys
 from typing import NamedTuple, Optional
 
@@ -129,11 +140,20 @@ def load(directory, name, cache):
     return cache[name]
 
 
-def lookup(data, bench):
-    """The median aggregate of `bench` if present, else its single run."""
+def processes(data):
+    """The process tags of a merged file's rows, ascending ([0] if none)."""
+    return sorted({b.get("process", 0) for b in data.get("benchmarks", [])}
+                  or {0})
+
+
+def lookup(data, bench, process):
+    """Among `process`'s rows (an untagged row is process 0), the median
+    aggregate of `bench` if present, else its single run."""
     median = single = None
     for b in data.get("benchmarks", []):
         if b.get("run_name", b["name"]) != bench:
+            continue
+        if b.get("process", 0) != process:
             continue
         if b.get("aggregate_name") == "median":
             median = b
@@ -142,10 +162,11 @@ def lookup(data, bench):
     return median if median is not None else single
 
 
-def read(directory, value, cache):
-    row = lookup(load(directory, value.file, cache), value.bench)
+def read(directory, value, cache, process):
+    row = lookup(load(directory, value.file, cache), value.bench, process)
     if row is None:
-        raise MissingData(f"no {value.bench} in {value.file}")
+        raise MissingData(f"no {value.bench} of process {process} in "
+                          f"{value.file}")
     if value.field == "real_time":
         return row["real_time"] * TIME_SCALE_US[row.get("time_unit", "ns")]
     if value.field not in row:
@@ -164,29 +185,53 @@ def judge(gate, directory, cache):
             if cpus < gate.min_cpus:
                 return 0, (f"SKIP  the run recorded {cpus} CPUs "
                            f"(< {gate.min_cpus})")
-        num = read(directory, gate.num, cache)
-        den = read(directory, gate.den, cache)
-        if gate.skip_unless and not read(directory, gate.skip_unless, cache):
+        runs = processes(load(directory, gate.num.file, cache))
+        pairs = [(read(directory, gate.num, cache, p),
+                  read(directory, gate.den, cache, p)) for p in runs]
+        if gate.skip_unless and not read(directory, gate.skip_unless, cache,
+                                         runs[0]):
             return 0, f"SKIP  {gate.skip_unless.field} = 0"
-        if gate.require and not read(directory, gate.require, cache):
+        if gate.require and not read(directory, gate.require, cache,
+                                     runs[0]):
             raise MissingData(f"{gate.require.field} = 0 in "
                               f"{gate.require.bench}")
-        if den <= 0:
-            raise MissingData(f"{gate.den.field} of {gate.den.bench} is "
-                              f"{den}")
+        for _, den in pairs:
+            if den <= 0:
+                raise MissingData(f"{gate.den.field} of {gate.den.bench} is "
+                                  f"{den}")
     except MissingData as e:
         return 2, f"MISSING  {e}"
-    ratio = num / den
+    ratios = [num / den for num, den in pairs]
+    ratio = statistics.median(ratios)
     verdict = "PASS" if OPS[gate.op](ratio, gate.bound) else "FAIL"
     return (0 if verdict == "PASS" else 1), (
         f"{verdict}  {ratio:.3f}x (required {gate.op} {gate.bound:g}x)  "
-        f"{gate.num.bench} {gate.num.field} {num:.1f} / "
-        f"{gate.den.bench} {gate.den.field} {den:.1f}")
+        f"{gate.num.bench} {gate.num.field} / "
+        f"{gate.den.bench} {gate.den.field} per process: "
+        f"{', '.join(f'{num:.1f}/{den:.1f}' for num, den in pairs)}")
+
+
+def merge(out, inputs):
+    """Writes the rows of the per-process `inputs` into `out`, tagged."""
+    merged = {"context": None, "benchmarks": []}
+    for process, path in enumerate(inputs):
+        with open(path) as f:
+            data = json.load(f)
+        if merged["context"] is None:
+            merged["context"] = data.get("context", {})
+        for b in data.get("benchmarks", []):
+            merged["benchmarks"].append({**b, "process": process})
+    with open(out, "w") as f:
+        json.dump(merged, f, indent=2)
 
 
 def main(argv):
+    if len(argv) >= 3 and argv[0] == "--merge":
+        merge(argv[1], argv[2:])
+        return 0
     if len(argv) != 1:
-        print("usage: gates.py DIR", file=sys.stderr)
+        print("usage: gates.py DIR | gates.py --merge OUT IN...",
+              file=sys.stderr)
         return 2
     cache = {}
     codes = set()

@@ -237,6 +237,60 @@ class GatesTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertEqual(verdicts["obs_overhead"], "FAIL")
 
+    def probe_processes(self, ratios):
+        """BENCH_oracle.json as run_bench.sh merges it: one process per
+        ratio, each with a median row per probe benchmark."""
+        rows = []
+        for process, ratio in enumerate(ratios):
+            rows += [{**median(SCALAR, 100.0 * ratio), "process": process},
+                     {**median(SIMD, 100.0, avx2=1), "process": process}]
+        return rows
+
+    def test_probe_reads_the_median_of_per_process_ratios(self):
+        # One process read both rows in its slow mode: 1.00x. The other two
+        # carry the median.
+        files = healthy()
+        files["BENCH_oracle.json"] = self.probe_processes([1.0, 1.6, 1.5])
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 0)
+        self.assertEqual(verdicts["probe"], "PASS")
+        # Two slow processes out of three fail it.
+        files["BENCH_oracle.json"] = self.probe_processes([1.0, 1.6, 1.1])
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 1)
+        self.assertEqual(verdicts["probe"], "FAIL")
+
+    def test_probe_reports_a_process_without_its_row(self):
+        files = healthy()
+        rows = self.probe_processes([1.6, 1.6, 1.6])
+        files["BENCH_oracle.json"] = [
+            r for r in rows if not (r["process"] == 2 and r["run_name"] == SIMD)]
+        code, verdicts = self.judge(files)
+        self.assertEqual(code, 2)
+        self.assertEqual(verdicts["probe"], "MISSING")
+
+    def test_merge_tags_each_process_rows(self):
+        with tempfile.TemporaryDirectory() as d:
+            inputs = []
+            for process, ratio in enumerate([1.0, 1.6, 1.5]):
+                path = os.path.join(d, f"p{process}.json")
+                with open(path, "w") as f:
+                    json.dump({"context": {"num_cpus": 4 + process},
+                               "benchmarks": [median(SCALAR, 100.0 * ratio),
+                                              median(SIMD, 100.0, avx2=1)]},
+                              f)
+                inputs.append(path)
+            out = os.path.join(d, "BENCH_oracle.json")
+            self.assertEqual(gates.main(["--merge", out] + inputs), 0)
+            with open(out) as f:
+                merged = json.load(f)
+        self.assertEqual(merged["context"], {"num_cpus": 4})
+        self.assertEqual([r["process"] for r in merged["benchmarks"]],
+                         [0, 0, 1, 1, 2, 2])
+        self.assertEqual(gates.processes(merged), [0, 1, 2])
+        row = gates.lookup(merged, SCALAR, process=1)
+        self.assertEqual(row["real_time"], 160.0)
+
 
 if __name__ == "__main__":
     unittest.main()

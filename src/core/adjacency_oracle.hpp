@@ -8,7 +8,9 @@
 //     Query(w, path(x, y)):  the edge from w incident on path(x, y)
 //                            nearest a chosen end of the path.
 // Subtree and path variants assign one logical processor per source vertex
-// and reduce (Theorem 8).
+// and reduce (Theorem 8). D answers path queries only: every other reader of
+// adjacency (the rerooting engine's serial finish, grouping and attachment
+// walk, the batch reduction) reads the Graph's rows (DESIGN.md §4).
 //
 // Multi-update support (Theorem 9): the oracle is *never rebuilt* in
 // fault-tolerant mode. Instead it accepts patches:
@@ -93,9 +95,9 @@ class AdjacencyOracle {
 
   std::size_t patch_count() const { return patch_count_; }
 
-  // Drops all Theorem 9 patches, restoring the as-built oracle (used by the
-  // fault-tolerant wrapper to answer independent update batches). The edges
-  // build() held as patches stay.
+  // Drops all Theorem 9 patches, restoring the as-built oracle (used by
+  // DynamicDfs::reset_to_base, so a kNeverRebase engine answers independent
+  // update batches). The edges build() held as patches stay.
   void clear_patches();
 
   // True if v existed at build time and is part of the base tree.
@@ -140,70 +142,6 @@ class AdjacencyOracle {
   // filtering — the O(1)-searcher primitive behind the role reversal for
   // Query(subtree, path) when the path is the cheaper side to walk.
   std::optional<Vertex> probe_into_subtree(Vertex u, Vertex r) const;
-
-  // ---- current-graph adjacency (serial component finish) -------------------
-  // The oracle tracks every graph mutation (builds snapshot the adjacency,
-  // patches record the deltas), so the current neighbor set of u is exactly
-  // base_neighbors(u) minus deleted edges plus extras. The engine's
-  // sub-cutoff serial finish enumerates it through these accessors; the
-  // order (base list by post, then extras in patch order) is fixed, keeping
-  // results thread-count independent.
-  std::span<const Vertex> base_neighbor_list(Vertex u) const {
-    return base_neighbors(u);
-  }
-  std::span<const Vertex> extra_neighbor_list(Vertex u) const {
-    if (!has_extras(u)) return {};
-    return extras_[static_cast<std::size_t>(u)];
-  }
-  // True iff the edge (u, z) currently exists given that it is present in
-  // one of the two lists above.
-  bool edge_alive(Vertex u, Vertex z) const {
-    return !edge_deleted(u, z) && !vertex_dead(z);
-  }
-  // True iff the edge (u, z) is in the current graph, whether or not it is
-  // in one of the lists above: a patched-in edge deleted again leaves both
-  // lists without being recorded as deleted. O(log deg(u) + patches of u).
-  bool has_current_edge(Vertex u, Vertex z) const;
-  // fn(z) for every current neighbor of u, in the fixed order above. The
-  // scan is charged to the cost model like a probe batch, so consumers that
-  // sweep adjacency directly (the rerooter's non-tree row build and
-  // attachment walk, reduce_batch's grouping sweep) keep the PRAM work
-  // ledger honest.
-  template <typename Fn>
-  void for_each_current_neighbor(Vertex u, Fn&& fn) const {
-    PARDFS_DCHECK(!stale_);
-    const auto base = base_neighbors(u);
-    std::uint64_t probes = base.size();
-    for (const Vertex z : base) {
-      if (edge_alive(u, z)) fn(z);
-    }
-    if (has_extras(u)) {
-      const auto& ex = extras_[static_cast<std::size_t>(u)];
-      probes += ex.size();
-      for (const Vertex z : ex) {
-        if (edge_alive(u, z)) fn(z);
-      }
-    }
-    charge_scan(probes);
-  }
-  // Charges a direct sweep of `entries` adjacency entries as one probe batch,
-  // as for_each_current_neighbor does per row; for consumers that read a
-  // copy of the rows (the rerooter's non-tree rows).
-  void charge_scan(std::uint64_t entries) const {
-    if (cost_ != nullptr) cost_->add_query(entries);
-  }
-
-  // Software prefetch of u's CSR adjacency row (data + posts + patch flag)
-  // for a sweep that will enumerate or probe u shortly. Pure hint: no
-  // observable effect.
-  void prefetch_adjacency(Vertex u) const {
-    const std::size_t su = static_cast<std::size_t>(u);
-    if (su >= built_capacity_) return;
-    const std::uint32_t off = sorted_offsets_[su];
-    simd::prefetch(sorted_data_.data() + off);
-    simd::prefetch(sorted_posts_.data() + off);
-    if (su < has_extras_.size()) simd::prefetch(&has_extras_[su]);
-  }
 
   // True iff the CSR arrays sit on simd::kAlign boundaries (the layout
   // invariant of DESIGN.md §10; pinned by tests).
@@ -288,6 +226,16 @@ class AdjacencyOracle {
   bool has_extras(Vertex u) const {
     return static_cast<std::size_t>(u) < has_extras_.size() &&
            has_extras_[static_cast<std::size_t>(u)] != 0;
+  }
+  // Software prefetch of u's CSR row (data + posts + patch flag) for a
+  // probe of u shortly. Pure hint: no observable effect.
+  void prefetch_adjacency(Vertex u) const {
+    const std::size_t su = static_cast<std::size_t>(u);
+    if (su >= built_capacity_) return;
+    const std::uint32_t off = sorted_offsets_[su];
+    simd::prefetch(sorted_data_.data() + off);
+    simd::prefetch(sorted_posts_.data() + off);
+    if (su < has_extras_.size()) simd::prefetch(&has_extras_[su]);
   }
 
  public:

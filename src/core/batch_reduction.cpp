@@ -135,9 +135,9 @@ std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
 
 }  // namespace
 
-BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
-                            const Graph& g, const BatchChanges& changes,
-                            bool work_cap) {
+BatchReduction reduce_batch(const TreeIndex& cur, const Graph& g,
+                            const BatchChanges& changes, bool work_cap,
+                            pram::CostModel* cost) {
   BatchReduction out;
   const auto cap = static_cast<std::size_t>(cur.capacity());
   PARDFS_CHECK_MSG(work_cap || changes.inserted_vertices.empty(),
@@ -324,7 +324,6 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
       const Vertex r = pieces[static_cast<std::size_t>(it->second)].root;
       return pz < it->first + cur.size(r) ? it->second : -1;
     };
-    const AdjacencyOracle& oracle = view.oracle();
     for (std::size_t j = 0; j < num_chains && num_groups > 1; ++j) {
       const Piece& chain = pieces[j];
       for (Vertex v = chain.bottom;; v = cur.parent(v)) {
@@ -339,7 +338,7 @@ BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
             if (num_groups == 1) break;  // the rest of the row is moot
           }
         }
-        oracle.charge_scan(row.size());
+        if (cost != nullptr) cost->add_query(row.size());
         if (num_groups == 1 || v == chain.top) break;
       }
     }

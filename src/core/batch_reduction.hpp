@@ -14,9 +14,10 @@
 // untouched. The whole batch therefore costs one reduction, one engine pass
 // and — in the caller — one O(n) tree-index rebuild, instead of k of each.
 //
-// Call protocol (mirrors core/reduction): the oracle must already be patched
-// with every update of the batch, the graph must already be mutated, and the
-// tree index must still describe the PRE-batch forest.
+// Call protocol: the graph must already be mutated with every update of the
+// batch, and the tree index must still describe the PRE-batch forest. The
+// reduction reads no D, so a batch whose components all finish serially
+// needs none (DynamicDfs builds it on demand).
 #pragma once
 
 #include <span>
@@ -25,6 +26,7 @@
 
 #include "core/components.hpp"
 #include "graph/graph.hpp"
+#include "pram/cost_model.hpp"
 #include "tree/tree_index.hpp"
 
 namespace pardfs {
@@ -101,8 +103,10 @@ struct BatchReduction {
   std::vector<std::pair<Vertex, Vertex>> direct;
 };
 
-BatchReduction reduce_batch(const TreeIndex& cur, const OracleView& view,
-                            const Graph& g, const BatchChanges& changes,
-                            bool work_cap = false);
+// Each row the grouping sweep reads is charged to `cost` as one adjacency
+// scan.
+BatchReduction reduce_batch(const TreeIndex& cur, const Graph& g,
+                            const BatchChanges& changes, bool work_cap = false,
+                            pram::CostModel* cost = nullptr);
 
 }  // namespace pardfs

@@ -106,7 +106,6 @@ class OracleView {
       : oracle_(oracle), cur_(current), identity_(identity) {}
 
   const TreeIndex& cur() const { return *cur_; }
-  const AdjacencyOracle& oracle() const { return *oracle_; }
 
   // Decomposes the current-tree monotone path walked from `near` to `far`
   // (inclusive; one endpoint is a current-tree ancestor of the other) into

@@ -237,8 +237,8 @@ void DynamicDfs::execute(const ReductionResult& reduction, const OracleView& vie
   // parent_ already holds the pre-update forest; reroots overwrite their
   // subtrees, direct assignments patch single slots. The view is shared
   // with the preceding reduction so its decompose memo spans the update.
-  Rerooter engine(*index_, view, strategy_, cost_, num_threads_,
-                  engine_cutoff(), &graph_);
+  Rerooter engine(*index_, graph_, view, strategy_, cost_, num_threads_,
+                  engine_cutoff());
   last_stats_ = engine.run(reduction.reroots, parent_);
   mirror_reroot_stats(last_stats_);
   for (const auto& [v, p] : reduction.direct) {
@@ -532,8 +532,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
     // The work cap rides on the serial finish: serial_cutoff = 0 keeps the
     // pure round machinery (DESIGN.md §9). The reduction reads graph rows.
     BatchReduction reduction =
-        reduce_batch(*index_, OracleView(&oracle_, index_.get(), at_base()),
-                     graph_, changes, cutoff > 0);
+        reduce_batch(*index_, graph_, changes, cutoff > 0, cost_);
     // A stale D is built only if a component takes the round machinery. It
     // is built over the mutated graph, with the pre-batch forest as base,
     // and the CSR invariant keeps it exact there: the batch's surviving
@@ -551,8 +550,8 @@ bool DynamicDfs::flush_segment(Segment& seg) {
       build_d(cross);
     }
     const OracleView view(&oracle_, index_.get(), at_base());
-    Rerooter engine(*index_, view, strategy_, cost_, num_threads_, cutoff,
-                    &graph_);
+    Rerooter engine(*index_, graph_, view, strategy_, cost_, num_threads_,
+                    cutoff);
     last_stats_ = engine.run_components(std::move(reduction.components), parent_);
     mirror_reroot_stats(last_stats_);
     for (const auto& [v, p] : reduction.direct) {

@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "pram/parallel.hpp"
 #include "util/check.hpp"
+#include "util/simd.hpp"
 
 namespace pardfs {
 
@@ -143,11 +144,11 @@ bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
 // Brent-style completion of a sub-cutoff component: one processor performs a
 // plain DFS of the component's induced subgraph from its entry. Any DFS of
 // the component is a valid completion (components property: external edges
-// lead to T* ancestors of the entry), and neighbors enumerate in the current
-// graph's adjacency-row order — a pure function of the component's update
-// history, so the result is thread-count independent and identical across
-// engines with different rebase histories (see the cutoff comment in
-// rerooter.hpp). No query batches are issued.
+// lead to T* ancestors of the entry), and neighbors enumerate in the graph's
+// row order — a pure function of the component's update history, so the
+// result is thread-count independent and identical across engines with
+// different rebase histories (see the cutoff comment in rerooter.hpp). No
+// query batches are issued.
 // A work-capped component (Component::recompute) is finished the same way.
 // It holds whole pre-batch trees, so it skips their deleted vertices, plus
 // the vertices its batch inserted (Component::new_vertices), which lie
@@ -157,8 +158,9 @@ bool round_has_slack(const TreeIndex& cur, std::span<const Component> round) {
 // the stack empties roots a new tree, in the same order. The caller counts
 // which finish ran.
 void serial_finish(detail::EngineCtx& ctx, const Component& comp,
-                   std::span<Vertex> parent_out, const Graph* graph) {
+                   std::span<Vertex> parent_out) {
   const TreeIndex& cur = ctx.cur();
+  const Graph& graph = ctx.graph();
   // Membership marks: the DFS must not escape the component.
   ctx.begin_mark();
   std::size_t total = 0;
@@ -167,7 +169,7 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
       const auto span = cur.subtree_span(p.root);
       if (comp.recompute) {
         for (const Vertex v : span) {
-          if (!graph->is_alive(v)) continue;
+          if (!graph.is_alive(v)) continue;
           ctx.mark(v);
           ++total;
         }
@@ -188,10 +190,8 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
     ++total;
   }
   // Graph neighbors can be vertices inserted after the current index was
-  // built (ids at or beyond its capacity). Only a recomputed component holds
-  // any, and the context has mark slots for those; the rest are never
-  // members.
-  const Vertex cap = ctx.mark_capacity();
+  // built (ids at or beyond its capacity). The mark slots span the graph's
+  // ids, and only a recomputed component marks any of them.
   ctx.begin_visit();
   auto& stack = ctx.dfs_scratch();
   stack.clear();
@@ -229,12 +229,11 @@ void serial_finish(detail::EngineCtx& ctx, const Component& comp,
     auto& frame = stack.back();
     const Vertex v = frame.v;
     Vertex child = kNullVertex;
-    // Row entries are the live current edges by construction — no
-    // edge_alive filter needed, only the index-capacity guard.
-    const auto row = graph->neighbors(v);
+    // Row entries are the live current edges by construction.
+    const auto row = graph.neighbors(v);
     while (frame.row_i < row.size()) {
       const Vertex z = row[frame.row_i++];
-      if (z < cap && ctx.marked(z) && !ctx.visited(z)) {
+      if (ctx.marked(z) && !ctx.visited(z)) {
         child = z;
         break;
       }
@@ -277,18 +276,26 @@ void finish_traversal(detail::EngineCtx& ctx, const Component& comp,
 }  // namespace
 
 void NonTreeRows::fill(Vertex v, RowArena& arena) {
-  Vertex* out = arena.reserve(oracle_.base_neighbor_list(v).size() +
-                              oracle_.extra_neighbor_list(v).size());
+  const auto full = graph_.neighbors(v);
+  Vertex* out = arena.reserve(full.size());
+  const Vertex cap = cur_.capacity();
+  const std::int32_t pre_v = cur_.pre(v);
   std::size_t count = 0;
-  oracle_.for_each_current_neighbor(v, [&](Vertex z) {
+  for (const Vertex z : full) {
     // Ids inserted after the index was built lie in no piece; tree edges
     // join pieces structurally; an edge up to an ancestor is kept in the row
-    // of its upper end.
-    if (z >= cur_.capacity() || cur_.parent(z) == v || cur_.is_ancestor(z, v)) {
-      return;
-    }
-    out[count++] = z;
-  });
+    // of its upper end. Graph rows are in update order, so which entries
+    // survive is unpredictable: the test is branch-free (is_ancestor(y, v)
+    // spelled with `&`), every entry is stored and only a kept one advances
+    // the count. An id beyond the index reads v's slots instead.
+    const bool indexed = z < cap;
+    const Vertex y = indexed ? z : v;
+    const std::int32_t pre_y = cur_.pre(y);
+    const bool up = (pre_y <= pre_v) & (pre_v < pre_y + cur_.size(y));
+    out[count] = z;
+    count += static_cast<std::size_t>(indexed & (cur_.parent(y) != v) & !up);
+  }
+  if (cost_ != nullptr) cost_->add_query(full.size());
   arena.commit(count);
   slots_[static_cast<std::size_t>(v)] = {out, count};
 }
@@ -296,7 +303,7 @@ void NonTreeRows::fill(Vertex v, RowArena& arena) {
 void group_leftovers(EngineCtx& ctx, const Component& comp,
                      const TraversalPlan& plan, std::vector<Component>& next) {
   const TreeIndex& cur = ctx.cur();
-  const AdjacencyOracle& oracle = ctx.view().oracle();
+  const Graph& graph = ctx.graph();
   const std::size_t k = plan.leftovers.size();
 
   // Vertex -> containing leftover piece, as a stamped O(1) map: the walks
@@ -344,7 +351,7 @@ void group_leftovers(EngineCtx& ctx, const Component& comp,
     if (parent == kNullVertex) continue;
     const std::int32_t j = piece_of(parent);
     if (j >= 0 && static_cast<std::size_t>(j) != i &&
-        oracle.has_current_edge(head, parent)) {
+        graph.has_edge(head, parent)) {
       join(i, static_cast<std::size_t>(j));
     }
   }
@@ -369,13 +376,14 @@ void group_leftovers(EngineCtx& ctx, const Component& comp,
           std::uint64_t read = 0;
           for (const Vertex z : rows.row(v, arena)) {
             ++read;
+            // Rows are in update order, so whether z lies in another piece
+            // is unpredictable: every entry joins, one outside the pieces
+            // as the no-op join(i, i).
             const std::int32_t j = piece_of(z);
-            if (j >= 0 && static_cast<std::size_t>(j) != i) {
-              join(i, static_cast<std::size_t>(j));
-              if (num_groups == 1) break;
-            }
+            join(i, j < 0 ? i : static_cast<std::size_t>(j));
+            if (num_groups == 1) break;
           }
-          oracle.charge_scan(read);
+          ctx.charge_scan(read);
           scanned += read;
           if (num_groups == 1 || v == pp.top) break;
         }
@@ -408,10 +416,10 @@ void group_leftovers(EngineCtx& ctx, const Component& comp,
   // same winners for EVERY group at once: the first chain vertex q with an
   // edge into a group fixes that group's position (q), and the smallest
   // piece-side endpoint among q's edges into the group is the paper's
-  // tie-break. The walk reads full adjacency rows: a tree edge from q into a
-  // hanging subtree is as valid an attach edge as a back edge. The oracle's
-  // patched adjacency lists are exactly the current graph, so the edge
-  // universe is identical to the query sweep's.
+  // tie-break, so neither depends on row order. The walk reads full graph
+  // rows: a tree edge from q into a hanging subtree is as valid an attach
+  // edge as a back edge, and the rows are exactly the current graph, the
+  // edge universe of the query sweep.
   const std::size_t num_runs = split_runs(cur, plan.pstar).size();
   for (std::size_t b = 0; b < num_runs; ++b) ctx.count_batch();
   struct GroupAttach {
@@ -425,10 +433,11 @@ void group_leftovers(EngineCtx& ctx, const Component& comp,
     const Vertex q = plan.pstar[idx];
     // p* is materialized, so the walk's next row is known: warm it while
     // this row's stamped piece lookups execute.
-    if (idx > 0) oracle.prefetch_adjacency(plan.pstar[idx - 1]);
-    oracle.for_each_current_neighbor(q, [&](Vertex z) {
+    if (idx > 0) simd::prefetch(graph.neighbors(plan.pstar[idx - 1]).data());
+    const auto row = graph.neighbors(q);
+    for (const Vertex z : row) {
       const std::int32_t j = piece_of(z);
-      if (j < 0) return;
+      if (j < 0) continue;
       GroupAttach& a = attach[static_cast<std::size_t>(group_of_piece[j])];
       if (a.attach == q) {
         if (z < a.entry) {
@@ -439,7 +448,8 @@ void group_leftovers(EngineCtx& ctx, const Component& comp,
         a = {z, q, j};
         --unattached;
       }
-    });
+    }
+    ctx.charge_scan(row.size());
   }
 
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
@@ -465,20 +475,17 @@ void group_leftovers(EngineCtx& ctx, const Component& comp,
 
 }  // namespace detail
 
-Rerooter::Rerooter(const TreeIndex& current, const OracleView& view,
-                   RerootStrategy strategy, pram::CostModel* cost,
-                   int num_threads, std::int32_t serial_cutoff,
-                   const Graph* graph)
+Rerooter::Rerooter(const TreeIndex& current, const Graph& graph,
+                   const OracleView& view, RerootStrategy strategy,
+                   pram::CostModel* cost, int num_threads,
+                   std::int32_t serial_cutoff)
     : cur_(current),
+      graph_(graph),
       view_(view),
       strategy_(strategy),
       cost_(cost),
       num_threads_(num_threads),
-      serial_cutoff_(serial_cutoff),
-      graph_(graph) {
-  PARDFS_CHECK_MSG(serial_cutoff == 0 || graph != nullptr,
-                   "a serial cutoff needs the graph's rows");
-}
+      serial_cutoff_(serial_cutoff) {}
 
 std::int32_t Rerooter::default_serial_cutoff(Vertex capacity) {
   const std::uint64_t n = static_cast<std::uint64_t>(capacity);
@@ -542,12 +549,11 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
   std::vector<std::unique_ptr<detail::EngineCtx>> workers(
       static_cast<std::size_t>(threads > 0 ? threads : 1));
   // The pass's non-tree rows, filled by the groupings that sweep them.
-  detail::NonTreeRows rows(cur_, view_.oracle());
-  const Vertex mark_capacity = graph_ != nullptr ? graph_->capacity() : 0;
+  detail::NonTreeRows rows(cur_, graph_, cost_);
   const auto worker_ctx = [&](int w) -> detail::EngineCtx& {
     auto& slot = workers[static_cast<std::size_t>(w)];
     if (!slot) {
-      slot = std::make_unique<detail::EngineCtx>(cur_, view_, &rows, mark_capacity);
+      slot = std::make_unique<detail::EngineCtx>(cur_, graph_, view_, &rows, cost_);
     }
     return *slot;
   };
@@ -576,7 +582,7 @@ RerootStats Rerooter::run_components(std::vector<Component> active,
       PARDFS_CHECK_MSG(!capped || serial_cutoff_ > 0,
                        "a recomputed component needs the serial finish");
       if (finishes_serially(cur_, active[i], serial_cutoff_)) {
-        detail::serial_finish(ctx, active[i], parent_out, graph_);
+        detail::serial_finish(ctx, active[i], parent_out);
         ++(capped ? ctx.stats().recomputes : ctx.stats().serial_finishes);
         comp_batches[i] = 0;
         return;

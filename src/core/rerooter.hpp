@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "core/components.hpp"
-#include "graph/edge.hpp"
+#include "graph/graph.hpp"
 #include "pram/cost_model.hpp"
 #include "tree/tree_index.hpp"
 
@@ -96,6 +96,12 @@ class Rerooter {
   // Only the logical cost model's semantics (rounds, not threads) are
   // recorded, so the knob is pure wall-clock.
   //
+  // `graph` is the current graph (already mutated by the updates being
+  // rerooted) and the engine's only source of adjacency: the serial finish,
+  // the leftover grouping and the attachment walk read its rows, and D
+  // (through `view`) answers only path queries. Each row read is charged to
+  // `cost` as one adjacency scan.
+  //
   // `serial_cutoff` (0 = disabled): a component whose total vertex count is
   // at most the cutoff is finished by ONE logical processor as a direct DFS
   // of its induced subgraph — Brent-style processor reallocation. The paper
@@ -105,20 +111,19 @@ class Rerooter {
   // serially it skips the entire per-round query machinery. Any DFS of the
   // component rooted at its entry is a valid completion (the components
   // property, Lemma 1: all external edges lead to ancestors of the entry).
-  // A cutoff needs `graph`: neighbors enumerate in its adjacency-row order —
-  // a pure function of the component's update history, so two engines
-  // holding the same component produce the same completion even with
-  // different epoch/rebase histories (what makes sharded serving
-  // byte-identical to unsharded; see service/shard_router.hpp). DynamicDfs
-  // passes default_serial_cutoff(); raw engine users default to the pure
-  // paper machinery.
+  // Neighbors enumerate in the graph's row order — a pure function of the
+  // component's update history, so two engines holding the same component
+  // produce the same completion even with different epoch/rebase histories
+  // (what makes sharded serving byte-identical to unsharded; see
+  // service/shard_router.hpp). DynamicDfs passes default_serial_cutoff();
+  // raw engine users default to the pure paper machinery.
   // The same finish also takes every component the batch reduction marked
   // `recompute` (the work cap, core/batch_reduction.hpp), whatever its size,
   // counted as RerootStats::recomputes. The reduction marks components only
   // for callers that run a cutoff, so 0 turns both finishes off.
-  Rerooter(const TreeIndex& current, const OracleView& view, RerootStrategy strategy,
-           pram::CostModel* cost = nullptr, int num_threads = 0,
-           std::int32_t serial_cutoff = 0, const Graph* graph = nullptr);
+  Rerooter(const TreeIndex& current, const Graph& graph, const OracleView& view,
+           RerootStrategy strategy, pram::CostModel* cost = nullptr,
+           int num_threads = 0, std::int32_t serial_cutoff = 0);
 
   // Smallest off-critical-path work (vertices in a round's components other
   // than the largest) at which a team steps a round on the workers; below it
@@ -169,12 +174,12 @@ class Rerooter {
 
  private:
   const TreeIndex& cur_;
+  const Graph& graph_;
   const OracleView& view_;
   RerootStrategy strategy_;
   pram::CostModel* cost_;
   int num_threads_;
   std::int32_t serial_cutoff_;
-  const Graph* graph_;
 };
 
 }  // namespace pardfs

@@ -63,19 +63,18 @@ class RowArena {
 // neighbours nor proper ancestors of v in `cur` — each back edge once, at
 // its upper end (an inserted cross edge at both ends). Leftover grouping
 // (group_leftovers) unites the pieces a tree edge joins structurally, so
-// these rows are all it still has to read. A row is read from the oracle's
-// current adjacency (so fault-tolerant and raw engines take the same path)
-// the first time a sweep needs it, into the sweeping worker's arena, and
-// kept for the rest of the pass: later sweeps of the same vertex, on any
-// worker, read only its non-tree entries. Components of a round are
+// these rows are all it still has to read. A row is read from the graph's
+// adjacency the first time a sweep needs it, into the sweeping worker's
+// arena, and kept for the rest of the pass: later sweeps of the same vertex,
+// on any worker, read only its non-tree entries. Components of a round are
 // vertex-disjoint and a step sweeps only its own component's vertices, so
 // within a round each slot has one writer and no reader on another worker;
 // the round barrier orders it before later rounds' reads. A pass that never
 // sweeps allocates nothing.
 class NonTreeRows {
  public:
-  NonTreeRows(const TreeIndex& cur, const AdjacencyOracle& oracle)
-      : cur_(cur), oracle_(oracle) {}
+  NonTreeRows(const TreeIndex& cur, const Graph& graph, pram::CostModel* cost)
+      : cur_(cur), graph_(graph), cost_(cost) {}
 
   // Sizes the per-vertex slots on the first call from any thread.
   void ensure_slots() {
@@ -92,8 +91,8 @@ class NonTreeRows {
   }
 
  private:
-  // Reads v's full current adjacency once, charged to the cost model like
-  // any adjacency sweep.
+  // Reads v's full graph row once, charged to the cost model as one
+  // adjacency scan.
   void fill(Vertex v, RowArena& arena);
 
   struct Slot {
@@ -101,13 +100,15 @@ class NonTreeRows {
     std::size_t count;
   };
   const TreeIndex& cur_;
-  const AdjacencyOracle& oracle_;
+  const Graph& graph_;
+  pram::CostModel* cost_;
   std::once_flag slots_made_;
   std::vector<Slot> slots_;
 };
 
-// Engine context handed to the planner: tree, oracle view, scratch marking
-// arrays (stamped, O(1) reset), per-step query-batch counter and stats.
+// Engine context handed to the planner: tree, graph, oracle view, scratch
+// marking arrays (stamped, O(1) reset), per-step query-batch counter and
+// stats.
 //
 // One context belongs to ONE worker thread: components of a round step
 // concurrently (rerooter.cpp), and everything mutable a step touches — the
@@ -121,14 +122,14 @@ class NonTreeRows {
 // counters are sums (or max), so the merge is order-independent.
 class EngineCtx {
  public:
-  // The mark and visit slots span max(cur.capacity(), `mark_capacity`): a
+  // The mark and visit slots span the graph's ids, not only the index's: a
   // recomputed component's members include vertices its batch inserted,
-  // beyond the index (Component::new_vertices); pass the graph's capacity.
-  EngineCtx(const TreeIndex& cur, const OracleView& view,
-            NonTreeRows* rows = nullptr, Vertex mark_capacity = 0)
-      : cur_(cur), view_(view), rows_(rows) {
+  // beyond the index (Component::new_vertices).
+  EngineCtx(const TreeIndex& cur, const Graph& graph, const OracleView& view,
+            NonTreeRows* rows = nullptr, pram::CostModel* cost = nullptr)
+      : cur_(cur), graph_(graph), view_(view), rows_(rows), cost_(cost) {
     const auto marks =
-        static_cast<std::size_t>(std::max(cur.capacity(), mark_capacity));
+        static_cast<std::size_t>(std::max(cur.capacity(), graph.capacity()));
     mark_stamp_.assign(marks, 0);
     pos_stamp_.assign(static_cast<std::size_t>(cur.capacity()), 0);
     pos_val_.assign(static_cast<std::size_t>(cur.capacity()), -1);
@@ -137,8 +138,9 @@ class EngineCtx {
   }
 
   const TreeIndex& cur() const { return cur_; }
-  // Ids below this have mark and visit slots.
-  Vertex mark_capacity() const { return static_cast<Vertex>(mark_stamp_.size()); }
+  // The current graph: every adjacency row the engine reads (serial finish,
+  // grouping, attachment) comes from here; D answers only path queries.
+  const Graph& graph() const { return graph_; }
   const OracleView& view() const { return view_; }
   // The engine pass's shared non-tree rows, and this worker's arena for the
   // rows it fills.
@@ -148,6 +150,11 @@ class EngineCtx {
   }
   RowArena& row_arena() { return row_arena_; }
   RerootStats& stats() { return stats_; }
+  // Charges a sweep of `entries` adjacency entries as one probe batch, so
+  // the PRAM work ledger counts the rows the engine reads directly.
+  void charge_scan(std::uint64_t entries) const {
+    if (cost_ != nullptr) cost_->add_query(entries);
+  }
 
   // ---- marking scratch (visited set of the current plan) ------------------
   void begin_mark() { ++generation_; }
@@ -200,8 +207,10 @@ class EngineCtx {
 
  private:
   const TreeIndex& cur_;
+  const Graph& graph_;
   const OracleView view_;  // by value: the decompose memo is per-worker
   NonTreeRows* rows_;       // shared by the pass's workers
+  pram::CostModel* cost_;
   RowArena row_arena_;      // rows this worker filled; read by any worker
   RerootStats stats_;      // per-worker; merged by the engine
   std::vector<std::int32_t> mark_stamp_, pos_stamp_, pos_val_, visit_stamp_;

@@ -20,7 +20,7 @@
 namespace pardfs::service {
 namespace {
 
-// Control-plane clock: heartbeats, staleness bounds and recovery timing must
+// Control-plane clock: heartbeats, stall fencing and recovery timing must
 // keep working when metrics are compiled out (obs::now_ns() is 0 then), so
 // the supervision layer reads steady_clock directly.
 std::uint64_t mono_ns() {
@@ -254,9 +254,6 @@ struct ShardRouter::Shard {
   // Journal replay threw (journal disabled or itself damaged): the watchdog
   // stops retrying; the shard degrades to read-only until stop().
   std::atomic<bool> unrecoverable{false};
-  // publish() time on the control-plane clock, for the staleness admission
-  // bound (last_publish_ns above uses the obs clock, which can be 0).
-  std::atomic<std::uint64_t> last_publish_mono_ns{0};
   std::atomic<std::uint64_t> retryable_acks{0};
   std::atomic<std::uint64_t> overload_sheds{0};
   // This shard's service series (S == 1: the legacy unlabeled ones).
@@ -444,23 +441,12 @@ bool ShardRouter::try_submit(GraphUpdate update, UpdateTicket* ticket) {
 }
 
 // Admission control: shed with a pre-acked kOverloaded ticket when the
-// target shard's queue is past the depth bound, or its snapshot is older
-// than the staleness bound with work still queued (an idle shard's old
-// snapshot is freshness, not overload). Both bounds default to off.
+// target shard's queue is past the depth bound (default off).
 bool ShardRouter::shed_overloaded(Shard& sh, UpdateTicket* out) {
-  bool overloaded = false;
-  if (config_.max_queue_depth != 0 &&
-      sh.queue.size() >= config_.max_queue_depth) {
-    overloaded = true;
-  } else if (config_.max_staleness_ms != 0 && sh.queue.size() > 0) {
-    const std::uint64_t last = sh.last_publish_mono_ns.load(
-        std::memory_order_relaxed);
-    if (last != 0 && mono_ns() - last > std::uint64_t{config_.max_staleness_ms} *
-                                            1000000ULL) {
-      overloaded = true;
-    }
+  if (config_.max_queue_depth == 0 ||
+      sh.queue.size() < config_.max_queue_depth) {
+    return false;
   }
-  if (!overloaded) return false;
   sh.overload_sheds.fetch_add(1, std::memory_order_relaxed);
   overload_counter().add();
   *out = UpdateTicket::make();
@@ -725,7 +711,6 @@ void ShardRouter::publish(Shard& sh, bool forest_unchanged) {
                                           std::move(forest), g.num_edges(),
                                           std::move(cuts)),
       std::memory_order_release);
-  sh.last_publish_mono_ns.store(mono_ns(), std::memory_order_relaxed);
 }
 
 bool ShardRouter::feasible(const Shard& sh, const GraphUpdate& u,

@@ -101,10 +101,8 @@ struct ServiceConfig {
   // writer chewing through a large batch is not fenced. 0 = off.
   std::uint32_t stall_timeout_ms = 10000;
   // Admission control: submits shed with kOverloaded when the target shard's
-  // queue holds >= max_queue_depth updates (0 = off), or when its snapshot
-  // is older than max_staleness_ms with work still queued (0 = off).
+  // queue holds >= max_queue_depth updates (0 = off).
   std::size_t max_queue_depth = 0;
-  std::uint32_t max_staleness_ms = 0;
   // Consult the process-wide chaos plan (testing/chaos.hpp) at this router's
   // hook sites. No-op unless the build defines PARDFS_ENABLE_CHAOS; kept off
   // for reference stacks so differential runs fault only the subject.

@@ -46,8 +46,8 @@ class UpdateTicket {
   //                 the ticket was still pending. The update is still in
   //                 flight; wait()/wait_for() again or poll() later.
   //   kOverloaded — admission control shed the update at submit time (queue
-  //                 depth or snapshot staleness beyond the configured
-  //                 bounds); it never entered a queue. Back off and retry.
+  //                 depth beyond the configured bound); it never entered a
+  //                 queue. Back off and retry.
   static constexpr std::uint64_t kRejected = ~std::uint64_t{0};
   static constexpr std::uint64_t kRetryable = ~std::uint64_t{0} - 1;
   static constexpr std::uint64_t kTimeout = ~std::uint64_t{0} - 2;

@@ -28,20 +28,18 @@
 namespace pardfs {
 namespace {
 
-// The pre-batch state reduce_batch sees: the graph, its DFS forest and D
-// built over both. apply() then follows DynamicDfs's call protocol — mutate
-// the graph, patch D, classify against the pre-batch forest — and reduces.
+// The pre-batch state reduce_batch sees: the graph and its DFS forest.
+// apply() then follows DynamicDfs's call protocol — mutate the graph,
+// classify each op against the pre-batch forest — and reduces.
 struct Harness {
   Graph g;
   std::vector<Vertex> parent;
   TreeIndex cur;
-  AdjacencyOracle oracle;
   BatchChanges changes;
 
   Harness(Graph graph, std::vector<Vertex> forest)
       : g(std::move(graph)), parent(std::move(forest)) {
     cur.build(parent, g.alive());
-    oracle.build(g, cur);
   }
 
   BatchReduction apply(const std::vector<GraphUpdate>& batch) {
@@ -50,14 +48,12 @@ struct Harness {
         case GraphUpdate::Kind::kInsertEdge: {
           const bool back = cur.is_ancestor(op.u, op.v) || cur.is_ancestor(op.v, op.u);
           EXPECT_TRUE(g.add_edge(op.u, op.v));
-          oracle.note_edge_inserted(op.u, op.v);
           if (!back) changes.inserted_edges.push_back({op.u, op.v});
           break;
         }
         case GraphUpdate::Kind::kDeleteEdge: {
           const bool u_parent = parent[static_cast<std::size_t>(op.v)] == op.u;
           const bool v_parent = parent[static_cast<std::size_t>(op.u)] == op.v;
-          oracle.note_edge_deleted(op.u, op.v);
           EXPECT_TRUE(g.remove_edge(op.u, op.v));
           if (u_parent) {
             changes.cut_edges.emplace_back(op.u, op.v);
@@ -67,9 +63,6 @@ struct Harness {
           break;
         }
         case GraphUpdate::Kind::kDeleteVertex: {
-          const auto nbrs = g.neighbors(op.u);
-          const std::vector<Vertex> former(nbrs.begin(), nbrs.end());
-          oracle.note_vertex_deleted(op.u, former);
           g.remove_vertex(op.u);
           changes.deleted_vertices.push_back(op.u);
           break;
@@ -79,8 +72,7 @@ struct Harness {
           break;
       }
     }
-    const OracleView view(&oracle, &cur, /*identity=*/true);
-    return reduce_batch(cur, view, g, changes);
+    return reduce_batch(cur, g, changes);
   }
 
   std::vector<Vertex> piece_vertices(const Piece& p) const {
@@ -370,19 +362,22 @@ TEST(BatchReduction, InsertedVerticesAreRecomputedWithTheirRegion) {
   for (Vertex i = 5; i + 1 < 10; ++i) g.add_edge(i, i + 1);  // tree 5..9
   g.add_vertex();                                            // 10, isolated
   Harness h(g, static_dfs(g));
+  // Only the Rerooter below reads D, through its OracleView.
+  AdjacencyOracle oracle;
+  oracle.build(h.g, h.cur);
   const std::vector<Vertex> joiner = {2, 7};
   const std::vector<Vertex> doomed = {3};
   const Vertex x = h.g.add_vertex(joiner);  // joins trees 0 and 5
-  h.oracle.note_vertex_inserted(x, joiner);
+  oracle.note_vertex_inserted(x, joiner);
   const Vertex y = h.g.add_vertex();        // no edge
-  h.oracle.note_vertex_inserted(y, {});
+  oracle.note_vertex_inserted(y, {});
   const Vertex z = h.g.add_vertex(doomed);  // dies in the same batch
-  h.oracle.note_vertex_inserted(z, doomed);
-  h.oracle.note_vertex_deleted(z, doomed);
+  oracle.note_vertex_inserted(z, doomed);
+  oracle.note_vertex_deleted(z, doomed);
   h.g.remove_vertex(z);
   h.changes.inserted_vertices = {x, y, z};
-  const OracleView view(&h.oracle, &h.cur, /*identity=*/true);
-  const BatchReduction red = reduce_batch(h.cur, view, h.g, h.changes, /*work_cap=*/true);
+  const OracleView view(&oracle, &h.cur, /*identity=*/true);
+  const BatchReduction red = reduce_batch(h.cur, h.g, h.changes, /*work_cap=*/true);
   ASSERT_EQ(red.components.size(), 1u);
   const Component& c = red.components.front();
   EXPECT_TRUE(c.recompute);
@@ -397,8 +392,8 @@ TEST(BatchReduction, InsertedVerticesAreRecomputedWithTheirRegion) {
   // The serial finish takes the new id as a member: one tree over all 11.
   std::vector<Vertex> parent = h.parent;
   parent.resize(static_cast<std::size_t>(h.g.capacity()), kNullVertex);
-  Rerooter engine(h.cur, view, RerootStrategy::kPaper, nullptr, 1,
-                  Rerooter::default_serial_cutoff(h.g.capacity()), &h.g);
+  Rerooter engine(h.cur, h.g, view, RerootStrategy::kPaper, nullptr, 1,
+                  Rerooter::default_serial_cutoff(h.g.capacity()));
   const RerootStats stats = engine.run_components(red.components, parent);
   EXPECT_EQ(stats.recomputes, 1u);
   EXPECT_EQ(stats.vertices_traversed, 11u);

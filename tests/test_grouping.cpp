@@ -177,9 +177,9 @@ struct Harness {
   // Returns the number of groupings checked.
   int run_and_check() {
     const OracleView v = view();
-    std::vector<Component> active = reduce_batch(cur, v, g, changes).components;
-    detail::NonTreeRows rows(cur, oracle);
-    detail::EngineCtx ctx(cur, v, &rows);
+    std::vector<Component> active = reduce_batch(cur, g, changes).components;
+    detail::NonTreeRows rows(cur, g, nullptr);
+    detail::EngineCtx ctx(cur, g, v, &rows);
     int checked = 0;
     while (!active.empty()) {
       std::vector<Component> next;
@@ -244,7 +244,8 @@ struct DeadEdgeCase {
     if (patched) {
       // A tree edge D only knows as a patch: inserted after the build, then
       // deleted again. The deletion drops the patch instead of recording a
-      // deleted edge, so D's per-edge alive test still passes it.
+      // deleted edge; the grouping must read the edge's absence from the
+      // graph.
       EXPECT_TRUE(h.g.add_edge(2, 3));
       h.oracle.note_edge_inserted(2, 3);
     }
@@ -271,15 +272,8 @@ struct DeadEdgeCase {
     plan.pstar = {0};
     plan.leftovers = {Piece::path(1, 2), Piece::path(3, 4)};
     const OracleView view = h.view();
-    // D's alive test passes the dead patched edge; the presence test sees
-    // both dead edges are gone.
-    EXPECT_EQ(h.oracle.edge_alive(2, 3), patched);
-    EXPECT_FALSE(h.oracle.has_current_edge(2, 3));
-    EXPECT_FALSE(h.oracle.has_current_edge(3, 2));
-    EXPECT_TRUE(h.oracle.has_current_edge(1, 2));
-    EXPECT_TRUE(h.oracle.has_current_edge(0, 3));
-    detail::NonTreeRows rows(h.cur, h.oracle);
-    detail::EngineCtx ctx(h.cur, view, &rows);
+    detail::NonTreeRows rows(h.cur, h.g, nullptr);
+    detail::EngineCtx ctx(h.cur, h.g, view, &rows);
     std::vector<Component> got;
     detail::group_leftovers(ctx, comp, plan, got);
     h.check(plan, got, comp.budget);
@@ -309,15 +303,15 @@ TEST(LeftoverGrouping, TeamSharesRowsAndMatchesOneWorker) {
     Harness h(gen::grid(48, 48));
     h.random_deletions(rng, 12);
     const OracleView view = h.view();
-    BatchReduction red = reduce_batch(h.cur, view, h.g, h.changes);
+    BatchReduction red = reduce_batch(h.cur, h.g, h.changes);
     std::vector<Vertex> out = h.parent;
     for (const auto& [v, p] : red.direct) out[static_cast<std::size_t>(v)] = p;
     for (const Vertex v : h.changes.deleted_vertices) {
       out[static_cast<std::size_t>(v)] = kNullVertex;
     }
     detail::set_force_round_team(true);
-    Rerooter engine(h.cur, view, RerootStrategy::kPaper, nullptr, threads,
-                    Rerooter::default_serial_cutoff(h.g.capacity()), &h.g);
+    Rerooter engine(h.cur, h.g, view, RerootStrategy::kPaper, nullptr, threads,
+                    Rerooter::default_serial_cutoff(h.g.capacity()));
     const RerootStats stats = engine.run_components(std::move(red.components), out);
     detail::set_force_round_team(false);
     const auto val = validate_dfs_forest(h.g, out);

@@ -273,8 +273,8 @@ struct RoundShape {
 
   std::pair<std::vector<Vertex>, FingerPrint> run(int threads) const {
     const OracleView view(&oracle, &index, /*identity=*/true);
-    Rerooter engine(index, view, RerootStrategy::kPaper, nullptr, threads,
-                    Rerooter::default_serial_cutoff(g.capacity()), &g);
+    Rerooter engine(index, g, view, RerootStrategy::kPaper, nullptr, threads,
+                    Rerooter::default_serial_cutoff(g.capacity()));
     std::vector<Vertex> out = parent;
     const RerootStats stats = engine.run_components(comps, out);
     const auto val = validate_dfs_forest(g, out);
@@ -356,7 +356,7 @@ struct ChainFixture {
 
   detail::ChainHit best(std::vector<Piece> pieces) {
     const OracleView view(&oracle, &index, /*identity=*/true);
-    detail::EngineCtx ctx(index, view);
+    detail::EngineCtx ctx(index, g, view);
     const std::vector<Vertex> chain = {2, 1, 0};
     const std::vector<detail::Run> runs = detail::split_runs(index, chain);
     ctx.index_chain(chain);

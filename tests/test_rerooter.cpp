@@ -31,7 +31,7 @@ struct RerootFixture {
   RerootStats reroot_whole_tree(Vertex new_root, RerootStrategy strategy,
                                 std::vector<Vertex>& out) {
     const OracleView view(&oracle, &index, /*identity=*/true);
-    Rerooter engine(index, view, strategy);
+    Rerooter engine(index, g, view, strategy);
     out = parent;
     const RerootRequest req{index.root_of(new_root), new_root, kNullVertex};
     const RerootRequest reqs[] = {req};
@@ -114,7 +114,7 @@ TEST(Rerooter, SubtreeRerootLeavesRestIntact) {
   const Vertex new_root = span[span.size() / 2];
   std::vector<Vertex> result = f.parent;
   const OracleView view(&f.oracle, &f.index, true);
-  Rerooter engine(f.index, view, RerootStrategy::kPaper);
+  Rerooter engine(f.index, f.g, view, RerootStrategy::kPaper);
   const Vertex old_parent = f.parent[static_cast<std::size_t>(sub)];
   const RerootRequest reqs[] = {{sub, new_root, old_parent}};
   engine.run(reqs, result);
@@ -156,7 +156,7 @@ TEST(Rerooter, MultipleIndependentReroots) {
   RerootFixture f(std::move(g));
   std::vector<Vertex> result = f.parent;
   const OracleView view(&f.oracle, &f.index, true);
-  Rerooter engine(f.index, view, RerootStrategy::kPaper);
+  Rerooter engine(f.index, f.g, view, RerootStrategy::kPaper);
   const RerootRequest reqs[] = {{1, 4, 0}, {5, 8, 0}, {9, 12, 0}};
   const RerootStats stats = engine.run(reqs, result);
   EXPECT_EQ(result[4], 0);
