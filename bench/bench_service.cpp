@@ -35,7 +35,10 @@ using namespace pardfs::service;
 // CI artifact hook: with PARDFS_OBS_DUMP_DIR set, phase tracing runs for the
 // whole binary and at process exit the registry's Prometheus page plus the
 // chrome://tracing JSON land in that directory (uploaded by the bench-smoke
-// job; see EXPERIMENTS.md E16 for loading the trace).
+// job; see EXPERIMENTS.md E16 for loading the trace). The page is rendered
+// from the registry alone, after every router is gone, so it carries no
+// router event counts (pardfs_batches_total, pardfs_updates_applied_total,
+// ...): those are each router's own, on its metrics_text().
 struct ObsDump {
   ObsDump() {
     if (std::getenv("PARDFS_OBS_DUMP_DIR") != nullptr) {
@@ -375,7 +378,10 @@ void BM_ShardedClientSessions(benchmark::State& state) {
     for (std::size_t s = 0; s < shards; ++s) shard_queries[s] += mine[s];
   }
   for (std::size_t s = 0; s < shards; ++s) {
-    const std::string tag = "s" + std::to_string(s);
+    // Appended, not `"s" + std::to_string(s)`, which GCC 12 -Wrestrict flags
+    // in Release builds.
+    std::string tag = "s";
+    tag += std::to_string(s);
     state.counters[tag + "_qps"] =
         elapsed_s > 0.0 ? static_cast<double>(shard_queries[s]) / elapsed_s : 0.0;
     const std::string label = "shard=\"" + std::to_string(s) + "\"";

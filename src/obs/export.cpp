@@ -1,8 +1,10 @@
 #include "obs/export.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace pardfs::obs {
@@ -23,8 +25,8 @@ void append_u64(std::string& out, std::uint64_t v) {
 
 // `{phase="patch"}` from the stored inner list, or nothing when unlabeled.
 // `extra` (e.g. `le="4.096"`) is appended after the stored labels.
-void append_labels(std::string& out, const std::string& labels,
-                   const std::string& extra = {}) {
+void append_labels(std::string& out, std::string_view labels,
+                   std::string_view extra = {}) {
   if (labels.empty() && extra.empty()) return;
   out.push_back('{');
   out += labels;
@@ -33,7 +35,7 @@ void append_labels(std::string& out, const std::string& labels,
   out.push_back('}');
 }
 
-void type_line(std::string& out, const std::string& name, const char* kind,
+void type_line(std::string& out, std::string_view name, const char* kind,
                std::string& last_typed) {
   if (last_typed == name) return;  // one TYPE line per family
   out += "# TYPE ";
@@ -50,7 +52,7 @@ std::string le_label(double upper) {
   return buf;
 }
 
-void append_json_string(std::string& out, const std::string& s) {
+void append_json_string(std::string& out, std::string_view s) {
   out.push_back('"');
   for (char c : s) {
     if (c == '"' || c == '\\') {
@@ -64,24 +66,39 @@ void append_json_string(std::string& out, const std::string& s) {
 }
 
 // JSON map key identifying one (name, labels) series.
-std::string series_key(const std::string& name, const std::string& labels) {
-  if (labels.empty()) return name;
-  return name + "{" + labels + "}";
+std::string series_key(std::string_view name, std::string_view labels) {
+  std::string key(name);
+  if (!labels.empty()) key.append("{").append(labels).append("}");
+  return key;
+}
+
+// The registry's counters and `extra`, sorted by (name, labels).
+std::vector<CounterRow> counter_rows(const Registry& reg,
+                                     std::span<const CounterRow> extra) {
+  std::vector<CounterRow> rows(extra.begin(), extra.end());
+  for (const Counter* c : reg.counters()) {
+    rows.push_back({c->name(), c->labels(), c->value()});
+  }
+  std::sort(rows.begin(), rows.end(), [](const CounterRow& a, const CounterRow& b) {
+    return std::tie(a.name, a.labels) < std::tie(b.name, b.labels);
+  });
+  return rows;
 }
 
 }  // namespace
 
-std::string prometheus_text(const Registry& reg) {
+std::string prometheus_text(const Registry& reg,
+                            std::span<const CounterRow> extra) {
   std::string out;
   out.reserve(4096);
   std::string last_typed;
 
-  for (const Counter* c : reg.counters()) {
-    type_line(out, c->name(), "counter", last_typed);
-    out += c->name();
-    append_labels(out, c->labels());
+  for (const CounterRow& c : counter_rows(reg, extra)) {
+    type_line(out, c.name, "counter", last_typed);
+    out += c.name;
+    append_labels(out, c.labels);
     out.push_back(' ');
-    append_u64(out, c->value());
+    append_u64(out, c.value);
     out.push_back('\n');
   }
 
@@ -170,15 +187,16 @@ std::string prometheus_text(const Registry& reg) {
   return out;
 }
 
-std::string metrics_json(const Registry& reg) {
+std::string metrics_json(const Registry& reg,
+                         std::span<const CounterRow> extra) {
   std::string out = "{\"counters\":{";
   bool first = true;
-  for (const Counter* c : reg.counters()) {
+  for (const CounterRow& c : counter_rows(reg, extra)) {
     if (!first) out.push_back(',');
     first = false;
-    append_json_string(out, series_key(c->name(), c->labels()));
+    append_json_string(out, series_key(c.name, c.labels));
     out.push_back(':');
-    append_u64(out, c->value());
+    append_u64(out, c.value);
   }
   out += "},\"gauges\":{";
   first = true;

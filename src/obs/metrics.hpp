@@ -23,8 +23,10 @@
 //
 // PARDFS_NO_METRICS compiles the recording hot paths (and their clock
 // reads) down to nothing while keeping the full API and registration, so
-// callers need no #ifdefs and exporters still emit a well-formed (all-zero)
-// page. TSAN-clean by construction: shards are plain relaxed atomics.
+// callers need no #ifdefs and exporters still emit a well-formed page, zero
+// in every registry series (rows a caller passes to the exporters, such as a
+// router's event counts, keep counting). TSAN-clean by construction: shards
+// are plain relaxed atomics.
 #pragma once
 
 #include <array>

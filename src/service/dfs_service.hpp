@@ -85,10 +85,11 @@ class DfsService {
   void inject_writer_failure() { router_.inject_writer_failure(0); }
 
   // ---- observability -------------------------------------------------------
-  // Point-in-time dump of the process-wide obs registry (DESIGN.md §11):
-  // Prometheus exposition text / one JSON object. Callable from any thread
-  // while the service runs; the registry is process-global, so the page also
-  // carries the core's phase histograms and engine counters.
+  // Point-in-time dump of the process-wide obs registry (DESIGN.md §11),
+  // plus this service's own event counts (stats()): Prometheus exposition
+  // text / one JSON object. Callable from any thread while the service runs;
+  // the registry is process-global, so the page also carries the core's
+  // phase histograms and engine counters.
   std::string metrics_text() const { return router_.metrics_text(); }
   std::string metrics_json() const { return router_.metrics_json(); }
 

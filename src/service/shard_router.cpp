@@ -82,45 +82,8 @@ obs::Gauge& coalesce_gauge() {
   return g;
 }
 
-// Sharding counters (process-global; a migration moves one component).
-obs::Counter& migrations_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_shard_migrations_total");
-  return c;
-}
-obs::Counter& cross_shard_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_cross_shard_inserts_total");
-  return c;
-}
-obs::Counter& infeasible_counter() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "pardfs_acks_rejected_total", "reason=\"infeasible\"");
-  return c;
-}
-obs::Counter& batches_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_batches_total");
-  return c;
-}
-obs::Counter& applied_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_updates_applied_total");
-  return c;
-}
-obs::Counter& published_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_snapshots_published_total");
-  return c;
-}
-
 // Robustness families (DESIGN.md §13). Process-global: a recovery is a
 // process-level event regardless of which shard crashed.
-obs::Counter& recoveries_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_recoveries_total");
-  return c;
-}
 obs::Histogram& recovery_latency_hist() {
   static obs::Histogram& h = obs::Registry::global().histogram(
       "pardfs_recovery_latency_us", "", 1e-3);
@@ -131,20 +94,34 @@ obs::Counter& stalls_counter() {
       obs::Registry::global().counter("pardfs_writer_stalls_total");
   return c;
 }
-obs::Counter& retryable_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_acks_retryable_total");
-  return c;
-}
-obs::Counter& overload_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_overload_shed_total");
-  return c;
-}
 obs::Counter& checkpoints_counter() {
   static obs::Counter& c =
       obs::Registry::global().counter("pardfs_journal_checkpoints_total");
   return c;
+}
+
+// The router's event counts as page rows, under the series names and
+// labels the dashboards read: totals over the router's shards, unlabeled
+// at any shard count.
+std::array<obs::CounterRow, 10> event_rows(const ServiceStats& st) {
+  return {{
+      {"pardfs_acks_rejected_total", "reason=\"infeasible\"",
+       st.updates_rejected},
+      {"pardfs_acks_rejected_total", "reason=\"shutdown\"",
+       st.rejected_shutdown},
+      {"pardfs_acks_retryable_total", "", st.retryable_acks},
+      {"pardfs_batches_total", "", st.batches},
+      {"pardfs_cross_shard_inserts_total", "", st.cross_shard_inserts},
+      {"pardfs_overload_shed_total", "", st.overload_sheds},
+      {"pardfs_recoveries_total", "", st.recoveries},
+      {"pardfs_shard_migrations_total", "", st.shard_migrations},
+      {"pardfs_snapshots_published_total", "", st.snapshots_published},
+      {"pardfs_updates_applied_total", "", st.updates_applied},
+  }};
+}
+
+void bump(std::atomic<std::uint64_t>& count, std::uint64_t by = 1) {
+  count.fetch_add(by, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -225,7 +202,29 @@ struct ShardRouter::Shard {
   std::uint64_t version = 0;          // guarded by mu
   std::uint64_t updates_applied = 0;  // guarded by mu
   std::uint64_t last_publish_ns = 0;  // guarded by mu
-  ServiceStats stats;                 // guarded by the router's control_mu_
+
+  // The one count of each router event on this shard (DESIGN.md §11), read
+  // by shard_stats() and the metrics page. Other shards' writers and the
+  // watchdog count here too, hence atomics; relaxed ones, since an event is
+  // counted before its ack's release store. Own cache lines: readers load
+  // `snapshot` on every query, and count bumps must not invalidate it.
+  struct alignas(64) Counts {
+    std::atomic<std::uint64_t> batches{0};
+    std::atomic<std::uint64_t> updates_applied{0};
+    std::atomic<std::uint64_t> updates_rejected{0};
+    std::atomic<std::uint64_t> snapshots_published{0};
+    std::atomic<std::uint64_t> max_batch{0};  // an atomic max
+    std::atomic<std::uint64_t> structural{0};
+    std::atomic<std::uint64_t> back_edges{0};
+    std::atomic<std::uint64_t> segments{0};
+    std::atomic<std::uint64_t> index_rebuilds{0};
+    std::atomic<std::uint64_t> base_rebuilds{0};
+    std::atomic<std::uint64_t> shard_migrations{0};
+    std::atomic<std::uint64_t> cross_shard_inserts{0};
+    std::atomic<std::uint64_t> recoveries{0};
+    std::atomic<std::uint64_t> retryable_acks{0};  // counted after its won ack
+    std::atomic<std::uint64_t> overload_sheds{0};  // admission control only
+  } counts;
 
   // ---- failure domain (DESIGN.md §13) --------------------------------------
   // Write-ahead journal; recording happens under mu, replay with mu held and
@@ -254,8 +253,6 @@ struct ShardRouter::Shard {
   // Journal replay threw (journal disabled or itself damaged): the watchdog
   // stops retrying; the shard degrades to read-only until stop().
   std::atomic<bool> unrecoverable{false};
-  std::atomic<std::uint64_t> retryable_acks{0};
-  std::atomic<std::uint64_t> overload_sheds{0};
   // This shard's service series (S == 1: the legacy unlabeled ones).
   obs::Histogram* queue_wait = nullptr;
   obs::Histogram* publish_hist = nullptr;
@@ -356,7 +353,7 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
   }
 
   // Eager registration: every shard's full series set (plus the process-wide
-  // sharding counters) shows up at zero on a fresh metrics page.
+  // robustness families) shows up at zero on a fresh metrics page.
   obs::Registry& reg = obs::Registry::global();
   for (auto& sh : shards_) {
     if (S == 1) {
@@ -379,17 +376,8 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
       sh->coalesce_gauge = &reg.gauge("pardfs_coalesce_size", label);
     }
   }
-  migrations_counter();
-  cross_shard_counter();
-  infeasible_counter();
-  batches_counter();
-  applied_counter();
-  published_counter();
-  recoveries_counter();
   recovery_latency_hist();
   stalls_counter();
-  retryable_counter();
-  overload_counter();
   checkpoints_counter();
 
   for (Vertex v = 0; v < n; ++v) {
@@ -447,8 +435,7 @@ bool ShardRouter::shed_overloaded(Shard& sh, UpdateTicket* out) {
       sh.queue.size() < config_.max_queue_depth) {
     return false;
   }
-  sh.overload_sheds.fetch_add(1, std::memory_order_relaxed);
-  overload_counter().add();
+  bump(sh.counts.overload_sheds);
   *out = UpdateTicket::make();
   out->ack(UpdateTicket::kOverloaded);
   return true;
@@ -558,47 +545,54 @@ void ShardRouter::stop() {
 
 ServiceStats ShardRouter::stats() const {
   ServiceStats out;
-  {
-    std::lock_guard lock(control_mu_);
-    for (const auto& sh : shards_) {
-      const ServiceStats& s = sh->stats;
-      out.batches += s.batches;
-      out.updates_applied += s.updates_applied;
-      out.updates_rejected += s.updates_rejected;
-      out.snapshots_published += s.snapshots_published;
-      out.max_batch = std::max(out.max_batch, s.max_batch);
-      out.structural += s.structural;
-      out.back_edges += s.back_edges;
-      out.segments += s.segments;
-      out.index_rebuilds += s.index_rebuilds;
-      out.base_rebuilds += s.base_rebuilds;
-      out.shard_migrations += s.shard_migrations;
-      out.cross_shard_inserts += s.cross_shard_inserts;
-      out.recoveries += s.recoveries;
-    }
-  }
-  for (const auto& sh : shards_) {
-    out.rejected_shutdown += sh->queue.rejected_after_close();
-    out.retryable_acks += sh->retryable_acks.load(std::memory_order_relaxed);
-    out.overload_sheds += sh->overload_sheds.load(std::memory_order_relaxed) +
-                          sh->queue.overload_sheds();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const ServiceStats st = shard_stats(s);
+    out.batches += st.batches;
+    out.updates_applied += st.updates_applied;
+    out.updates_rejected += st.updates_rejected;
+    out.snapshots_published += st.snapshots_published;
+    out.max_batch = std::max(out.max_batch, st.max_batch);
+    out.structural += st.structural;
+    out.back_edges += st.back_edges;
+    out.segments += st.segments;
+    out.index_rebuilds += st.index_rebuilds;
+    out.base_rebuilds += st.base_rebuilds;
+    out.rejected_shutdown += st.rejected_shutdown;
+    out.shard_migrations += st.shard_migrations;
+    out.cross_shard_inserts += st.cross_shard_inserts;
+    out.recoveries += st.recoveries;
+    out.retryable_acks += st.retryable_acks;
+    out.overload_sheds += st.overload_sheds;
   }
   return out;
 }
 
 ServiceStats ShardRouter::shard_stats(std::size_t shard) const {
-  ServiceStats out;
-  {
-    std::lock_guard lock(control_mu_);
-    out = shards_[shard]->stats;
-  }
-  out.rejected_shutdown = shards_[shard]->queue.rejected_after_close();
-  out.retryable_acks =
-      shards_[shard]->retryable_acks.load(std::memory_order_relaxed);
-  out.overload_sheds =
-      shards_[shard]->overload_sheds.load(std::memory_order_relaxed) +
-      shards_[shard]->queue.overload_sheds();
-  return out;
+  const Shard& sh = *shards_[shard];
+  const Shard::Counts& c = sh.counts;
+  const auto get = [](const std::atomic<std::uint64_t>& count) {
+    return count.load(std::memory_order_relaxed);
+  };
+  return {
+      .batches = get(c.batches),
+      .updates_applied = get(c.updates_applied),
+      .updates_rejected = get(c.updates_rejected),
+      .snapshots_published = get(c.snapshots_published),
+      .max_batch = get(c.max_batch),
+      .structural = get(c.structural),
+      .back_edges = get(c.back_edges),
+      .segments = get(c.segments),
+      .index_rebuilds = get(c.index_rebuilds),
+      .base_rebuilds = get(c.base_rebuilds),
+      // The queue's two counts are the only ones of those events: neither
+      // kind of ticket ever reaches a writer.
+      .rejected_shutdown = sh.queue.rejected_after_close(),
+      .shard_migrations = get(c.shard_migrations),
+      .cross_shard_inserts = get(c.cross_shard_inserts),
+      .recoveries = get(c.recoveries),
+      .retryable_acks = get(c.retryable_acks),
+      .overload_sheds = get(c.overload_sheds) + sh.queue.overload_sheds(),
+  };
 }
 
 std::size_t ShardRouter::queue_depth() const {
@@ -667,9 +661,13 @@ std::vector<std::uint8_t> ShardRouter::assemble_alive() const {
   return out;
 }
 
-std::string ShardRouter::metrics_text() const { return obs::prometheus_text(); }
+std::string ShardRouter::metrics_text() const {
+  return obs::prometheus_text(obs::Registry::global(), event_rows(stats()));
+}
 
-std::string ShardRouter::metrics_json() const { return obs::metrics_json(); }
+std::string ShardRouter::metrics_json() const {
+  return obs::metrics_json(obs::Registry::global(), event_rows(stats()));
+}
 
 const DynamicDfs& ShardRouter::core(std::size_t shard) const {
   return shards_[shard]->dfs;
@@ -1203,62 +1201,43 @@ void ShardRouter::recover_inline(Shard& gateway, std::span<PendingUpdate> run,
 
 void ShardRouter::count_batch(Shard& sh, std::size_t size,
                               const BatchStats& bs) {
-  {
-    std::lock_guard lock(control_mu_);
-    ServiceStats& st = sh.stats;
-    ++st.batches;
-    st.updates_applied += size;
-    st.max_batch = std::max<std::uint64_t>(st.max_batch, size);
-    st.structural += bs.structural;
-    st.back_edges += bs.back_edges;
-    st.segments += bs.segments;
-    st.index_rebuilds += bs.index_rebuilds;
-    st.base_rebuilds += bs.base_rebuilds;
+  Shard::Counts& c = sh.counts;
+  bump(c.batches);
+  bump(c.updates_applied, size);
+  std::uint64_t largest = c.max_batch.load(std::memory_order_relaxed);
+  while (size > largest && !c.max_batch.compare_exchange_weak(
+                               largest, size, std::memory_order_relaxed)) {
   }
-  batches_counter().add();
-  applied_counter().add(size);
+  bump(c.structural, bs.structural);
+  bump(c.back_edges, bs.back_edges);
+  bump(c.segments, bs.segments);
+  bump(c.index_rebuilds, bs.index_rebuilds);
+  bump(c.base_rebuilds, bs.base_rebuilds);
 }
 
 void ShardRouter::count_publish(Shard& sh) {
-  {
-    std::lock_guard lock(control_mu_);
-    ++sh.stats.snapshots_published;
-  }
-  published_counter().add();
+  bump(sh.counts.snapshots_published);
 }
 
 void ShardRouter::count_merge(Shard& gateway, std::uint64_t migrations) {
-  {
-    std::lock_guard lock(control_mu_);
-    ++gateway.stats.cross_shard_inserts;
-    gateway.stats.shard_migrations += migrations;
-  }
-  cross_shard_counter().add();
-  migrations_counter().add(migrations);
+  bump(gateway.counts.cross_shard_inserts);
+  bump(gateway.counts.shard_migrations, migrations);
 }
 
 void ShardRouter::count_recovery(Shard& sh, std::uint64_t started_ns) {
-  {
-    std::lock_guard lock(control_mu_);
-    ++sh.stats.recoveries;
-  }
-  recoveries_counter().add();
+  bump(sh.counts.recoveries);
   recovery_latency_hist().record(mono_ns() - started_ns);
 }
 
 void ShardRouter::reject(Shard& gateway, const UpdateTicket& ticket) {
-  {
-    std::lock_guard lock(control_mu_);
-    ++gateway.stats.updates_rejected;
-  }
-  infeasible_counter().add();
+  bump(gateway.counts.updates_rejected);
   ticket.ack(UpdateTicket::kRejected);
 }
 
 void ShardRouter::ack_retryable(Shard& sh, const UpdateTicket& ticket) {
-  if (!ticket.try_ack(UpdateTicket::kRetryable)) return;
-  sh.retryable_acks.fetch_add(1, std::memory_order_relaxed);
-  retryable_counter().add();
+  if (ticket.try_ack(UpdateTicket::kRetryable)) {
+    bump(sh.counts.retryable_acks);
+  }
 }
 
 void ShardRouter::flush_wal_retryable(Shard& sh) {

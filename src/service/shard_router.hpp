@@ -30,7 +30,7 @@
 // Deadlock freedom: engine locks are only ever acquired in ascending
 // shard-id order while holding no other engine lock; the global id lock
 // (vertex-insert id assignment) is strictly innermost; the control lock
-// (pause/stats) is never held across an engine lock.
+// (pause/stop) is never held across an engine lock.
 #pragma once
 
 #include <atomic>
@@ -226,6 +226,8 @@ class ShardRouter {
   std::vector<Vertex> assemble_parent() const;
   std::vector<std::uint8_t> assemble_alive() const;
 
+  // The registry's page plus this router's event counts: stats() totals,
+  // unlabeled at any shard count (DESIGN.md §11).
   std::string metrics_text() const;
   std::string metrics_json() const;
 
@@ -292,8 +294,9 @@ class ShardRouter {
   bool feasible(const Shard& sh, const GraphUpdate& u, BatchDelta& delta) const;
 
   // ---- event counts ---------------------------------------------------------
-  // One helper per event, each bumping the shard's ServiceStats (or its
-  // atomic) and the registry mirror together, before the ack goes out.
+  // One helper per event, each bumping the shard's one count of it
+  // (Shard::Counts) before the ack goes out. stats(), shard_stats() and the
+  // metrics page all read those counts.
   void count_batch(Shard& sh, std::size_t size, const BatchStats& bs);
   void count_publish(Shard& sh);
   void count_merge(Shard& gateway, std::uint64_t migrations);
@@ -355,7 +358,8 @@ class ShardRouter {
   // forest is placement-independent).
   mutable std::atomic<std::uint64_t> isolated_rr_{0};
 
-  mutable std::mutex control_mu_;  // pause flag + stats; never held across engine locks
+  // Guards the pause and stop flags only; never held across engine locks.
+  mutable std::mutex control_mu_;
   std::condition_variable control_cv_;
   bool paused_ = false;
   bool stopped_ = false;

@@ -4,31 +4,11 @@
 #include <thread>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "testing/chaos.hpp"
 #include "util/check.hpp"
 
 namespace pardfs::service {
-namespace {
-
-// kRejected acks that never reached the writer: the submit-vs-stop race.
-// The drain-path twin (reason="infeasible") lives in ShardRouter::reject.
-obs::Counter& shutdown_rejections() {
-  static obs::Counter& c = obs::Registry::global().counter(
-      "pardfs_acks_rejected_total", "reason=\"shutdown\"");
-  return c;
-}
-
-// kOverloaded acks: admission control (shard_router) and the chaos
-// queue_full hook record into the same series.
-obs::Counter& overload_sheds_counter() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("pardfs_overload_shed_total");
-  return c;
-}
-
-}  // namespace
 
 const char* UpdateTicket::status_name(std::uint64_t result) {
   switch (result) {
@@ -109,12 +89,7 @@ bool UpdateTicket::try_ack(std::uint64_t result, Vertex vertex) const {
 }
 
 UpdateQueue::UpdateQueue(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {
-  // Eager registration: the reason="shutdown" and overload series show up
-  // (at zero) on every metrics page, not only after the first event.
-  shutdown_rejections();
-  overload_sheds_counter();
-}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 UpdateTicket UpdateQueue::submit(GraphUpdate update) {
   // Chaos queue_full hook: a plan-ordered shed behaves exactly like the
@@ -124,7 +99,6 @@ UpdateTicket UpdateQueue::submit(GraphUpdate update) {
                  static_cast<std::size_t>(chaos_scope_))
               .kind == chaos::FaultAction::Kind::kShed) {
     overload_sheds_.fetch_add(1, std::memory_order_relaxed);
-    overload_sheds_counter().add();
     UpdateTicket ticket = UpdateTicket::make();
     ticket.ack(UpdateTicket::kOverloaded);
     return ticket;
@@ -137,7 +111,6 @@ UpdateTicket UpdateQueue::submit(GraphUpdate update) {
     // feasibility rejection instead of tripping the valid() check.
     lock.unlock();
     rejected_after_close_.fetch_add(1, std::memory_order_relaxed);
-    shutdown_rejections().add();
     UpdateTicket ticket = UpdateTicket::make();
     ticket.ack(UpdateTicket::kRejected);
     return ticket;

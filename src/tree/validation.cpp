@@ -8,8 +8,11 @@
 namespace pardfs {
 namespace {
 
+// Appends, not an operator+ chain: GCC 12 -Wrestrict flags that in Release.
 std::string edge_str(Vertex u, Vertex v) {
-  return "(" + std::to_string(u) + ", " + std::to_string(v) + ")";
+  std::string out = "(";
+  out.append(std::to_string(u)).append(", ").append(std::to_string(v)).append(")");
+  return out;
 }
 
 ValidationResult fail(std::string reason) { return {false, std::move(reason)}; }

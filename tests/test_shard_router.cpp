@@ -2,8 +2,9 @@
 // merge-determinism — the assembled forest after cross-shard activity is
 // byte-identical at 1 / 2 / 4 / 16 shards and any thread count — the
 // two-shard merge protocol (directory flip, cut-structure refresh on both
-// sides, migration counters), RouterView totality, and the PR 4 submit-vs-
-// stop race regression re-run against every shard's queue.
+// sides, migration counters), the metrics page's event counts against
+// stats(), RouterView totality, and the submit-vs-stop race regression
+// re-run against every shard's queue.
 #include "service/shard_router.hpp"
 
 #include <gtest/gtest.h>
@@ -11,12 +12,14 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "obs/metrics.hpp"
 #include "service/dfs_service.hpp"
 #include "service/journal.hpp"
 #include "service/workload.hpp"
@@ -78,6 +81,55 @@ std::vector<GraphUpdate> mixed_stream(int ops, std::uint64_t seed) {
     }
   }
   return out;
+}
+
+// The value on the page's one line of `series` (name plus label braces, as
+// the page prints it); nullopt when the page has no such line or two.
+std::optional<std::uint64_t> page_counter(const std::string& page,
+                                          const std::string& series) {
+  std::optional<std::uint64_t> found;
+  std::istringstream lines(page);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() <= series.size() || line.compare(0, series.size(), series) != 0 ||
+        line[series.size()] != ' ') {
+      continue;
+    }
+    if (found.has_value()) return std::nullopt;
+    found = std::stoull(line.substr(series.size() + 1));
+  }
+  return found;
+}
+
+// Every router event series on both pages equals its stats() field.
+void expect_pages_match(const ShardRouter& router, const ServiceStats& st) {
+  const std::pair<std::string, std::uint64_t> want[] = {
+      {"pardfs_acks_rejected_total{reason=\"infeasible\"}",
+       st.updates_rejected},
+      {"pardfs_acks_rejected_total{reason=\"shutdown\"}", st.rejected_shutdown},
+      {"pardfs_acks_retryable_total", st.retryable_acks},
+      {"pardfs_batches_total", st.batches},
+      {"pardfs_cross_shard_inserts_total", st.cross_shard_inserts},
+      {"pardfs_overload_shed_total", st.overload_sheds},
+      {"pardfs_recoveries_total", st.recoveries},
+      {"pardfs_shard_migrations_total", st.shard_migrations},
+      {"pardfs_snapshots_published_total", st.snapshots_published},
+      {"pardfs_updates_applied_total", st.updates_applied},
+  };
+  const std::string text = router.metrics_text();
+  const std::string json = router.metrics_json();
+  for (const auto& [series, value] : want) {
+    EXPECT_EQ(page_counter(text, series), value) << series << "\n" << text;
+    std::string key;  // the JSON key escapes the label quotes
+    for (const char c : series) {
+      if (c == '"') key.push_back('\\');
+      key.push_back(c);
+    }
+    const std::string entry = "\"" + key + "\":" + std::to_string(value);
+    const std::size_t at = json.find(entry);
+    ASSERT_NE(at, std::string::npos) << entry << "\n" << json;
+    EXPECT_TRUE(json[at + entry.size()] == ',' || json[at + entry.size()] == '}')
+        << entry;
+  }
 }
 
 struct DrivenRouter {
@@ -225,7 +277,7 @@ TEST(ShardRouter, ForestBytesIdenticalAcrossShardAndThreadCounts) {
 // stream of local ops, cross-shard inserts (one a vertex insert whose
 // neighbors span three shards), a cross-shard delete and an op on a
 // never-assigned id yields the same counts at S = 1 and S = 4, and the
-// registry mirrors agree with ServiceStats.
+// metrics pages agree with ServiceStats.
 TEST(ShardRouter, EventCountsMatchAtEveryShardCount) {
   // disjoint_paths(4, 4): path c is ids [4c, 4c + 4), on shard c at S = 4.
   const std::vector<GraphUpdate> stream = {
@@ -242,7 +294,6 @@ TEST(ShardRouter, EventCountsMatchAtEveryShardCount) {
   };
   ServiceStats per_shards[2];
   for (const std::size_t shards : {1u, 4u}) {
-    obs::Registry::global().reset();
     ServiceConfig config;
     config.num_shards = shards;
     ShardRouter router(disjoint_paths(4, 4), config);
@@ -253,16 +304,7 @@ TEST(ShardRouter, EventCountsMatchAtEveryShardCount) {
     EXPECT_EQ(st.updates_applied, 7u);
     EXPECT_EQ(st.updates_rejected, 3u);
     EXPECT_EQ(st.batches, st.updates_applied);
-#if !defined(PARDFS_NO_METRICS)
-    obs::Registry& reg = obs::Registry::global();
-    EXPECT_EQ(reg.counter("pardfs_updates_applied_total").value(),
-              st.updates_applied);
-    EXPECT_EQ(reg.counter("pardfs_batches_total").value(), st.batches);
-    EXPECT_EQ(reg.counter("pardfs_acks_rejected_total",
-                          "reason=\"infeasible\"")
-                  .value(),
-              st.updates_rejected);
-#endif
+    expect_pages_match(router, st);
     per_shards[shards == 1 ? 0 : 1] = st;
   }
   const ServiceStats& one = per_shards[0];
@@ -476,9 +518,6 @@ TEST(ShardRouter, JournalReplayOfVertexInsertBatchesIsByteIdentical) {
 }
 
 TEST(ShardRouter, CrossShardInsertRunsTheMergeProtocol) {
-  // The metric assertions below read the process-global counters: zero them
-  // so earlier tests' migrations don't leak in.
-  obs::Registry::global().reset();
   ShardRouter router(disjoint_paths(2, 5), {.num_shards = 2});
   ASSERT_EQ(router.shard_of(0), 0);
   ASSERT_EQ(router.shard_of(5), 1);
@@ -497,7 +536,7 @@ TEST(ShardRouter, CrossShardInsertRunsTheMergeProtocol) {
   // The loser's snapshot no longer answers for the migrated vertices.
   EXPECT_FALSE(router.shard_snapshot(1)->contains(5));
   EXPECT_TRUE(router.shard_snapshot(0)->contains(5));
-  // The process-wide counters moved too.
+  // The page renders the router's own counts.
   const std::string page = router.metrics_text();
   EXPECT_NE(page.find("pardfs_shard_migrations_total 1"), std::string::npos);
   EXPECT_NE(page.find("pardfs_cross_shard_inserts_total 1"),
@@ -723,7 +762,6 @@ TEST(ShardRouter, SubmitRacingStopIsRejectedNotAborted) {
 }
 
 TEST(ShardRouter, ShardStatsAndLabeledSeriesPerShard) {
-  obs::Registry::global().reset();
   ShardRouter router(disjoint_paths(4, 4), {.num_shards = 4});
   ASSERT_NE(router.apply_sync(GraphUpdate::insert_edge(0, 2)),
             UpdateTicket::kRejected);
@@ -754,6 +792,69 @@ TEST(ShardRouter, ShardStatsAndLabeledSeriesPerShard) {
   EXPECT_NE(page.find("pardfs_cross_shard_inserts_total 0"),
             std::string::npos);
   router.stop();
+}
+
+// One replay that raises every router event — infeasible rejects, a
+// cross-shard merge, a writer crash with its retryable ack and recovery,
+// admission sheds and a submit after stop() — while a second router serves
+// in the same process. Each router's pages carry its own counts and nothing
+// of the other's, in every build (recording compiled in or out).
+TEST(ShardRouter, MetricsPagesCountEachRoutersOwnEvents) {
+  ShardRouter other(gen::path(8));
+  ServiceConfig config;
+  config.num_shards = 2;
+  config.max_queue_depth = 2;
+  // disjoint_paths(4, 4): path c is ids [4c, 4c + 4), on shard c % 2.
+  ShardRouter router(disjoint_paths(4, 4), config);
+
+  EXPECT_EQ(router.apply_sync(GraphUpdate::insert_edge(0, 99)),
+            UpdateTicket::kRejected);
+  EXPECT_EQ(router.apply_sync(GraphUpdate::insert_edge(2, 2)),
+            UpdateTicket::kRejected);
+  // Paths 0 and 1: one merge, one migration.
+  EXPECT_NE(router.apply_sync(GraphUpdate::insert_edge(3, 4)),
+            UpdateTicket::kRejected);
+
+  // Shard 1's writer crashes on its next drain; the update it held acks
+  // kRetryable, the watchdog replays the journal, and the retry applies.
+  router.inject_writer_failure(1);
+  const SubmitOutcome retried =
+      submit_with_retry(router, GraphUpdate::insert_edge(12, 14));
+  EXPECT_TRUE(retried.applied());
+  EXPECT_GT(retried.attempts, 1);
+
+  // Paused, shard 0's queue fills to the depth bound (the writer may already
+  // hold the first update, drained before the pause landed) and sheds.
+  router.pause();
+  std::vector<UpdateTicket> held;
+  for (const Vertex v : {5, 6, 7, 1}) {
+    held.push_back(router.submit(GraphUpdate::insert_edge(0, v)));
+  }
+  router.resume();
+  for (const UpdateTicket& t : held) (void)t.wait();
+
+  for (int i = 0; i < 3; ++i) {
+    (void)other.apply_sync(GraphUpdate::insert_edge(0, 2 + i));
+  }
+  router.stop();
+  EXPECT_EQ(router.submit(GraphUpdate::insert_edge(8, 10)).wait(),
+            UpdateTicket::kRejected);
+  other.stop();
+
+  const ServiceStats st = router.stats();
+  EXPECT_GE(st.updates_rejected, 2u);
+  EXPECT_EQ(st.cross_shard_inserts, 1u);
+  EXPECT_EQ(st.shard_migrations, 1u);
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_GE(st.retryable_acks, 1u);
+  EXPECT_GE(st.overload_sheds, 1u);
+  EXPECT_EQ(st.rejected_shutdown, 1u);
+  expect_pages_match(router, st);
+
+  const ServiceStats other_st = other.stats();
+  EXPECT_EQ(other_st.updates_applied, 3u);
+  EXPECT_EQ(other_st.recoveries, 0u);
+  expect_pages_match(other, other_st);
 }
 
 }  // namespace

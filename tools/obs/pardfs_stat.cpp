@@ -25,8 +25,10 @@
 //               [--format=prom|json]
 //               [--trace-out=FILE]    enable span tracing; write the chrome
 //                                     trace JSON to FILE at the end
-//               [--no-metrics]        runtime kill switch (recording off;
-//                                     the page prints zeros — the knob the
+//               [--no-metrics]        runtime kill switch (registry
+//                                     recording off, so its series print
+//                                     zeros; the router's event counts
+//                                     still count — the knob the
 //                                     determinism pins exercise)
 //
 // Exit code 0 on success, 2 on a malformed argument (every number is parsed
@@ -157,10 +159,10 @@ void print_shard_table(const ShardRouter& router) {
                static_cast<long long>(router.num_edges()),
                static_cast<unsigned long long>(total.cross_shard_inserts),
                static_cast<unsigned long long>(total.shard_migrations));
-  // The §13 failure-domain counters; the same numbers back the
-  // pardfs_recoveries_total / pardfs_acks_retryable_total /
-  // pardfs_overload_shed_total series on the scrape page (plus the
-  // pardfs_recovery_latency_us histogram for failover timing).
+  // The §13 failure-domain counters. The page renders these same counts
+  // as pardfs_recoveries_total / pardfs_acks_retryable_total /
+  // pardfs_overload_shed_total, with --no-metrics too (failover timing is
+  // the pardfs_recovery_latency_us histogram, a registry series).
   std::fprintf(stderr,
                "       recoveries: %llu, retryable acks: %llu, overload "
                "sheds: %llu\n",
