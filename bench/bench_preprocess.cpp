@@ -12,6 +12,7 @@
 #include "pram/cost_model.hpp"
 #include "pram/list_ranking.hpp"
 #include "pram/parallel.hpp"
+#include "tree/euler_tour.hpp"
 #include "tree/tree_index.hpp"
 #include "util/random.hpp"
 
@@ -48,9 +49,9 @@ BENCHMARK(BM_BuildOracle)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity(benchmark::oNLogN);
 
-// range(1) picks the TreeBuildMode: 0 kAuto, 1 kSerial, 2 kParallel. The
-// kSerial and kParallel rows at the default team are the measurement that
-// keeps kAuto serial (the TreeBuildMode comment in tree_index.hpp).
+// range(1) picks the TreeBuildMode: 0 kAuto, 1 kSerial (the same build).
+// With BM_EulerTourTables below, these rows are the serial-vs-Theorem-4
+// comparison behind TreeIndex's single build (EXPERIMENTS.md E28).
 void BM_BuildTreeIndex(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const auto mode = static_cast<TreeBuildMode>(state.range(1));
@@ -66,8 +67,26 @@ void BM_BuildTreeIndex(benchmark::State& state) {
   state.counters["mode"] = benchmark::Counter(static_cast<double>(state.range(1)));
 }
 BENCHMARK(BM_BuildTreeIndex)
-    ->ArgsProduct({benchmark::CreateRange(1 << 10, 1 << 20, 4), {0, 1, 2}})
+    ->ArgsProduct({benchmark::CreateRange(1 << 10, 1 << 20, 4), {0, 1}})
     ->ArgNames({"n", "mode"})
+    ->Unit(benchmark::kMicrosecond);
+
+// Theorem 4's construction on the same tree as BM_BuildTreeIndex: Euler
+// tour, list ranking and scans on the default team, vertex tour included.
+void BM_EulerTourTables(benchmark::State& state) {
+  const Vertex n = static_cast<Vertex>(state.range(0));
+  Rng rng(8);
+  Graph g = gen::random_connected(n, 2 * static_cast<std::int64_t>(n), rng);
+  const auto parent = static_dfs(g);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(euler_tour_tables(parent));
+  }
+  state.counters["n"] = benchmark::Counter(n);
+  state.counters["threads"] = benchmark::Counter(pram::num_threads());
+}
+BENCHMARK(BM_EulerTourTables)
+    ->RangeMultiplier(4)->Range(1 << 10, 1 << 20)
+    ->ArgNames({"n"})
     ->Unit(benchmark::kMicrosecond);
 
 // Work-efficient list ranking on one random list of n nodes — the Euler

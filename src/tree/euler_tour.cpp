@@ -260,10 +260,4 @@ EulerTourTables euler_tour_tables(std::span<const Vertex> parent,
   return t;
 }
 
-void euler_tour_tables_into(std::span<const Vertex> parent,
-                            std::span<const std::uint8_t> alive,
-                            EulerTourTables& out) {
-  tour_impl(parent, alive, out.result, &out);
-}
-
 }  // namespace pardfs

@@ -6,10 +6,12 @@
 // parent array. O(n) work, O(log n)-depth shape (see list_ranking.hpp for
 // the sublist walk's depth).
 //
-// TreeIndex's serial build is a stack DFS (faster on one socket); this
-// module is the PRAM-faithful construction behind TreeBuildMode::kParallel,
-// pinned byte-identical to the serial tables in the test suite — it is the
-// substrate the paper's preprocessing bound (Theorem 4/10) rests on.
+// TreeIndex builds its tables with a serial stack DFS: an index built on
+// this construction never beat it by 1.2x up to n = 2^20 on 4 cores
+// (EXPERIMENTS.md E28). This module is the paper's construction, the
+// substrate its preprocessing bound (Theorem 4/10) rests on, pinned
+// byte-identical to TreeIndex by tests/test_rebuild.cpp and
+// tests/test_euler_tour.cpp.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +32,8 @@ struct EulerTourResult {
 // The vertex-sequence Euler tour on top of EulerTourResult — per tree of the
 // forest, root first, then one vertex per directed tree edge (the entered
 // vertex for a down edge, the parent for an up edge), trees concatenated in
-// root-id order. Exactly the sequence a serial DFS emits, so TreeIndex can
-// feed it to the Fischer–Heun LCA table and stay byte-identical to its
-// serial build. root_of is kNullVertex outside the forest.
+// root-id order. Exactly the sequence TreeIndex's DFS emits for its
+// Fischer–Heun LCA table. root_of is kNullVertex outside the forest.
 struct EulerTourTables {
   EulerTourResult result;
   std::vector<Vertex> euler;             // length sum over trees of 2*size-1
@@ -47,15 +48,8 @@ EulerTourResult euler_tour(std::span<const Vertex> parent,
                            std::span<const std::uint8_t> alive = {});
 
 // Same construction, additionally materializing the vertex tour (Theorem 4's
-// full output, consumed by TreeIndex::build's parallel path).
+// full output).
 EulerTourTables euler_tour_tables(std::span<const Vertex> parent,
                                   std::span<const std::uint8_t> alive = {});
-
-// In-place variant: fills `out` via assign(), so a caller that passes the
-// same tables object across builds reuses their capacity (the construction
-// still allocates its internal temporaries per call).
-void euler_tour_tables_into(std::span<const Vertex> parent,
-                            std::span<const std::uint8_t> alive,
-                            EulerTourTables& out);
 
 }  // namespace pardfs

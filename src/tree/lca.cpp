@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "pram/parallel.hpp"
 #include "util/check.hpp"
 
 namespace pardfs {
@@ -59,7 +58,7 @@ void LcaTable::build(std::vector<Vertex>& euler, std::vector<std::int32_t>& dept
   const int levels = log2_[blocks] + 1;
   block_table_.resize(static_cast<std::size_t>(levels) * blocks);
   // Level 0: descent pattern and argmin position of each block, one pass.
-  pram::parallel_for_t(0, blocks, [&](std::size_t b) {
+  for (std::size_t b = 0; b < blocks; ++b) {
     const std::int32_t lo = static_cast<std::int32_t>(b) * kBlock;
     const std::int32_t hi =
         std::min(lo + kBlock - 1, static_cast<std::int32_t>(n) - 1);
@@ -72,21 +71,21 @@ void LcaTable::build(std::vector<Vertex>& euler, std::vector<std::int32_t>& dept
     }
     pattern_[b] = p;
     block_table_[b] = lo + g_patterns.pos[p][0][hi - lo];
-  });
+  }
   // Doubling levels over block minima: (n / kBlock) log n total work.
   for (int k = 1; k < levels; ++k) {
     const std::size_t span = std::size_t{1} << k;
     const std::size_t rows = blocks - span + 1;
     const std::int32_t* prev = block_table_.data() + (k - 1) * blocks;
     std::int32_t* cur = block_table_.data() + k * blocks;
-    pram::parallel_for_t(0, rows, [&](std::size_t i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       const std::int32_t a = prev[i];
       const std::int32_t b = prev[i + span / 2];
       cur[i] = depth_at_[static_cast<std::size_t>(a)] <=
                        depth_at_[static_cast<std::size_t>(b)]
                    ? a
                    : b;
-    });
+    }
   }
 }
 

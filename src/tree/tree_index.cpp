@@ -1,38 +1,25 @@
 #include "tree/tree_index.hpp"
 
 #include <algorithm>
-#include <atomic>
 
-#include "pram/parallel.hpp"
-#include "tree/euler_tour.hpp"
 #include "util/check.hpp"
 
 namespace pardfs {
 
 void TreeIndex::build(std::span<const Vertex> parent,
-                      std::span<const std::uint8_t> alive, TreeBuildMode mode) {
+                      std::span<const std::uint8_t> alive, TreeBuildMode /*mode*/) {
   parent_.assign(parent.begin(), parent.end());
   roots_.clear();
-
-  const bool parallel = mode == TreeBuildMode::kParallel;
-  build_children_csr(parent, alive, parallel);
-  if (parallel) {
-    build_parallel(parent, alive);
-  } else {
-    build_serial(alive);
-  }
+  build_children_csr(alive);
+  build_serial();
 }
 
-void TreeIndex::build_children_csr(std::span<const Vertex> parent,
-                                   std::span<const std::uint8_t> alive,
-                                   bool parallel) {
-  const std::size_t n = parent.size();
+void TreeIndex::build_children_csr(std::span<const std::uint8_t> alive) {
+  const std::size_t n = parent_.size();
   auto is_alive = [&](std::size_t v) { return alive.empty() || alive[v] != 0; };
 
-  // Children CSR: counting + exclusive scan for offsets, then a fill. Both
-  // paths produce children in ascending id per bucket — the serial path by
-  // scanning ids in order, the parallel path by sorting each bucket after an
-  // unordered atomic fill.
+  // Children CSR: counting + exclusive scan for offsets, then a fill that
+  // scans ids in order, so each bucket lists its children by ascending id.
   child_start_.assign(n + 1, 0);
   for (std::size_t v = 0; v < n; ++v) {
     if (!is_alive(v)) continue;
@@ -47,38 +34,19 @@ void TreeIndex::build_children_csr(std::span<const Vertex> parent,
   for (std::size_t v = 0; v < n; ++v) child_start_[v + 1] += child_start_[v];
   child_list_.assign(static_cast<std::size_t>(child_start_[n]), kNullVertex);
   cursor_scratch_.assign(child_start_.begin(), child_start_.end() - 1);
-  if (parallel && n > 0) {
-    pram::parallel_for_t(0, n, [&](std::size_t v) {
-      if (!is_alive(v)) return;
-      const Vertex p = parent_[v];
-      if (p == kNullVertex) return;
-      const std::int32_t slot =
-          std::atomic_ref<std::int32_t>(cursor_scratch_[static_cast<std::size_t>(p)])
-              .fetch_add(1, std::memory_order_relaxed);
-      child_list_[static_cast<std::size_t>(slot)] = static_cast<Vertex>(v);
-    });
-    pram::parallel_for_t(0, n, [&](std::size_t v) {
-      const auto s = static_cast<std::size_t>(child_start_[v]);
-      const auto e = static_cast<std::size_t>(child_start_[v + 1]);
-      std::sort(child_list_.begin() + static_cast<std::ptrdiff_t>(s),
-                child_list_.begin() + static_cast<std::ptrdiff_t>(e));
-    });
-  } else {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!is_alive(v)) continue;
-      const Vertex p = parent_[v];
-      if (p != kNullVertex) {
-        child_list_[static_cast<std::size_t>(
-            cursor_scratch_[static_cast<std::size_t>(p)]++)] =
-            static_cast<Vertex>(v);
-      }
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!is_alive(v)) continue;
+    const Vertex p = parent_[v];
+    if (p != kNullVertex) {
+      child_list_[static_cast<std::size_t>(
+          cursor_scratch_[static_cast<std::size_t>(p)]++)] = static_cast<Vertex>(v);
     }
   }
 }
 
-void TreeIndex::build_serial(std::span<const std::uint8_t> alive) {
+void TreeIndex::build_serial() {
+  // Liveness is already folded into roots_ and the children CSR.
   const std::size_t n = parent_.size();
-  (void)alive;  // liveness is already folded into roots_ / child CSR
   tree_root_.assign(n, kNullVertex);
   depth_.assign(n, -1);
   size_.assign(n, 0);
@@ -144,53 +112,6 @@ void TreeIndex::build_serial(std::span<const std::uint8_t> alive) {
   lca_.build(euler_scratch_, euler_depth_scratch_, first_pos_scratch_);
 }
 
-void TreeIndex::build_parallel(std::span<const Vertex> parent,
-                               std::span<const std::uint8_t> alive) {
-  const std::size_t n = parent.size();
-  // Theorem 4: Euler tour + list ranking yield pre/post/depth/size and the
-  // vertex tour in O(log n) depth; the orderings are one parallel scatter.
-  // The tour order equals the serial DFS emission (root-id tree order,
-  // children ascending), so every table below is byte-identical to
-  // build_serial's output. The member tables circulate through the tour
-  // scratch (swap out, rebuild in place, swap back) so repeated parallel
-  // builds reuse their capacity like the serial path does; only the tour
-  // construction's internal temporaries remain per-call.
-  EulerTourTables& t = tour_scratch_;
-  t.result.pre.swap(pre_);
-  t.result.post.swap(post_);
-  t.result.depth.swap(depth_);
-  t.result.size.swap(size_);
-  t.root_of.swap(tree_root_);
-  t.euler.swap(euler_scratch_);
-  t.euler_depth.swap(euler_depth_scratch_);
-  t.first_pos.swap(first_pos_scratch_);
-  euler_tour_tables_into(parent, alive, t);
-  pre_.swap(t.result.pre);
-  post_.swap(t.result.post);
-  depth_.swap(t.result.depth);
-  size_.swap(t.result.size);
-  tree_root_.swap(t.root_of);
-  std::int32_t indexed = 0;
-  for (const Vertex r : roots_) {
-    indexed += size_[static_cast<std::size_t>(r)];
-  }
-  num_indexed_ = indexed;
-  order_by_pre_.assign(static_cast<std::size_t>(indexed), kNullVertex);
-  order_by_post_.assign(static_cast<std::size_t>(indexed), kNullVertex);
-  pram::parallel_for_t(0, n, [&](std::size_t sv) {
-    const std::int32_t p = pre_[sv];
-    if (p < 0) return;
-    order_by_pre_[static_cast<std::size_t>(p)] = static_cast<Vertex>(sv);
-    order_by_post_[static_cast<std::size_t>(post_[sv])] = static_cast<Vertex>(sv);
-  });
-  // Same vertex tour as the serial DFS: identical Fischer–Heun state (the
-  // block fill inside is a parallel_for).
-  euler_scratch_.swap(t.euler);
-  euler_depth_scratch_.swap(t.euler_depth);
-  first_pos_scratch_.swap(t.first_pos);
-  lca_.build(euler_scratch_, euler_depth_scratch_, first_pos_scratch_);
-}
-
 std::size_t TreeIndex::heap_capacity_bytes() const {
   return parent_.capacity() * sizeof(Vertex) +
          tree_root_.capacity() * sizeof(Vertex) +
@@ -207,15 +128,7 @@ std::size_t TreeIndex::heap_capacity_bytes() const {
          euler_depth_scratch_.capacity() * sizeof(std::int32_t) +
          first_pos_scratch_.capacity() * sizeof(std::int32_t) +
          cursor_scratch_.capacity() * sizeof(std::int32_t) +
-         stack_scratch_.capacity() * sizeof(std::pair<Vertex, std::int32_t>) +
-         tour_scratch_.result.pre.capacity() * sizeof(std::int32_t) +
-         tour_scratch_.result.post.capacity() * sizeof(std::int32_t) +
-         tour_scratch_.result.depth.capacity() * sizeof(std::int32_t) +
-         tour_scratch_.result.size.capacity() * sizeof(std::int32_t) +
-         tour_scratch_.euler.capacity() * sizeof(Vertex) +
-         tour_scratch_.euler_depth.capacity() * sizeof(std::int32_t) +
-         tour_scratch_.first_pos.capacity() * sizeof(std::int32_t) +
-         tour_scratch_.root_of.capacity() * sizeof(Vertex);
+         stack_scratch_.capacity() * sizeof(std::pair<Vertex, std::int32_t>);
 }
 
 Vertex TreeIndex::lca(Vertex u, Vertex v) const {

@@ -20,29 +20,16 @@
 #include <vector>
 
 #include "graph/edge.hpp"
-#include "tree/euler_tour.hpp"
 #include "tree/lca.hpp"
 
 namespace pardfs {
 
-// How build() computes the tables. kSerial is the one-socket stack DFS;
-// kParallel is the paper-faithful Theorem 4 construction (children CSR via
-// counting + exclusive scan, Euler tour + O(n)-work list ranking for
-// pre/post/depth/size and the orderings, parallel Fischer–Heun block fill).
-// Both produce byte-identical tables (pinned by tests/test_rebuild.cpp at
-// 1/2/4/8 workers). kAuto is kSerial: BM_BuildTreeIndex (bench_preprocess:
-// in-place rebuild of a random_connected DFS tree, Release, the default
-// 4-thread pool team on a 4-vCPU Xeon), kParallel vs kSerial wall time in
-// microseconds, medians of 3:
-//   n = 2^10     124 vs     29      n = 2^16   10917 vs   4189
-//   n = 2^12     809 vs    142      n = 2^18   49536 vs  31638
-//   n = 2^14    2559 vs    692      n = 2^20  280767 vs 315383
-// kParallel never beats kSerial by 1.2x. At 2^20 a single run is noise: the
-// one-iteration rows in BENCH_preprocess.json read 269727 vs 360777 while
-// kAuto, the same serial code, read 302233; 7 interleaved repetitions give
-// 380380 vs 336398. Re-measure on the target host before giving kAuto a
-// crossover.
-enum class TreeBuildMode : std::uint8_t { kAuto, kSerial, kParallel };
+// build() has one construction: the O(n) stack DFS. Theorem 4's Euler-tour
+// construction lives on in tree/euler_tour, pinned byte-identical to this
+// index by tests/test_rebuild.cpp; bench_preprocess's BM_BuildTreeIndex and
+// BM_EulerTourTables rows compare the two (EXPERIMENTS.md E28). Both names
+// run the one build; they remain because perfbench's ledger times each.
+enum class TreeBuildMode : std::uint8_t { kAuto, kSerial };
 
 class TreeIndex {
  public:
@@ -51,8 +38,8 @@ class TreeIndex {
   // parent[v] == kNullVertex marks v as a root (if alive[v]) or dead (if not).
   // If `alive` is empty every vertex is considered alive.
   // Rebuilding into the same object reuses every buffer (including the LCA
-  // table's and the tour scratch): the steady-state epoch rebuild allocates
-  // nothing once capacities have stabilized — see heap_capacity_bytes().
+  // table's): the steady-state epoch rebuild allocates nothing once
+  // capacities have stabilized — see heap_capacity_bytes().
   void build(std::span<const Vertex> parent, std::span<const std::uint8_t> alive = {},
              TreeBuildMode mode = TreeBuildMode::kAuto);
 
@@ -127,17 +114,14 @@ class TreeIndex {
   // a and b must be in the same tree. O(output).
   std::vector<Vertex> tree_path(Vertex a, Vertex b) const;
 
-  // Sum of owned heap capacities in bytes, tour scratch and LCA table
+  // Sum of owned heap capacities in bytes, rebuild scratch and LCA table
   // included. A second build() of the same forest shape must leave this
   // unchanged (zero new heap growth) — pinned by tests/test_rebuild.cpp.
   std::size_t heap_capacity_bytes() const;
 
  private:
-  void build_children_csr(std::span<const Vertex> parent,
-                          std::span<const std::uint8_t> alive, bool parallel);
-  void build_serial(std::span<const std::uint8_t> alive);
-  void build_parallel(std::span<const Vertex> parent,
-                      std::span<const std::uint8_t> alive);
+  void build_children_csr(std::span<const std::uint8_t> alive);
+  void build_serial();
 
   std::vector<Vertex> parent_;
   std::vector<Vertex> tree_root_;
@@ -149,13 +133,11 @@ class TreeIndex {
   std::int32_t num_indexed_ = 0;
   LcaTable lca_;
   // Rebuild scratch, recycled across builds (the LCA table swaps its
-  // previous buffers back into the first three on every build; the parallel
-  // path swaps the member tables through tour_scratch_ the same way).
+  // previous buffers back into the first three on every build).
   std::vector<Vertex> euler_scratch_;
   std::vector<std::int32_t> euler_depth_scratch_, first_pos_scratch_;
   std::vector<std::int32_t> cursor_scratch_;
   std::vector<std::pair<Vertex, std::int32_t>> stack_scratch_;
-  EulerTourTables tour_scratch_;
 };
 
 }  // namespace pardfs

@@ -1,7 +1,8 @@
-// The rebuild path (DESIGN.md §9): the parallel Theorem-4 TreeIndex build
-// must be byte-identical to the serial fallback at every worker count, and
-// the steady-state rebuild must be allocation-free — a second build of the
-// same shape performs zero new heap growth (capacity-stable).
+// The rebuild path (DESIGN.md §9): Theorem 4's parallel Euler-tour
+// construction must reproduce the TreeIndex tables and vertex tour byte for
+// byte at every worker count, and the steady-state rebuild must be
+// allocation-free — a second build of the same shape performs zero new heap
+// growth (capacity-stable).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,6 +12,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "pram/parallel.hpp"
+#include "tree/euler_tour.hpp"
 #include "tree/tree_index.hpp"
 #include "util/random.hpp"
 
@@ -46,7 +48,7 @@ void expect_identical(const TreeIndex& a, const TreeIndex& b, Vertex n,
     ASSERT_EQ(a.vertex_at_post(i), b.vertex_at_post(i)) << label << " post=" << i;
   }
   // LCA equality on sampled same-tree pairs exercises the Fischer–Heun
-  // table, whose state the parallel block fill must reproduce exactly.
+  // table.
   Rng rng(99);
   for (int t = 0; t < 200; ++t) {
     const Vertex u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
@@ -98,8 +100,9 @@ std::vector<Shape> build_shapes() {
     s.alive.assign(g.alive().begin(), g.alive().end());
     shapes.push_back(std::move(s));
   }
-  // Above pram::kSerialGrain directed tour edges, so the parallel build
-  // really forks its team and splits the list ranking into sublists.
+  // Above pram::kSerialGrain directed tour edges, so the Euler-tour
+  // construction really forks its team and splits the list ranking into
+  // sublists.
   {
     Graph g = gen::star(1 << 13);
     shapes.push_back({"wide_star", static_dfs(g), {}});
@@ -129,24 +132,65 @@ std::vector<Shape> build_shapes() {
   return shapes;
 }
 
+// The vertex tour of `index`, re-walked from its roots and children: per
+// tree, the root, then the entered vertex of each down edge and the parent
+// of each up edge — the sequence EulerTourTables documents.
+void walk_tour(const TreeIndex& index, std::vector<Vertex>& tour,
+               std::vector<std::int32_t>& depth) {
+  std::vector<std::pair<Vertex, std::size_t>> stack;
+  for (const Vertex r : index.roots()) {
+    tour.push_back(r);
+    depth.push_back(0);
+    stack.emplace_back(r, 0);
+    while (!stack.empty()) {
+      auto& [v, slot] = stack.back();
+      const auto kids = index.children(v);
+      if (slot < kids.size()) {
+        const Vertex c = kids[slot++];
+        tour.push_back(c);
+        depth.push_back(index.depth(c));
+        stack.emplace_back(c, 0);
+      } else {
+        stack.pop_back();
+        if (!stack.empty()) {
+          tour.push_back(stack.back().first);
+          depth.push_back(index.depth(stack.back().first));
+        }
+      }
+    }
+  }
+}
+
 TEST(Rebuild, ParallelBuildMatchesSerialAtEveryWorkerCount) {
+  // Theorem 4's construction (list ranking and scans on the worker pool)
+  // against the serial TreeIndex; the large shapes make it fork its team.
   const auto shapes = build_shapes();
   for (const Shape& s : shapes) {
     TreeIndex serial;
-    serial.build(s.parent, s.alive, TreeBuildMode::kSerial);
+    serial.build(s.parent, s.alive);
+    std::vector<Vertex> tour;
+    std::vector<std::int32_t> tour_depth;
+    walk_tour(serial, tour, tour_depth);
     for (const int threads : {1, 2, 4, 8}) {
       pram::set_num_threads(threads);
-      TreeIndex par;
-      par.build(s.parent, s.alive, TreeBuildMode::kParallel);
-      expect_identical(serial, par, static_cast<Vertex>(s.parent.size()), s.name);
+      const EulerTourTables t = euler_tour_tables(s.parent, s.alive);
+      for (std::size_t v = 0; v < s.parent.size(); ++v) {
+        const Vertex vv = static_cast<Vertex>(v);
+        ASSERT_EQ(t.result.pre[v], serial.pre(vv)) << s.name << " v=" << v;
+        ASSERT_EQ(t.result.post[v], serial.post(vv)) << s.name << " v=" << v;
+        ASSERT_EQ(t.result.depth[v], serial.depth(vv)) << s.name << " v=" << v;
+        ASSERT_EQ(t.result.size[v], serial.size(vv)) << s.name << " v=" << v;
+        ASSERT_EQ(t.root_of[v], serial.root_of(vv)) << s.name << " v=" << v;
+      }
+      ASSERT_EQ(t.euler, tour) << s.name << " threads=" << threads;
+      ASSERT_EQ(t.euler_depth, tour_depth) << s.name << " threads=" << threads;
     }
     pram::set_num_threads(0);
   }
 }
 
 TEST(Rebuild, AutoModeMatchesSerial) {
-  // kAuto is the serial build today; whatever it dispatches to, the
-  // observable index must be the serial one.
+  // kAuto and kSerial name the one build; the observable index must match.
   const auto shapes = build_shapes();
   for (const Shape& s : shapes) {
     TreeIndex serial;
@@ -161,20 +205,16 @@ TEST(Rebuild, TreeIndexRebuildIsCapacityStable) {
   Rng rng(7);
   Graph g = gen::random_connected(2000, 5000, rng);
   const std::vector<Vertex> parent = static_dfs(g);
-  for (const TreeBuildMode mode :
-       {TreeBuildMode::kSerial, TreeBuildMode::kParallel}) {
-    TreeIndex idx;
-    // Two builds to let every buffer (including the LCA and tour swap
-    // pairs) reach its steady capacity, then the probe must not move.
-    idx.build(parent, {}, mode);
-    idx.build(parent, {}, mode);
-    const std::size_t stable = idx.heap_capacity_bytes();
-    EXPECT_GT(stable, 0u);
-    for (int i = 0; i < 5; ++i) {
-      idx.build(parent, {}, mode);
-      EXPECT_EQ(idx.heap_capacity_bytes(), stable)
-          << "mode " << static_cast<int>(mode) << " rebuild " << i;
-    }
+  TreeIndex idx;
+  // Two builds to let every buffer (including the LCA table's swap pairs)
+  // reach its steady capacity, then the probe must not move.
+  idx.build(parent);
+  idx.build(parent);
+  const std::size_t stable = idx.heap_capacity_bytes();
+  EXPECT_GT(stable, 0u);
+  for (int i = 0; i < 5; ++i) {
+    idx.build(parent);
+    EXPECT_EQ(idx.heap_capacity_bytes(), stable) << "rebuild " << i;
   }
 }
 
