@@ -1,7 +1,7 @@
 #include "core/dynamic_dfs.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <string_view>
 #include <utility>
 
 #include "baseline/static_dfs.hpp"
@@ -11,31 +11,20 @@
 namespace pardfs {
 namespace {
 
-// The update-path phase histograms (DESIGN.md §11). Recorded in raw
-// nanoseconds, exported in microseconds; one sample per scoped phase entry,
-// so quantiles are per-phase-execution latencies and sums reproduce the old
-// cumulative UpdatePhaseBreakdown. The service layer owns the two remaining
-// pipeline phases (queue_wait, publish) under the same metric name.
-// Registration is once per process; the references are stable forever.
-obs::Histogram& patch_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_update_phase_us", "phase=\"patch\"", 1e-3);
-  return h;
-}
-obs::Histogram& reroot_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_update_phase_us", "phase=\"reroot\"", 1e-3);
-  return h;
-}
-obs::Histogram& index_rebuild_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_update_phase_us", "phase=\"index_rebuild\"", 1e-3);
-  return h;
-}
-obs::Histogram& rebase_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_update_phase_us", "phase=\"rebase\"", 1e-3);
-  return h;
+constexpr std::string_view kPhaseFamily = "pardfs_update_phase_us";
+
+// One update-path phase histogram (DESIGN.md §11) of an engine: the
+// process-wide unlabeled series when `shard` is empty, else its
+// shard="<shard>" twin. Recorded in raw nanoseconds, exported in
+// microseconds; one sample per scoped phase entry, so quantiles are
+// per-phase-execution latencies and sums reproduce the cumulative
+// UpdatePhaseBreakdown. The service layer owns the two remaining pipeline
+// phases (queue_wait, publish) under the same metric name. The reference is
+// stable forever.
+obs::Histogram& phase_series(std::string_view phase, std::string_view shard) {
+  return obs::Registry::global().histogram(
+      kPhaseFamily,
+      obs::shard_labels("phase=\"" + std::string(phase) + '"', shard), 1e-3);
 }
 
 // Mirror of the per-run RerootStats counters (paper Theorem 3/4 evidence)
@@ -86,10 +75,6 @@ void mirror_reroot_stats(const RerootStats& s) {
   if (s.recomputes != 0) recomputes.add(s.recomputes);
 }
 
-// Set once a shard-labeled engine exists in the process: phase_breakdown()
-// then widens its scan from the four unlabeled series to the whole family.
-std::atomic<bool> g_sharded_phase_series{false};
-
 // Retired indices kept for buffer reuse: current + epoch base + one in
 // flight. Beyond that (snapshots pinning history) fresh allocations take
 // over.
@@ -109,24 +94,10 @@ DynamicDfs::DynamicDfs(Graph graph, RerootStrategy strategy,
       requested_period_(epoch_period) {
   // Eager registration: all four phase series of this instance appear (at
   // zero) on a metrics page even before the first update touches them.
-  if (obs_shard.empty()) {
-    patch_hist_ = &patch_hist();
-    reroot_hist_ = &reroot_hist();
-    index_rebuild_hist_ = &index_rebuild_hist();
-    rebase_hist_ = &rebase_hist();
-  } else {
-    obs::Registry& reg = obs::Registry::global();
-    const std::string shard = ",shard=\"" + obs_shard + "\"";
-    patch_hist_ = &reg.histogram("pardfs_update_phase_us",
-                                 "phase=\"patch\"" + shard, 1e-3);
-    reroot_hist_ = &reg.histogram("pardfs_update_phase_us",
-                                  "phase=\"reroot\"" + shard, 1e-3);
-    index_rebuild_hist_ = &reg.histogram(
-        "pardfs_update_phase_us", "phase=\"index_rebuild\"" + shard, 1e-3);
-    rebase_hist_ = &reg.histogram("pardfs_update_phase_us",
-                                  "phase=\"rebase\"" + shard, 1e-3);
-    g_sharded_phase_series.store(true, std::memory_order_relaxed);
-  }
+  patch_hist_ = &phase_series("patch", obs_shard);
+  reroot_hist_ = &phase_series("reroot", obs_shard);
+  index_rebuild_hist_ = &phase_series("index_rebuild", obs_shard);
+  rebase_hist_ = &phase_series("rebase", obs_shard);
   parent_ = static_dfs(graph_);
   rebuild_index();
   close_epoch(/*build_now=*/true);
@@ -247,29 +218,21 @@ void DynamicDfs::execute(const ReductionResult& reduction, const OracleView& vie
 }
 
 UpdatePhaseBreakdown DynamicDfs::phase_breakdown() {
+  // Unlabeled and shard-labeled series alike, matched by their phase label.
+  // The service phases (queue_wait, publish) share the metric name but not
+  // these phase labels, so the prefix match skips them.
   UpdatePhaseBreakdown b;
-  b.patch_us = patch_hist().sum();
-  b.reroot_us = reroot_hist().sum();
-  b.index_rebuild_us = index_rebuild_hist().sum();
-  b.rebase_us = rebase_hist().sum();
-  if (g_sharded_phase_series.load(std::memory_order_relaxed)) {
-    // Shard-labeled engines record into their own series of the same family;
-    // fold them in so the breakdown stays a process-wide total. The service
-    // phases (queue_wait, publish) share the metric name but not these phase
-    // labels, so the prefix match skips them — exactly as before.
-    for (const obs::Histogram* h : obs::Registry::global().histograms()) {
-      if (h->name() != "pardfs_update_phase_us") continue;
-      const std::string& l = h->labels();
-      if (l.find(",shard=\"") == std::string::npos) continue;  // counted above
-      if (l.rfind("phase=\"patch\"", 0) == 0) {
-        b.patch_us += h->sum();
-      } else if (l.rfind("phase=\"reroot\"", 0) == 0) {
-        b.reroot_us += h->sum();
-      } else if (l.rfind("phase=\"index_rebuild\"", 0) == 0) {
-        b.index_rebuild_us += h->sum();
-      } else if (l.rfind("phase=\"rebase\"", 0) == 0) {
-        b.rebase_us += h->sum();
-      }
+  for (const obs::Histogram* h : obs::Registry::global().histograms()) {
+    if (h->name() != kPhaseFamily) continue;
+    const std::string& l = h->labels();
+    if (l.starts_with("phase=\"patch\"")) {
+      b.patch_us += h->sum();
+    } else if (l.starts_with("phase=\"reroot\"")) {
+      b.reroot_us += h->sum();
+    } else if (l.starts_with("phase=\"index_rebuild\"")) {
+      b.index_rebuild_us += h->sum();
+    } else if (l.starts_with("phase=\"rebase\"")) {
+      b.rebase_us += h->sum();
     }
   }
   return b;
@@ -325,111 +288,108 @@ void DynamicDfs::adopt_component(ComponentTransfer t) {
 }
 
 void DynamicDfs::insert_edge(Vertex u, Vertex v) {
-  // Checked before the back-edge test, which indexes by vertex id.
-  PARDFS_CHECK(graph_.is_alive(u) && graph_.is_alive(v));
-  const bool back = index_->is_ancestor(u, v) || index_->is_ancestor(v, u);
-  // Close the epoch (if due) and build D against the pre-update graph, so
-  // the fresh D never holds (u, v) in both its sorted lists and its patch
-  // lists.
-  if (!back) prepare_update();
-  {
-    obs::ScopedPhase timer(*patch_hist_, "patch");
-    PARDFS_CHECK(graph_.add_edge(u, v));
-    oracle_.note_edge_inserted(u, v);
-  }
-  if (back) {
-    last_stats_ = {};  // back edge: forest untouched, one patch, no rebuild
-    return;
-  }
-  {
-    obs::ScopedPhase timer(*reroot_hist_, "reroot");
-    const OracleView view(&oracle_, index_.get(), at_base());
-    execute(reduce_insert_edge(*index_, u, v), view);
-  }
-  finish_structural();
+  apply(GraphUpdate::insert_edge(u, v));
 }
 
 void DynamicDfs::delete_edge(Vertex u, Vertex v) {
-  // Checked before the tree-edge test, which indexes by vertex id.
-  PARDFS_CHECK(graph_.is_alive(u) && graph_.is_alive(v));
-  const bool u_parent = parent_[static_cast<std::size_t>(v)] == u;
-  const bool v_parent = parent_[static_cast<std::size_t>(u)] == v;
-  const bool tree_edge = u_parent || v_parent;
-  if (tree_edge) prepare_update();
-  {
-    obs::ScopedPhase timer(*patch_hist_, "patch");
-    oracle_.note_edge_deleted(u, v);
-    PARDFS_CHECK(graph_.remove_edge(u, v));
-  }
-  if (!tree_edge) {
-    last_stats_ = {};  // back edge: forest untouched, one patch, no rebuild
-    return;
-  }
-  {
-    obs::ScopedPhase timer(*reroot_hist_, "reroot");
-    const Vertex parent_side = u_parent ? u : v;
-    const Vertex child_side = u_parent ? v : u;
-    const OracleView view(&oracle_, index_.get(), at_base());
-    execute(reduce_delete_tree_edge(*index_, view, parent_side, child_side), view);
-  }
-  finish_structural();
+  apply(GraphUpdate::delete_edge(u, v));
 }
 
 Vertex DynamicDfs::insert_vertex(std::span<const Vertex> neighbors) {
-  prepare_update();
-  Vertex v = kNullVertex;
-  {
-    obs::ScopedPhase timer(*patch_hist_, "patch");
-    v = graph_.add_vertex(neighbors);
-    oracle_.note_vertex_inserted(v, neighbors);
-  }
-  parent_.resize(static_cast<std::size_t>(graph_.capacity()), kNullVertex);
-  {
-    obs::ScopedPhase timer(*reroot_hist_, "reroot");
-    const OracleView view(&oracle_, index_.get(), at_base());
-    execute(reduce_insert_vertex(*index_, v, neighbors), view);
-  }
-  finish_structural();
-  return v;
+  return apply(GraphUpdate::insert_vertex({neighbors.begin(), neighbors.end()}));
 }
 
-void DynamicDfs::delete_vertex(Vertex v) {
-  prepare_update();
-  const auto nbrs = graph_.neighbors(v);
-  const std::vector<Vertex> former_neighbors(nbrs.begin(), nbrs.end());
-  std::vector<Vertex> children(index_->children(v).begin(), index_->children(v).end());
-  const Vertex former_parent = parent_[static_cast<std::size_t>(v)];
-  {
-    obs::ScopedPhase timer(*patch_hist_, "patch");
-    oracle_.note_vertex_deleted(v, former_neighbors);
-    graph_.remove_vertex(v);
-  }
-  {
-    obs::ScopedPhase timer(*reroot_hist_, "reroot");
-    const OracleView view(&oracle_, index_.get(), at_base());
-    const ReductionResult r =
-        reduce_delete_vertex(*index_, view, v, children, former_parent);
-    parent_[static_cast<std::size_t>(v)] = kNullVertex;
-    execute(r, view);
-  }
-  finish_structural();
-}
+void DynamicDfs::delete_vertex(Vertex v) { apply(GraphUpdate::delete_vertex(v)); }
 
-Vertex DynamicDfs::apply(const GraphUpdate& update) {
-  switch (update.kind) {
-    case GraphUpdate::Kind::kInsertEdge:
-      insert_edge(update.u, update.v);
+void DynamicDfs::absorb(const GraphUpdate& op, Vertex fresh,
+                        BatchChanges& changes) {
+  // Ids from `fresh` on were inserted by the open segment: the index does not
+  // cover them, and their edges reach the reduction through the graph, not
+  // `changes`.
+  const bool tracked = op.u < fresh && op.v < fresh;
+  switch (op.kind) {
+    case GraphUpdate::Kind::kInsertEdge: {
+      const bool cross = tracked && !index_->is_ancestor(op.u, op.v) &&
+                         !index_->is_ancestor(op.v, op.u);
+      PARDFS_CHECK(graph_.add_edge(op.u, op.v));
+      oracle_.note_edge_inserted(op.u, op.v);
+      if (cross) changes.inserted_edges.push_back({op.u, op.v});
       break;
-    case GraphUpdate::Kind::kDeleteEdge:
-      delete_edge(update.u, update.v);
+    }
+    case GraphUpdate::Kind::kDeleteEdge: {
+      const bool u_parent =
+          tracked && parent_[static_cast<std::size_t>(op.v)] == op.u;
+      const bool v_parent =
+          tracked && parent_[static_cast<std::size_t>(op.u)] == op.v;
+      oracle_.note_edge_deleted(op.u, op.v);
+      PARDFS_CHECK(graph_.remove_edge(op.u, op.v));
+      if (u_parent) {
+        changes.cut_edges.emplace_back(op.u, op.v);
+      } else if (v_parent) {
+        changes.cut_edges.emplace_back(op.v, op.u);
+      }
       break;
-    case GraphUpdate::Kind::kInsertVertex:
-      return insert_vertex(update.neighbors);
+    }
     case GraphUpdate::Kind::kDeleteVertex:
-      delete_vertex(update.u);
+      PARDFS_CHECK(graph_.is_alive(op.u));
+      oracle_.note_vertex_deleted(op.u, graph_.neighbors(op.u));
+      graph_.remove_vertex(op.u);
+      if (tracked) changes.deleted_vertices.push_back(op.u);
       break;
+    case GraphUpdate::Kind::kInsertVertex: {
+      const Vertex v = graph_.add_vertex(op.neighbors);
+      oracle_.note_vertex_inserted(v, op.neighbors);
+      parent_.resize(static_cast<std::size_t>(graph_.capacity()), kNullVertex);
+      changes.inserted_vertices.push_back(v);
+      break;
+    }
   }
-  return kNullVertex;
+}
+
+Vertex DynamicDfs::apply(const GraphUpdate& op) {
+  // Checked before anything indexes by vertex id, closes an epoch or builds D.
+  if (op.kind != GraphUpdate::Kind::kInsertVertex) {
+    PARDFS_CHECK(graph_.is_alive(op.u));
+    PARDFS_CHECK(op.kind == GraphUpdate::Kind::kDeleteVertex ||
+                 graph_.is_alive(op.v));
+  }
+  const bool structural = is_structural(op);
+  // Close the epoch (if due) and build D against the pre-update graph, so a
+  // fresh D never holds an inserted edge in both its sorted lists and its
+  // patch lists.
+  if (structural) prepare_update();
+  BatchChanges c;
+  {
+    obs::ScopedPhase timer(*patch_hist_, "patch");
+    absorb(op, index_->capacity(), c);
+  }
+  if (!structural) {
+    last_stats_ = {};  // back edge: forest untouched, one patch, no rebuild
+    return kNullVertex;
+  }
+  {
+    obs::ScopedPhase timer(*reroot_hist_, "reroot");
+    const OracleView view(&oracle_, index_.get(), at_base());
+    if (!c.cut_edges.empty()) {
+      const auto [parent_side, child_side] = c.cut_edges.front();
+      execute(reduce_delete_tree_edge(*index_, view, parent_side, child_side), view);
+    } else if (!c.inserted_edges.empty()) {
+      execute(reduce_insert_edge(*index_, op.u, op.v), view);
+    } else if (!c.inserted_vertices.empty()) {
+      execute(reduce_insert_vertex(*index_, c.inserted_vertices.front(), op.neighbors),
+              view);
+    } else {
+      // The index and parent_ still describe the pre-update forest, so v's
+      // children and parent are read from them after the graph lost v.
+      const Vertex v = op.u;
+      const ReductionResult r = reduce_delete_vertex(
+          *index_, view, v, index_->children(v), parent_[static_cast<std::size_t>(v)]);
+      parent_[static_cast<std::size_t>(v)] = kNullVertex;
+      execute(r, view);
+    }
+  }
+  finish_structural();
+  return c.inserted_vertices.empty() ? kNullVertex : c.inserted_vertices.front();
 }
 
 bool DynamicDfs::is_structural(const GraphUpdate& u) const {
@@ -465,66 +425,17 @@ bool DynamicDfs::flush_segment(Segment& seg) {
     seg.structural = 0;
     return false;
   }
-  // Epoch policy runs once, against the pre-batch graph (see insert_edge).
-  // D is built only below, if the engine will query it.
+  // Epoch policy runs once, against the pre-batch graph (see apply). D is
+  // built only below, if the engine will query it.
   maybe_close_epoch();
-  // Phase 1: mutate the graph and patch D for the whole segment, collecting
-  // the structural changes against the still-pre-batch forest. Ids from
-  // `fresh` on were inserted by this segment: the index does not cover them,
-  // and their edges reach the reduction through the graph, not `changes`.
-  const Vertex fresh = index_->capacity();
-  const auto touches_fresh = [&](const GraphUpdate& op) {
-    return op.u >= fresh || op.v >= fresh;
-  };
+  // Phase 1: absorb the whole segment, collecting the structural changes
+  // against the still-pre-batch forest.
   BatchChanges changes;
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
-    for (const GraphUpdate* op : seg.ops) {
-      switch (op->kind) {
-        case GraphUpdate::Kind::kInsertEdge: {
-          const bool cross = !touches_fresh(*op) &&
-                             !index_->is_ancestor(op->u, op->v) &&
-                             !index_->is_ancestor(op->v, op->u);
-          PARDFS_CHECK(graph_.add_edge(op->u, op->v));
-          oracle_.note_edge_inserted(op->u, op->v);
-          if (cross) changes.inserted_edges.push_back({op->u, op->v});
-          break;
-        }
-        case GraphUpdate::Kind::kDeleteEdge: {
-          const bool tracked = !touches_fresh(*op);
-          const bool u_parent =
-              tracked && parent_[static_cast<std::size_t>(op->v)] == op->u;
-          const bool v_parent =
-              tracked && parent_[static_cast<std::size_t>(op->u)] == op->v;
-          oracle_.note_edge_deleted(op->u, op->v);
-          PARDFS_CHECK(graph_.remove_edge(op->u, op->v));
-          if (u_parent) {
-            changes.cut_edges.emplace_back(op->u, op->v);
-          } else if (v_parent) {
-            changes.cut_edges.emplace_back(op->v, op->u);
-          }
-          break;
-        }
-        case GraphUpdate::Kind::kDeleteVertex: {
-          const Vertex v = op->u;
-          PARDFS_CHECK(graph_.is_alive(v));
-          const auto nbrs = graph_.neighbors(v);
-          const std::vector<Vertex> former_neighbors(nbrs.begin(), nbrs.end());
-          oracle_.note_vertex_deleted(v, former_neighbors);
-          graph_.remove_vertex(v);
-          if (v < fresh) changes.deleted_vertices.push_back(v);
-          break;
-        }
-        case GraphUpdate::Kind::kInsertVertex: {
-          const Vertex v = graph_.add_vertex(op->neighbors);
-          oracle_.note_vertex_inserted(v, op->neighbors);
-          changes.inserted_vertices.push_back(v);
-          break;
-        }
-      }
-    }
+    const Vertex fresh = index_->capacity();
+    for (const GraphUpdate* op : seg.ops) absorb(*op, fresh, changes);
   }
-  parent_.resize(static_cast<std::size_t>(graph_.capacity()), kNullVertex);
   // Phase 2 + 3: one combined reduction, one engine pass.
   {
     obs::ScopedPhase timer(*reroot_hist_, "reroot");
@@ -586,7 +497,7 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   for (const GraphUpdate& u : updates) {
     if (u.kind == GraphUpdate::Kind::kInsertVertex && !join_inserts) {
       stats.segments += flush_segment(seg) ? 1 : 0;
-      stats.new_vertices.push_back(insert_vertex(u.neighbors));
+      stats.new_vertices.push_back(apply(u));
       ++stats.structural;
       continue;
     }

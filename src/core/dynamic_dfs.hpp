@@ -113,13 +113,15 @@ class DynamicDfs {
   DynamicDfs& operator=(const DynamicDfs&) = delete;
 
   // ---- updates (mirrored into the internal graph) --------------------------
+  // One update: a back-edge insert or delete is one D patch, any other
+  // update runs the §3 reduction of its kind. Returns the new id for a
+  // vertex insertion and kNullVertex otherwise, like Graph::apply.
+  Vertex apply(const GraphUpdate& update);
+  // Shorthands for apply().
   void insert_edge(Vertex u, Vertex v);
   void delete_edge(Vertex u, Vertex v);
   Vertex insert_vertex(std::span<const Vertex> neighbors);
   void delete_vertex(Vertex v);
-  // Dispatches to the call above; returns the new id for a vertex
-  // insertion and kNullVertex otherwise, like Graph::apply.
-  Vertex apply(const GraphUpdate& update);
 
   // Applies a whole batch with the combined k-update reduction
   // (core/batch_reduction): D is patched for every update, one engine pass
@@ -186,9 +188,7 @@ class DynamicDfs {
   // Cumulative wall-clock phase breakdown (E13): summed across the whole
   // `pardfs_update_phase_us` family — the unlabeled series plus any
   // shard-labeled ones — so the totals stay process-wide no matter how many
-  // engines record. Cheap enough to call inside a timed bench loop: plain
-  // shard sums, and the registry scan for labeled series only happens once a
-  // sharded engine exists in the process.
+  // engines record. One registry scan of plain shard sums.
   static UpdatePhaseBreakdown phase_breakdown();
 
   // ---- epoch state (tested / benchmarked) ----------------------------------
@@ -228,7 +228,7 @@ class DynamicDfs {
   // edges of the graph that are not ancestor pairs of index_ (see
   // AdjacencyOracle::build).
   void build_d(std::span<const Edge> patches = {});
-  // The per-update methods' prologue: epoch policy, then D if stale.
+  // A structural apply()'s prologue: epoch policy, then D if stale.
   void prepare_update();
   void rebuild_index();     // current-tree index only, O(n)
   void finish_structural();
@@ -236,6 +236,11 @@ class DynamicDfs {
   // tree (valid for every op of a pending segment: the tree only changes at
   // segment boundaries).
   bool is_structural(const GraphUpdate& u) const;
+  // The one graph mutation and D patch of an update, for apply() and each op
+  // of a flushed segment alike. Records the structural change in `changes`
+  // against the pre-update (pre-segment) forest; ids from `fresh` on were
+  // inserted by the open segment and are left to the graph's rows.
+  void absorb(const GraphUpdate& op, Vertex fresh, BatchChanges& changes);
   // Returns true when the segment ran the combined reduction (one index
   // rebuild); false for the per-update fallbacks.
   bool flush_segment(Segment& seg);

@@ -7,7 +7,7 @@
 // exactly the behavior the dummy root's phantom edges would produce, without
 // polluting D with O(n) entries.
 //
-// Call protocol (enforced by DynamicDfs's update methods):
+// Call protocol (enforced by DynamicDfs::apply, their only caller in src/):
 // the oracle must already be patched with the update, the graph must already
 // be mutated, and the tree index must still describe the PRE-update forest.
 #pragma once

@@ -138,6 +138,15 @@ Gauge& Registry::gauge(std::string_view name, std::string_view labels) {
   return *it->second;
 }
 
+std::string shard_labels(std::string labels, std::string_view shard) {
+  if (shard.empty()) return labels;
+  if (!labels.empty()) labels += ',';
+  labels += "shard=\"";
+  labels += shard;
+  labels += '"';
+  return labels;
+}
+
 Histogram& Registry::histogram(std::string_view name, std::string_view labels,
                                double scale) {
   const std::string key = make_key(name, labels);

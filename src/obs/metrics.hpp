@@ -216,6 +216,11 @@ class Histogram {
   std::string labels_;
 };
 
+// `labels` with shard="<shard>" appended; unchanged when `shard` is empty,
+// which names the unlabeled series of an unsharded engine or a 1-shard
+// router.
+std::string shard_labels(std::string labels, std::string_view shard);
+
 class Registry {
  public:
   // The process-wide registry. Intentionally leaked: worker and writer

@@ -45,43 +45,6 @@ std::vector<Vertex> endpoints(const GraphUpdate& u) {
   return {};
 }
 
-// The legacy unlabeled service series (the shapes PR 6's dashboards and the
-// benches read). A 1-shard router records into exactly these, so nothing
-// downstream notices the refactor; multi-shard routers use shard="<id>"
-// labeled twins of every family instead.
-obs::Histogram& queue_wait_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_update_phase_us", "phase=\"queue_wait\"", 1e-3);
-  return h;
-}
-obs::Histogram& publish_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_update_phase_us", "phase=\"publish\"", 1e-3);
-  return h;
-}
-// Submit-to-ack latency of accepted updates — the ROADMAP's p99/p50 pipeline
-// target reads from here.
-obs::Histogram& ack_latency_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_ack_latency_us", "", 1e-3);
-  return h;
-}
-// Age of the outgoing snapshot at replacement time: how stale readers could
-// observe the forest between publishes.
-obs::Histogram& staleness_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "pardfs_snapshot_staleness_us", "", 1e-3);
-  return h;
-}
-obs::Gauge& queue_depth_gauge() {
-  static obs::Gauge& g = obs::Registry::global().gauge("pardfs_queue_depth");
-  return g;
-}
-obs::Gauge& coalesce_gauge() {
-  static obs::Gauge& g = obs::Registry::global().gauge("pardfs_coalesce_size");
-  return g;
-}
-
 // Robustness families (DESIGN.md §13). Process-global: a recovery is a
 // process-level event regardless of which shard crashed.
 obs::Histogram& recovery_latency_hist() {
@@ -253,7 +216,7 @@ struct ShardRouter::Shard {
   // Journal replay threw (journal disabled or itself damaged): the watchdog
   // stops retrying; the shard degrades to read-only until stop().
   std::atomic<bool> unrecoverable{false};
-  // This shard's service series (S == 1: the legacy unlabeled ones).
+  // This shard's service series (S == 1: the unlabeled ones).
   obs::Histogram* queue_wait = nullptr;
   obs::Histogram* publish_hist = nullptr;
   obs::Histogram* ack_latency = nullptr;
@@ -330,6 +293,9 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
       }
       g.adopt_component(verts, std::move(rows));
     }
+    // The shard's series label, shared by its engine, journal and service
+    // series: empty at S == 1, where the unlabeled series are the shard's.
+    const std::string label = S > 1 ? std::to_string(s) : std::string();
     // The journal captures the genesis graph (a copy, taken before the
     // engine consumes it) plus the engine's construction parameters, so
     // replay() rebuilds with exactly the live configuration.
@@ -338,43 +304,34 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
       UpdateJournal::Config jcfg;
       jcfg.strategy = config_.strategy;
       jcfg.num_threads = config_.num_threads;
-      jcfg.obs_shard = S > 1 ? std::to_string(s) : std::string();
+      jcfg.obs_shard = label;
       if (!config_.journal_path_prefix.empty()) {
         jcfg.file_path = config_.journal_path_prefix + std::to_string(s) + ".log";
       }
       journal = std::make_unique<UpdateJournal>(g, std::move(jcfg));
     }
-    shards_.push_back(std::make_unique<Shard>(
-        s, std::move(g), config_, S > 1 ? std::to_string(s) : std::string()));
-    shards_.back()->journal = std::move(journal);
-    if (config_.enable_chaos) {
-      shards_.back()->queue.enable_chaos(static_cast<std::int32_t>(s));
-    }
-  }
-
-  // Eager registration: every shard's full series set (plus the process-wide
-  // robustness families) shows up at zero on a fresh metrics page.
-  obs::Registry& reg = obs::Registry::global();
-  for (auto& sh : shards_) {
-    if (S == 1) {
-      sh->queue_wait = &queue_wait_hist();
-      sh->publish_hist = &publish_hist();
-      sh->ack_latency = &ack_latency_hist();
-      sh->staleness = &staleness_hist();
-      sh->depth_gauge = &queue_depth_gauge();
-      sh->coalesce_gauge = &coalesce_gauge();
-    } else {
-      const std::string label = "shard=\"" + std::to_string(sh->id) + "\"";
-      sh->queue_wait = &reg.histogram("pardfs_update_phase_us",
-                                      "phase=\"queue_wait\"," + label, 1e-3);
-      sh->publish_hist = &reg.histogram("pardfs_update_phase_us",
-                                        "phase=\"publish\"," + label, 1e-3);
-      sh->ack_latency = &reg.histogram("pardfs_ack_latency_us", label, 1e-3);
-      sh->staleness =
-          &reg.histogram("pardfs_snapshot_staleness_us", label, 1e-3);
-      sh->depth_gauge = &reg.gauge("pardfs_queue_depth", label);
-      sh->coalesce_gauge = &reg.gauge("pardfs_coalesce_size", label);
-    }
+    auto sh = std::make_unique<Shard>(s, std::move(g), config_, label);
+    sh->journal = std::move(journal);
+    if (config_.enable_chaos) sh->queue.enable_chaos(static_cast<std::int32_t>(s));
+    // Eager registration: every shard's full series set (plus the
+    // process-wide robustness families below) shows up at zero on a fresh
+    // metrics page. Submit-to-ack latency of accepted updates feeds the
+    // p50/p99 pipeline target; staleness is the age of the outgoing
+    // snapshot at replacement, how stale a reader's forest could be.
+    obs::Registry& reg = obs::Registry::global();
+    const auto series = [&](std::string labels) {
+      return obs::shard_labels(std::move(labels), label);
+    };
+    sh->queue_wait = &reg.histogram("pardfs_update_phase_us",
+                                    series("phase=\"queue_wait\""), 1e-3);
+    sh->publish_hist = &reg.histogram("pardfs_update_phase_us",
+                                      series("phase=\"publish\""), 1e-3);
+    sh->ack_latency = &reg.histogram("pardfs_ack_latency_us", series({}), 1e-3);
+    sh->staleness =
+        &reg.histogram("pardfs_snapshot_staleness_us", series({}), 1e-3);
+    sh->depth_gauge = &reg.gauge("pardfs_queue_depth", series({}));
+    sh->coalesce_gauge = &reg.gauge("pardfs_coalesce_size", series({}));
+    shards_.push_back(std::move(sh));
   }
   recovery_latency_hist();
   stalls_counter();

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "tree/validation.hpp"
+#include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace pardfs {
@@ -219,6 +224,103 @@ TEST(DynamicDfs, StatsReflectWork) {
   EXPECT_GT(dfs.last_stats().vertices_traversed, 0u);
   EXPECT_LE(dfs.last_stats().global_rounds, 64u) << "polylog rounds";
   expect_valid(dfs, "stats update");
+}
+
+// Values recorded under PARDFS_NO_METRICS vanish: the breakdown then reads
+// zero deltas instead.
+#if defined(PARDFS_NO_METRICS)
+constexpr bool kRecording = false;
+#else
+constexpr bool kRecording = true;
+#endif
+
+// Sum of each phase's pardfs_update_phase_us histograms over the given label
+// suffixes ("" = the unlabeled series).
+UpdatePhaseBreakdown phase_sums(std::initializer_list<const char*> suffixes) {
+  obs::Registry& reg = obs::Registry::global();
+  UpdatePhaseBreakdown b;
+  for (const char* suffix : suffixes) {
+    const auto sum = [&](const char* phase) {
+      return reg
+          .histogram("pardfs_update_phase_us",
+                     std::string("phase=\"") + phase + '"' + suffix, 1e-3)
+          .sum();
+    };
+    b.patch_us += sum("patch");
+    b.reroot_us += sum("reroot");
+    b.index_rebuild_us += sum("index_rebuild");
+    b.rebase_us += sum("rebase");
+  }
+  return b;
+}
+
+TEST(DynamicDfs, PhaseBreakdownSumsUnlabeledAndShardSeries) {
+  const auto family = [] { return phase_sums({"", ",shard=\"7\""}); };
+  const UpdatePhaseBreakdown before = DynamicDfs::phase_breakdown();
+  const UpdatePhaseBreakdown family_before = family();
+  const UpdatePhaseBreakdown shard_before = phase_sums({",shard=\"7\""});
+  Rng rng(29);
+  DynamicDfs plain(gen::random_connected(64, 128, rng));
+  DynamicDfs sharded(gen::random_connected(64, 128, rng), RerootStrategy::kPaper,
+                     nullptr, 0, -1, "7");
+  for (DynamicDfs* dfs : {&plain, &sharded}) {
+    for (int i = 0; i < 8; ++i) {
+      GraphUpdate u;
+      ASSERT_TRUE(gen::random_update(dfs->graph(), rng, 1, 1, 0.2, 0.2, u));
+      dfs->apply(u);
+    }
+  }
+  const UpdatePhaseBreakdown after = DynamicDfs::phase_breakdown();
+  const UpdatePhaseBreakdown family_after = family();
+  const UpdatePhaseBreakdown shard_after = phase_sums({",shard=\"7\""});
+  const auto expect_field = [&](double UpdatePhaseBreakdown::*field,
+                                const char* name) {
+    const double delta = after.*field - before.*field;
+    EXPECT_DOUBLE_EQ(delta, family_after.*field - family_before.*field) << name;
+    const double shard_delta = shard_after.*field - shard_before.*field;
+    if (kRecording) {
+      EXPECT_GT(shard_delta, 0.0) << name << ": the labeled engine recorded";
+      EXPECT_GT(delta, shard_delta) << name << ": so did the unlabeled one";
+    } else {
+      EXPECT_EQ(delta, 0.0) << name;
+    }
+  };
+  expect_field(&UpdatePhaseBreakdown::patch_us, "patch");
+  expect_field(&UpdatePhaseBreakdown::reroot_us, "reroot");
+  expect_field(&UpdatePhaseBreakdown::index_rebuild_us, "index_rebuild");
+  expect_field(&UpdatePhaseBreakdown::rebase_us, "rebase");
+}
+
+// A per-update op naming a dead or out-of-range id fails its check before
+// the epoch policy runs: no epoch close, no D build, no graph or forest
+// change, even with an epoch close due.
+TEST(DynamicDfs, BadUpdateFailsBeforeItMutatesAnything) {
+  Rng rng(5);
+  DynamicDfs dfs(gen::random_connected(32, 64, rng), RerootStrategy::kPaper,
+                 nullptr, 0, -1, {}, /*epoch_period=*/1);
+  const Vertex dead = 7;
+  dfs.delete_vertex(dead);  // fills the one-update epoch
+  ASSERT_EQ(dfs.updates_since_rebase(), 1u);
+  const Vertex cap = dfs.graph().capacity();
+  const std::size_t d_builds = dfs.d_builds();
+  const std::size_t epochs = dfs.epoch_rebuilds();
+  const std::int64_t edges = dfs.graph().num_edges();
+  const std::vector<Vertex> parent(dfs.parent().begin(), dfs.parent().end());
+  {
+    ScopedRecoverableChecks recoverable;
+    EXPECT_THROW(dfs.insert_edge(0, cap + 5), InvariantViolation);
+    EXPECT_THROW(dfs.insert_edge(0, dead), InvariantViolation);
+    EXPECT_THROW(dfs.delete_edge(dead, 0), InvariantViolation);
+  }
+  EXPECT_EQ(dfs.d_builds(), d_builds);
+  EXPECT_EQ(dfs.epoch_rebuilds(), epochs);
+  EXPECT_EQ(dfs.graph().num_edges(), edges);
+  EXPECT_EQ(std::vector<Vertex>(dfs.parent().begin(), dfs.parent().end()), parent);
+  // The engine stays usable.
+  GraphUpdate u;
+  ASSERT_TRUE(gen::random_update(dfs.graph(), rng, 1, 1, 0, 0, u));
+  dfs.apply(u);
+  expect_valid(dfs, "update after rejected ops");
 }
 
 }  // namespace
