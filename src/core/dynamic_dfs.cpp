@@ -301,35 +301,29 @@ Vertex DynamicDfs::insert_vertex(std::span<const Vertex> neighbors) {
 
 void DynamicDfs::delete_vertex(Vertex v) { apply(GraphUpdate::delete_vertex(v)); }
 
-void DynamicDfs::absorb(const GraphUpdate& op, Vertex fresh,
+void DynamicDfs::absorb(const GraphUpdate& op, bool structural, Vertex fresh,
                         BatchChanges& changes) {
   // Ids from `fresh` on were inserted by the open segment: the index does not
   // cover them, and their edges reach the reduction through the graph, not
   // `changes`.
   const bool tracked = op.u < fresh && op.v < fresh;
   switch (op.kind) {
-    case GraphUpdate::Kind::kInsertEdge: {
-      const bool cross = tracked && !index_->is_ancestor(op.u, op.v) &&
-                         !index_->is_ancestor(op.v, op.u);
+    case GraphUpdate::Kind::kInsertEdge:
       PARDFS_CHECK(graph_.add_edge(op.u, op.v));
       oracle_.note_edge_inserted(op.u, op.v);
-      if (cross) changes.inserted_edges.push_back({op.u, op.v});
+      if (tracked && structural) changes.inserted_edges.push_back({op.u, op.v});
       break;
-    }
-    case GraphUpdate::Kind::kDeleteEdge: {
-      const bool u_parent =
-          tracked && parent_[static_cast<std::size_t>(op.v)] == op.u;
-      const bool v_parent =
-          tracked && parent_[static_cast<std::size_t>(op.u)] == op.v;
+    case GraphUpdate::Kind::kDeleteEdge:
       oracle_.note_edge_deleted(op.u, op.v);
       PARDFS_CHECK(graph_.remove_edge(op.u, op.v));
-      if (u_parent) {
-        changes.cut_edges.emplace_back(op.u, op.v);
-      } else if (v_parent) {
-        changes.cut_edges.emplace_back(op.v, op.u);
+      if (structural) {  // a tree edge: one parent slot orients the cut
+        if (parent_[static_cast<std::size_t>(op.v)] == op.u) {
+          changes.cut_edges.emplace_back(op.u, op.v);
+        } else {
+          changes.cut_edges.emplace_back(op.v, op.u);
+        }
       }
       break;
-    }
     case GraphUpdate::Kind::kDeleteVertex:
       PARDFS_CHECK(graph_.is_alive(op.u));
       oracle_.note_vertex_deleted(op.u, graph_.neighbors(op.u));
@@ -361,7 +355,7 @@ Vertex DynamicDfs::apply(const GraphUpdate& op) {
   BatchChanges c;
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
-    absorb(op, index_->capacity(), c);
+    absorb(op, structural, index_->capacity(), c);
   }
   if (!structural) {
     last_stats_ = {};  // back edge: forest untouched, one patch, no rebuild
@@ -420,7 +414,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   // the work cap is on; without it (serial_cutoff = 0), a single update
   // keeps the per-update path. All patch-only: one patch each, no rebuild.
   if (seg.structural == 0 || (seg.ops.size() == 1 && engine_cutoff() == 0)) {
-    for (const GraphUpdate* op : seg.ops) apply(*op);
+    for (const auto& op : seg.ops) apply(*op.first);
     seg.ops.clear();
     seg.structural = 0;
     return false;
@@ -434,7 +428,7 @@ bool DynamicDfs::flush_segment(Segment& seg) {
   {
     obs::ScopedPhase timer(*patch_hist_, "patch");
     const Vertex fresh = index_->capacity();
-    for (const GraphUpdate* op : seg.ops) absorb(*op, fresh, changes);
+    for (const auto& [u, structural] : seg.ops) absorb(*u, structural, fresh, changes);
   }
   // Phase 2 + 3: one combined reduction, one engine pass.
   {
@@ -501,14 +495,15 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
       ++stats.structural;
       continue;
     }
-    const bool structural = is_structural(u);
+    bool structural = is_structural(u);
     if (structural && seg.structural >= epoch_period_) {
       stats.segments += flush_segment(seg) ? 1 : 0;
+      structural = is_structural(u);  // the flush moved the forest
     }
     if (u.kind == GraphUpdate::Kind::kInsertVertex) {
       stats.new_vertices.push_back(graph_.capacity() + seg.inserts++);
     }
-    seg.ops.push_back(&u);
+    seg.ops.emplace_back(&u, structural);
     seg.structural += structural ? 1 : 0;
     if (structural) {
       ++stats.structural;

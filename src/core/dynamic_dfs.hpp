@@ -35,6 +35,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/adjacency_oracle.hpp"
@@ -212,7 +213,8 @@ class DynamicDfs {
 
  private:
   struct Segment {
-    std::vector<const GraphUpdate*> ops;
+    // Each op with its is_structural() verdict against the segment's forest.
+    std::vector<std::pair<const GraphUpdate*, bool>> ops;
     std::size_t structural = 0;
     Vertex inserts = 0;  // vertex inserts among ops (ids assigned on flush)
   };
@@ -238,9 +240,11 @@ class DynamicDfs {
   bool is_structural(const GraphUpdate& u) const;
   // The one graph mutation and D patch of an update, for apply() and each op
   // of a flushed segment alike. Records the structural change in `changes`
-  // against the pre-update (pre-segment) forest; ids from `fresh` on were
-  // inserted by the open segment and are left to the graph's rows.
-  void absorb(const GraphUpdate& op, Vertex fresh, BatchChanges& changes);
+  // against the pre-update (pre-segment) forest, which `structural` (the
+  // op's is_structural() verdict) already classified; ids from `fresh` on
+  // were inserted by the open segment and are left to the graph's rows.
+  void absorb(const GraphUpdate& op, bool structural, Vertex fresh,
+              BatchChanges& changes);
   // Returns true when the segment ran the combined reduction (one index
   // rebuild); false for the per-update fallbacks.
   bool flush_segment(Segment& seg);

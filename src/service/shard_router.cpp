@@ -348,7 +348,7 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
   for (auto& sh : shards_) {
     std::lock_guard lock(sh->mu);
     sh->version = 1;
-    publish(*sh, /*forest_unchanged=*/false);
+    publish(*sh);
   }
   for (auto& sh : shards_) {
     sh->writer = std::thread([this, shard = sh.get()] { writer_loop(*shard); });
@@ -630,7 +630,7 @@ const DynamicDfs& ShardRouter::core(std::size_t shard) const {
   return shards_[shard]->dfs;
 }
 
-void ShardRouter::publish(Shard& sh, bool forest_unchanged) {
+void ShardRouter::publish(Shard& sh) {
   obs::ScopedPhase phase(*sh.publish_hist, "publish");
   const std::uint64_t now = obs::now_ns();
   if (sh.last_publish_ns != 0) {
@@ -638,32 +638,18 @@ void ShardRouter::publish(Shard& sh, bool forest_unchanged) {
   }
   sh.last_publish_ns = now;
   const Graph& g = sh.dfs.graph();
-  // Cut structure depends on the back edges too, so a patch-only batch that
-  // shares its forest still recomputes it — over the core's current index,
-  // which already describes the forest being published.
+  // Cut structure depends on the back edges too, so a patch-only batch still
+  // recomputes it — over the core's current index, the one being published.
   std::shared_ptr<const CutStructure> cuts;
   if (config_.serve_cuts) {
     cuts = std::make_shared<const CutStructure>(find_cuts(g, sh.dfs.tree()));
   }
-  std::shared_ptr<const DfsSnapshot::Forest> forest;
-  if (forest_unchanged) {
-    // Patch-only batch: only num_edges and the version moved. Share the
-    // previous snapshot's forest instead of paying three O(n) copies.
-    forest = sh.snapshot.load(std::memory_order_relaxed)->forest();
-  } else {
-    auto fresh = std::make_shared<DfsSnapshot::Forest>();
-    fresh->parent.assign(sh.dfs.parent().begin(), sh.dfs.parent().end());
-    fresh->alive.assign(g.alive().begin(), g.alive().end());
-    // Share the core's freshly rebuilt index: rebuilds swap in a new
-    // TreeIndex object rather than mutating this one, so readers may hold
-    // it indefinitely and publication stops cloning megabytes per batch.
-    fresh->index = sh.dfs.tree_ptr();
-    fresh->num_vertices = g.num_vertices();
-    forest = std::move(fresh);
-  }
+  // The snapshot is the core's index: rebuilds swap in a new immutable
+  // TreeIndex, so readers may hold it indefinitely, and a patch-only batch,
+  // which rebuilds nothing, publishes the previous snapshot's index again.
   sh.snapshot.store(
       std::make_shared<const DfsSnapshot>(sh.version, sh.updates_applied,
-                                          std::move(forest), g.num_edges(),
+                                          sh.dfs.tree_ptr(), g.num_edges(),
                                           std::move(cuts)),
       std::memory_order_release);
 }
@@ -1082,13 +1068,13 @@ void ShardRouter::apply_locked(Shard& gateway, std::span<PendingUpdate> run,
   // for the vertex. A merge's id section ends once its new id is in the
   // directory; a local run's also covers its publish.
   if (merge && id_lock.owns_lock()) id_lock.unlock();
-  publish(w, /*forest_unchanged=*/!merge && bs.structural == 0);
+  publish(w);
   for (const Vertex v : migrated) {
     directory_->set(v, static_cast<std::int32_t>(winner));
   }
   for (const std::size_t s : losers) {
     ++shards_[s]->version;
-    publish(*shards_[s], /*forest_unchanged=*/false);
+    publish(*shards_[s]);
   }
   if (id_lock.owns_lock()) id_lock.unlock();
 
@@ -1366,7 +1352,7 @@ void ShardRouter::recover_shard_locked(Shard& sh) {
       global_next_.store(g.capacity(), std::memory_order_release);
     }
   }
-  publish(sh, /*forest_unchanged=*/false);
+  publish(sh);
   count_publish(sh);
   // WAL acks: the journaled-but-unacked batch was replayed above, so its
   // tickets resolve to the recorded version (with the replayed insert ids).

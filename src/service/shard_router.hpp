@@ -288,7 +288,7 @@ class ShardRouter {
                       const std::vector<std::size_t>& involved,
                       std::size_t first, const char* what);
   // Publishes sh's current engine state. Caller holds sh.mu.
-  void publish(Shard& sh, bool forest_unchanged);
+  void publish(Shard& sh);
 
   struct BatchDelta;
   bool feasible(const Shard& sh, const GraphUpdate& u, BatchDelta& delta) const;

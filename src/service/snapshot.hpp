@@ -1,12 +1,13 @@
 // Immutable DFS-forest snapshot — the read side of the serving layer.
 //
 // A snapshot freezes one published version of the maintained forest: the
-// parent array, the liveness bitmap and a TreeIndex built over them, plus
-// the version number and the count of updates it absorbed. Snapshots are
-// shared as `shared_ptr<const DfsSnapshot>` and published RCU-style through
-// one `std::atomic<std::shared_ptr>` (see dfs_service.hpp): readers load the
-// pointer once and then answer any number of queries against a forest that
-// can never change underneath them — consistency is structural, not locked.
+// engine's current-tree index (parent row included; dead ids have no tree
+// root), plus the version number and the count of updates it absorbed.
+// Snapshots are shared as `shared_ptr<const DfsSnapshot>` and published
+// RCU-style through one `std::atomic<std::shared_ptr>` per shard (see
+// ShardRouter::publish): readers load the pointer once and then answer any
+// number of queries against a forest that can never change underneath them
+// — consistency is structural, not locked.
 //
 // Unlike the core classes (which PARDFS_CHECK their preconditions), every
 // query here is total: snapshots sit on the service boundary, where clients
@@ -28,27 +29,14 @@ namespace pardfs::service {
 
 class DfsSnapshot {
  public:
-  // The forest-shaped part of a snapshot. Patch-only batches (back-edge
-  // inserts/deletes) change num_edges and the version but not the forest,
-  // so consecutive snapshots share one immutable Forest instead of paying
-  // O(n) copies per publish (see ShardRouter::publish). The TreeIndex is
-  // shared with the core: DynamicDfs rebuilds produce a NEW index object
-  // instead of mutating the published one, so structural-batch publication
-  // is a pointer copy, not a megabyte clone.
-  struct Forest {
-    std::vector<Vertex> parent;
-    std::vector<std::uint8_t> alive;
-    // Built over exactly this parent/alive pair; immutable while shared.
-    std::shared_ptr<const TreeIndex> index;
-    Vertex num_vertices = 0;
-  };
-
+  // `tree` is the engine's index (DynamicDfs::tree_ptr()). It is immutable:
+  // a rebuild produces a new index object, so publication is a pointer copy,
+  // and a patch-only batch (no rebuild) publishes the same index again.
   // `cuts` is optional (ServiceConfig::serve_cuts): unlike the forest it
   // depends on the *non-tree* edges too — a back-edge insert can demote an
-  // articulation point — so it lives on the snapshot, not the shared Forest,
-  // and is recomputed even for patch-only publishes.
+  // articulation point — so it is recomputed even for patch-only publishes.
   DfsSnapshot(std::uint64_t version, std::uint64_t updates_applied,
-              std::shared_ptr<const Forest> forest, std::int64_t num_edges,
+              std::shared_ptr<const TreeIndex> tree, std::int64_t num_edges,
               std::shared_ptr<const CutStructure> cuts = nullptr);
 
   // ---- identity ------------------------------------------------------------
@@ -57,42 +45,38 @@ class DfsSnapshot {
   // accepted-update prefix this snapshot reflects (lets tests replay a
   // mirror graph and validate the forest of any published version).
   std::uint64_t updates_applied() const { return updates_applied_; }
-  Vertex capacity() const {
-    return static_cast<Vertex>(forest_->parent.size());
-  }
-  Vertex num_vertices() const { return forest_->num_vertices; }
+  Vertex capacity() const { return tree_->capacity(); }
+  Vertex num_vertices() const { return tree_->num_indexed(); }
   std::int64_t num_edges() const { return num_edges_; }
-  std::span<const Vertex> parent() const { return forest_->parent; }
-  const TreeIndex& tree() const { return *forest_->index; }
-  const std::shared_ptr<const Forest>& forest() const { return forest_; }
+  std::span<const Vertex> parent() const { return tree_->parents(); }
+  const TreeIndex& tree() const { return *tree_; }
 
   // ---- queries (all total; see header comment) -----------------------------
+  // Dead ids have no tree root; root_of and same_component read that row too.
   bool contains(Vertex v) const {
-    return v >= 0 && v < capacity() &&
-           forest_->alive[static_cast<std::size_t>(v)] != 0;
+    return v >= 0 && v < capacity() && tree_->root_of(v) != kNullVertex;
   }
   Vertex parent_of(Vertex v) const {
-    return contains(v) ? forest_->parent[static_cast<std::size_t>(v)]
-                       : kNullVertex;
+    return contains(v) ? tree_->parent(v) : kNullVertex;
   }
   Vertex root_of(Vertex v) const {
-    return contains(v) ? forest_->index->root_of(v) : kNullVertex;
+    return contains(v) ? tree_->root_of(v) : kNullVertex;
   }
   std::int32_t depth(Vertex v) const {
-    return contains(v) ? forest_->index->depth(v) : -1;
+    return contains(v) ? tree_->depth(v) : -1;
   }
   std::int32_t subtree_size(Vertex v) const {
-    return contains(v) ? forest_->index->size(v) : 0;
+    return contains(v) ? tree_->size(v) : 0;
   }
   bool is_ancestor(Vertex a, Vertex d) const {
-    return contains(a) && contains(d) && forest_->index->is_ancestor(a, d);
+    return contains(a) && contains(d) && tree_->is_ancestor(a, d);
   }
   Vertex lca(Vertex u, Vertex v) const {
-    return contains(u) && contains(v) ? forest_->index->lca(u, v) : kNullVertex;
+    return contains(u) && contains(v) ? tree_->lca(u, v) : kNullVertex;
   }
   bool same_component(Vertex u, Vertex v) const {
     return contains(u) && contains(v) &&
-           forest_->index->root_of(u) == forest_->index->root_of(v);
+           tree_->root_of(u) == tree_->root_of(v);
   }
   // The dynamic-map client vocabulary: u can reach v iff they sit in the
   // same tree of the spanning forest.
@@ -123,7 +107,7 @@ class DfsSnapshot {
  private:
   std::uint64_t version_;
   std::uint64_t updates_applied_;
-  std::shared_ptr<const Forest> forest_;
+  std::shared_ptr<const TreeIndex> tree_;
   std::int64_t num_edges_;
   std::shared_ptr<const CutStructure> cuts_;
 };

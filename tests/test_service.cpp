@@ -172,7 +172,7 @@ TEST(Service, PauseHoldsBackDrainedUpdates) {
 
 TEST(Service, PatchOnlyBatchesShareTheForest) {
   // Back-edge batches publish a new version but must reuse the previous
-  // snapshot's O(n) forest structures instead of copying them.
+  // snapshot's index instead of building or copying one.
   DfsService svc(gen::path(32));
   const SnapshotPtr before = svc.snapshot();
   ASSERT_NE(svc.apply_sync(GraphUpdate::insert_edge(0, 20)),
@@ -180,11 +180,11 @@ TEST(Service, PatchOnlyBatchesShareTheForest) {
   const SnapshotPtr patched = svc.snapshot();
   EXPECT_GT(patched->version(), before->version());
   EXPECT_EQ(patched->num_edges(), before->num_edges() + 1);
-  EXPECT_EQ(patched->forest(), before->forest()) << "forest must be shared";
+  EXPECT_EQ(&patched->tree(), &before->tree()) << "forest must be shared";
   ASSERT_NE(svc.apply_sync(GraphUpdate::delete_edge(25, 26)),
             UpdateTicket::kRejected);  // structural (below the back edge)
   const SnapshotPtr moved = svc.snapshot();
-  EXPECT_NE(moved->forest(), patched->forest());
+  EXPECT_NE(&moved->tree(), &patched->tree());
   EXPECT_FALSE(moved->same_component(0, 26));
 }
 
@@ -466,7 +466,7 @@ TEST(Service, SnapshotServesArticulationAndBridges) {
 }
 
 TEST(Service, PatchOnlyBatchesStillRefreshCuts) {
-  // A back-edge insert shares the previous snapshot's Forest (see
+  // A back-edge insert shares the previous snapshot's index (see
   // PatchOnlyBatchesShareTheForest) but it changes the cut structure — the
   // cycle it closes demotes articulation points and un-bridges tree edges.
   // Cuts live per-snapshot, so the patched snapshot must answer afresh.
@@ -479,7 +479,7 @@ TEST(Service, PatchOnlyBatchesStillRefreshCuts) {
   ASSERT_NE(svc.apply_sync(GraphUpdate::insert_edge(0, 4)),
             UpdateTicket::kRejected);  // ancestor pair on a path: patch-only
   const SnapshotPtr after = svc.snapshot();
-  ASSERT_EQ(after->forest(), before->forest()) << "patch-only must share";
+  ASSERT_EQ(&after->tree(), &before->tree()) << "patch-only must share";
   EXPECT_FALSE(after->is_articulation(2)) << "now on a cycle";
   EXPECT_FALSE(after->is_bridge(1, 2)) << "now on a cycle";
   EXPECT_TRUE(after->is_articulation(4)) << "cycle exit towards the tail";

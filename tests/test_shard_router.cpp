@@ -761,6 +761,54 @@ TEST(ShardRouter, SubmitRacingStopIsRejectedNotAborted) {
   }
 }
 
+// Every shard's published snapshot describes its engine: the same parent
+// row (sizes included), liveness and vertex count. Call after stop().
+void expect_snapshots_describe_engines(const ShardRouter& router) {
+  for (std::size_t s = 0; s < router.num_shards(); ++s) {
+    SCOPED_TRACE("shard=" + std::to_string(s));
+    const SnapshotPtr snap = router.shard_snapshot(s);
+    const DynamicDfs& core = router.core(s);
+    EXPECT_EQ(snap->capacity(), core.graph().capacity());
+    EXPECT_EQ(std::vector<Vertex>(snap->parent().begin(), snap->parent().end()),
+              std::vector<Vertex>(core.parent().begin(), core.parent().end()));
+    for (Vertex v = 0; v < core.graph().capacity(); ++v) {
+      ASSERT_EQ(snap->contains(v), core.graph().is_alive(v)) << "id " << v;
+    }
+    EXPECT_EQ(snap->num_vertices(), core.graph().num_vertices());
+  }
+}
+
+TEST(ShardRouter, SnapshotsDescribeTheirEngines) {
+  const WorkloadSpec spec{Scenario::kInsertChurn, 64, 5};
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    WorkloadDriver driver(spec);
+    ShardRouter router(make_initial_graph(spec), {.num_shards = shards});
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_NE(router.apply_sync(driver.next()), UpdateTicket::kRejected);
+    }
+    router.stop();
+    expect_snapshots_describe_engines(router);
+  }
+  // The pad case. disjoint_paths(4, 8): path c is ids [8c, 8c + 8), on
+  // shard c. An insert on shard 0 leaves shard 1 lagging the id space; a
+  // refused insert there still pads it (and publishes nothing), and the
+  // back-edge insert after it publishes without a forest change.
+  ShardRouter router(disjoint_paths(4, 8), {.num_shards = 4});
+  ASSERT_NE(router.apply_sync(GraphUpdate::insert_vertex({0})),
+            UpdateTicket::kRejected);
+  ASSERT_NE(router.apply_sync(GraphUpdate::delete_vertex(15)),
+            UpdateTicket::kRejected);
+  EXPECT_EQ(router.apply_sync(GraphUpdate::insert_vertex({15})),
+            UpdateTicket::kRejected);  // its neighbor died on shard 1
+  ASSERT_NE(router.apply_sync(GraphUpdate::insert_edge(8, 10)),
+            UpdateTicket::kRejected);  // ancestor pair on path 1
+  router.stop();
+  EXPECT_EQ(router.core(1).graph().capacity(), 33);
+  EXPECT_EQ(router.shard_stats(1).structural, 1u);  // the delete only
+  expect_snapshots_describe_engines(router);
+}
+
 TEST(ShardRouter, ShardStatsAndLabeledSeriesPerShard) {
   ShardRouter router(disjoint_paths(4, 4), {.num_shards = 4});
   ASSERT_NE(router.apply_sync(GraphUpdate::insert_edge(0, 2)),
