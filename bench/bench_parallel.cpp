@@ -43,9 +43,11 @@ namespace {
 
 // Every BM_BatchUpdate row does the same fixed work: the scenario stream is
 // recorded once as kReplayBatches batches of epoch_period updates (the
-// largest batch the service layer hands to apply_batch in one drain), and
-// each iteration replays all of them on a fresh engine. Rows therefore
-// compare across builds and thread counts; the reported time is one replay.
+// largest batch that stays within the Theorem 9 budget, so the rows keep
+// measuring the predicted cap and the rounds; a service drain may be
+// larger), and each iteration replays all of them on a fresh engine. Rows
+// therefore compare across builds and thread counts; the reported time is
+// one replay.
 constexpr int kReplayBatches = 8;
 
 void run_scenario(benchmark::State& state, service::Scenario scenario) {

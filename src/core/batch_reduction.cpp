@@ -21,11 +21,12 @@ std::int32_t piece_size(const TreeIndex& cur, const Piece& p) {
 // updated graph, or several once deletions split it), and emits every region
 // whose prediction reaches kRecomputeWorkRatio × its live vertex count, or
 // that holds an inserted vertex with an edge, as one `recompute` component of
-// whole trees and new ids. Returns the capped trees' roots, ascending.
-// O(k log deg) from the pre-batch index, plus the inserted vertices' rows.
+// whole trees and new ids; WorkCap::kAll emits every touched region. Returns
+// the capped trees' roots, ascending. O(k log deg) from the pre-batch index,
+// plus the inserted vertices' rows.
 std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
                               const BatchChanges& changes,
-                              const std::vector<std::uint8_t>& dead,
+                              const std::vector<std::uint8_t>& dead, bool all,
                               BatchReduction& out) {
   const auto is_dead = [&](Vertex v) { return dead[static_cast<std::size_t>(v)] != 0; };
   // Inserted vertices lie beyond the index; each is its own region.
@@ -62,7 +63,13 @@ std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
     }
   }
   for (const Edge& e : changes.inserted_edges) {
-    if (is_dead(e.u) || is_dead(e.v) || !g.has_edge(e.u, e.v)) continue;
+    if (is_dead(e.u) || is_dead(e.v) || !g.has_edge(e.u, e.v)) {
+      if (all) {  // no predicted work, but both ends are touched
+        slot(e.u);
+        slot(e.v);
+      }
+      continue;
+    }
     const Vertex ru = cur.root_of(e.u);
     const Vertex rv = cur.root_of(e.v);
     const std::size_t t = slot(e.u);
@@ -102,7 +109,7 @@ std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
   std::vector<std::vector<Vertex>> members(roots.size());
   for (std::size_t t = 0; t < roots.size(); ++t) {
     const std::size_t r = uf.find(t);
-    if (region_forced[r] ||
+    if (all || region_forced[r] ||
         (region_work[r] > 0 && static_cast<double>(region_work[r]) >=
                                    kRecomputeWorkRatio * region_live[r])) {
       members[r].push_back(roots[t]);
@@ -136,11 +143,11 @@ std::vector<Vertex> cap_trees(const TreeIndex& cur, const Graph& g,
 }  // namespace
 
 BatchReduction reduce_batch(const TreeIndex& cur, const Graph& g,
-                            const BatchChanges& changes, bool work_cap,
+                            const BatchChanges& changes, WorkCap work_cap,
                             pram::CostModel* cost) {
   BatchReduction out;
   const auto cap = static_cast<std::size_t>(cur.capacity());
-  PARDFS_CHECK_MSG(work_cap || changes.inserted_vertices.empty(),
+  PARDFS_CHECK_MSG(work_cap != WorkCap::kOff || changes.inserted_vertices.empty(),
                    "inserted vertices are recomputed: they need the work cap");
 
   // ---- lookup structures for the batch's deletions -------------------------
@@ -157,7 +164,9 @@ BatchReduction reduce_batch(const TreeIndex& cur, const Graph& g,
 
   // ---- the work cap: trees recomputed whole --------------------------------
   const std::vector<Vertex> capped_roots =
-      work_cap ? cap_trees(cur, g, changes, dead, out) : std::vector<Vertex>{};
+      work_cap == WorkCap::kOff
+          ? std::vector<Vertex>{}
+          : cap_trees(cur, g, changes, dead, work_cap == WorkCap::kAll, out);
   const auto in_capped_tree = [&](Vertex v) {
     return !capped_roots.empty() &&
            std::binary_search(capped_roots.begin(), capped_roots.end(),

@@ -20,6 +20,7 @@
 // needs none (DynamicDfs builds it on demand).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
@@ -51,7 +52,7 @@ struct BatchChanges {
   }
 };
 
-// The work cap (DESIGN.md §9, "Brent completion"). With `work_cap` set,
+// The work cap (DESIGN.md §9, "Brent completion"). With WorkCap::kPredicted,
 // reduce_batch first predicts the reroot work of each connected component
 // the batch touches: the sum, over the batch's structural changes landing in
 // it, of the subtree that change would reroot alone — |T(c)| for a cut tree
@@ -92,6 +93,15 @@ struct BatchChanges {
 // part for every stream.
 inline constexpr double kRecomputeWorkRatio = 0.5;
 
+// The ratio judges only segments within the Theorem 9 budget: DynamicDfs
+// passes kAll for a segment of more than epoch_period() structural updates,
+// so D is never queried past its budget (EXPERIMENTS.md E32).
+enum class WorkCap : std::uint8_t {
+  kOff,        // the paper's machinery throughout (serial_cutoff = 0)
+  kPredicted,  // regions whose predicted work reaches the ratio
+  kAll,        // every region the batch touches
+};
+
 struct BatchReduction {
   // Edge-connected groups of pieces, ready for Rerooter::run_components;
   // with the work cap, capped components come first.
@@ -106,7 +116,8 @@ struct BatchReduction {
 // Each row the grouping sweep reads is charged to `cost` as one adjacency
 // scan.
 BatchReduction reduce_batch(const TreeIndex& cur, const Graph& g,
-                            const BatchChanges& changes, bool work_cap = false,
+                            const BatchChanges& changes,
+                            WorkCap work_cap = WorkCap::kOff,
                             pram::CostModel* cost = nullptr);
 
 }  // namespace pardfs

@@ -435,9 +435,12 @@ bool DynamicDfs::flush_segment(Segment& seg) {
     obs::ScopedPhase timer(*reroot_hist_, "reroot");
     const std::int32_t cutoff = engine_cutoff();
     // The work cap rides on the serial finish: serial_cutoff = 0 keeps the
-    // pure round machinery (DESIGN.md §9). The reduction reads graph rows.
-    BatchReduction reduction =
-        reduce_batch(*index_, graph_, changes, cutoff > 0, cost_);
+    // pure round machinery (DESIGN.md §9). A segment past the Theorem 9
+    // budget recomputes all it touches. The reduction reads graph rows.
+    const WorkCap cap = cutoff == 0 ? WorkCap::kOff
+                        : seg.structural > epoch_period_ ? WorkCap::kAll
+                                                         : WorkCap::kPredicted;
+    BatchReduction reduction = reduce_batch(*index_, graph_, changes, cap, cost_);
     // A stale D is built only if a component takes the round machinery. It
     // is built over the mutated graph, with the pre-batch forest as base,
     // and the CSR invariant keeps it exact there: the batch's surviving
@@ -482,21 +485,22 @@ BatchStats DynamicDfs::apply_batch(std::span<const GraphUpdate> updates) {
   const std::size_t index_rebuilds_before = index_rebuilds_;
   const std::size_t d_builds_before = d_builds_;
 
-  // Under the work cap a vertex insert joins the open segment: its id is the
-  // graph's capacity plus the inserts already pending, so later updates may
-  // reference it before the segment lands. Without the cap it closes the
-  // segment and runs through the per-update path.
-  const bool join_inserts = engine_cutoff() > 0;
+  // Under the work cap the whole batch is one segment. A vertex insert joins
+  // it: its id is the graph's capacity plus the inserts already pending, so
+  // later updates may reference it before the segment lands. Without the
+  // cap an insert closes the segment and runs through the per-update path,
+  // and a segment closes at epoch_period() structural updates.
+  const bool capped = engine_cutoff() > 0;
   Segment seg;
   for (const GraphUpdate& u : updates) {
-    if (u.kind == GraphUpdate::Kind::kInsertVertex && !join_inserts) {
+    if (u.kind == GraphUpdate::Kind::kInsertVertex && !capped) {
       stats.segments += flush_segment(seg) ? 1 : 0;
       stats.new_vertices.push_back(apply(u));
       ++stats.structural;
       continue;
     }
     bool structural = is_structural(u);
-    if (structural && seg.structural >= epoch_period_) {
+    if (structural && !capped && seg.structural >= epoch_period_) {
       stats.segments += flush_segment(seg) ? 1 : 0;
       structural = is_structural(u);  // the flush moved the forest
     }

@@ -127,15 +127,16 @@ class DynamicDfs {
   // Applies a whole batch with the combined k-update reduction
   // (core/batch_reduction): D is patched for every update, one engine pass
   // reroots the affected trees, and the O(n) index rebuild runs once per
-  // *segment* instead of once per update. A segment is a maximal run of
-  // updates with at most epoch_period() structural members (the Theorem 9
-  // patch budget). Under the work cap (a positive serial cutoff) a vertex
-  // insertion joins the segment: its id is the capacity plus the inserts
-  // already pending, so later updates may use it. With serial_cutoff = 0,
-  // vertex insertions close segments and single-update segments take the
-  // per-update path. A batch of up to log n structural updates therefore
-  // performs exactly one index rebuild under the cap. Updates must be
-  // sequentially feasible, exactly as if applied one by one through apply().
+  // *segment* instead of once per update. Under the work cap (a positive
+  // serial cutoff) the batch is one segment, with one index rebuild; a
+  // vertex insertion joins it (its id is the capacity plus the inserts
+  // already pending, so later updates may use it). A segment of more than
+  // epoch_period() structural updates (the Theorem 9 patch budget)
+  // recomputes every component it touches and never queries D. With
+  // serial_cutoff = 0 a segment is a maximal run with at most epoch_period()
+  // structural members, vertex insertions close segments, and single-update
+  // segments take the per-update path. Updates must be sequentially
+  // feasible, exactly as if applied one by one through apply().
   BatchStats apply_batch(std::span<const GraphUpdate> updates);
 
   // Rolls back to the preprocessed state (kNeverRebase engines only): drops

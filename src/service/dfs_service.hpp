@@ -11,9 +11,10 @@
 // construct a ShardRouter directly (service/shard_router.hpp).
 //
 // One writer thread owns the DynamicDfs instance. It drains the MPSC
-// UpdateQueue, coalescing whatever is pending (up to the epoch period) into
-// one batch, applies it through DynamicDfs::apply_batch — one combined
-// reduction, one engine pass, one O(n) index rebuild for the whole batch —
+// UpdateQueue, coalescing whatever is pending (up to ServiceConfig::max_batch,
+// by default the whole queue) into one batch, applies it through
+// DynamicDfs::apply_batch — one combined reduction, one engine pass, one
+// O(n) index rebuild for the whole batch, however large —
 // and publishes a fresh immutable DfsSnapshot through a single
 // std::atomic<std::shared_ptr>. Readers call snapshot() — one atomic load,
 // never blocked by the writer's batch work — and answer is_ancestor / lca /

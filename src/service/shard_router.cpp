@@ -766,18 +766,11 @@ void ShardRouter::writer_loop(Shard& sh) {
         control_cv_.wait(lock, [&] { return !paused_ || stopped_; });
       }
       pending.clear();
-      std::size_t cap = config_.max_batch;
-      if (cap == 0) {
-        // The epoch period moves at epoch closes; merges mutate the engine from
-        // other writers, so even this read takes the (uncontended) lock.
-        std::lock_guard lock(sh.mu);
-        cap = sh.dfs.epoch_period();
-      }
       {
         // The span covers the blocking wait for work — idle gaps show up as
         // long drain spans in the trace, not as holes.
         const obs::Span drain_span("drain");
-        if (!sh.queue.drain(pending, cap)) break;  // closed and fully drained
+        if (!sh.queue.drain(pending, config_.max_batch)) break;  // closed, drained
       }
       {
         // pause() may have landed while drain() was blocked on an empty queue:

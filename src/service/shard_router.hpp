@@ -53,8 +53,9 @@ class ShardRouter;
 
 struct ServiceConfig {
   std::size_t queue_capacity = 4096;
-  // Coalescing cap per drain; 0 = the core's epoch period (Θ(log n), the
-  // largest batch the Theorem 9 patch budget absorbs in one segment).
+  // Coalescing cap per drain; 0 = everything queued (at most
+  // queue_capacity). The engine applies a drain as one segment: one finish,
+  // one index rebuild and one publish, whatever its size.
   std::size_t max_batch = 0;
   RerootStrategy strategy = RerootStrategy::kPaper;
   // Worker-team cap for the rerooting engine's parallel rounds (0 = the pram

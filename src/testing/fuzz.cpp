@@ -831,8 +831,7 @@ FuzzResult run_fuzz(const FuzzOptions& options_in) {
   return result;
 }
 
-FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
-                    int num_threads, bool force_scalar) {
+FuzzResult run_soak(const FuzzOptions& base, int seeds) {
   FuzzResult total;
   // Returns false at the first failing run (stashing it, totals folded in).
   const auto run_one = [&](const FuzzOptions& o) -> bool {
@@ -850,13 +849,11 @@ FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
     for (const FuzzFamily family :
          {FuzzFamily::kRandom, FuzzFamily::kPowerLaw, FuzzFamily::kGrid,
           FuzzFamily::kDynamicMap}) {
-      FuzzOptions o;
-      o.seed = seed_base + static_cast<std::uint64_t>(s);
+      FuzzOptions o = base;
+      o.seed = base.seed + static_cast<std::uint64_t>(s);
       o.family = family;
-      o.n = n;
-      o.batches = batches;
-      o.num_threads = num_threads;
-      o.force_scalar = force_scalar;
+      o.entry = FuzzEntry::kCore;
+      o.chaos_faults = 0;
       if (!run_one(o)) return total;  // core
       o.entry = FuzzEntry::kRouter;
       for (const int shards : {1, 4}) {

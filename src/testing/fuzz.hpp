@@ -133,15 +133,15 @@ struct FuzzResult {
 // verdict, at any thread count (the engine's determinism contract).
 FuzzResult run_fuzz(const FuzzOptions& options);
 
-// The CI soak matrix: `seeds` consecutive seeds starting at seed_base, over
+// The CI soak matrix: `seeds` consecutive seeds starting at base.seed, over
 // every family in {random, power_law, grid, dynamic_map} and six cells each
 // — core, the router at 1 and 4 shards, and the 4-shard router under
-// kChaosSchedulesPerSeed distinct fault plans — `batches` batches each.
-// Stops at the first failure (its result is returned); otherwise returns an
-// ok result with the accumulated totals.
+// kChaosSchedulesPerSeed distinct fault plans. Every cell keeps the rest of
+// `base` (batches, n, max_batch, threads, the scalar pin). Stops at the
+// first failure (its result is returned); otherwise returns an ok result
+// with the accumulated totals.
 inline constexpr int kChaosSchedulesPerSeed = 3;
-FuzzResult run_soak(std::uint64_t seed_base, int seeds, int batches, Vertex n,
-                    int num_threads = 0, bool force_scalar = false);
+FuzzResult run_soak(const FuzzOptions& base, int seeds);
 
 // The replay line run_fuzz/run_soak would print for `options`.
 std::string replay_line(const FuzzOptions& options);

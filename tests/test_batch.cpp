@@ -390,6 +390,60 @@ TEST(Batch, PerUpdatePathNeverRecomputes) {
             before);
 }
 
+// A capped batch is one segment, however many structural updates it holds.
+// Past epoch_period() of them it recomputes every component it touches, so
+// D, whose Theorem 9 budget covers that many patches, is never queried. The
+// batch: two edgeless vertex inserts, 3p - 4 vertex deletes, then an edge
+// from each new vertex into the graph (structural at any forest: the new
+// vertex is a root of its own).
+std::vector<GraphUpdate> three_periods(const DynamicDfs& dfs) {
+  const std::size_t p = dfs.epoch_period();
+  const Vertex cap = dfs.graph().capacity();
+  std::vector<GraphUpdate> batch = {GraphUpdate::insert_vertex({}),
+                                    GraphUpdate::insert_vertex({})};
+  const Vertex stride = cap / static_cast<Vertex>(3 * p);
+  for (std::size_t i = 0; i + 4 < 3 * p; ++i) {
+    batch.push_back(GraphUpdate::delete_vertex(static_cast<Vertex>(i) * stride));
+  }
+  batch.push_back(GraphUpdate::insert_edge(cap, 1));
+  batch.push_back(GraphUpdate::insert_edge(cap + 1, cap - 1));
+  return batch;
+}
+
+TEST(Batch, BatchPastThePeriodIsOneRecomputedSegment) {
+  Rng rng(31);
+  for (const Graph& g : {gen::grid(32, 32), gen::barabasi_albert(1024, 2, rng)}) {
+    std::vector<Vertex> first;
+    for (const int threads : {1, 2, 4, 8}) {
+      DynamicDfs dfs(g, RerootStrategy::kPaper, nullptr, threads);
+      const std::vector<GraphUpdate> batch = three_periods(dfs);
+      const BatchStats bs = dfs.apply_batch(batch);
+      EXPECT_EQ(bs.structural, 3 * dfs.epoch_period());
+      EXPECT_EQ(bs.segments, 1u);
+      EXPECT_EQ(bs.index_rebuilds, 1u);
+      EXPECT_EQ(bs.base_rebuilds, 0u);
+      EXPECT_GE(dfs.last_stats().recomputes, 1u);
+      EXPECT_EQ(dfs.last_stats().query_batches, 0u);
+      const auto val = validate_dfs_forest(dfs.graph(), dfs.parent());
+      ASSERT_TRUE(val.ok) << val.reason;
+      expect_same_components_as_static(dfs);
+      const std::vector<Vertex> parent(dfs.parent().begin(), dfs.parent().end());
+      if (first.empty()) first = parent;
+      EXPECT_EQ(parent, first) << threads << " workers";
+    }
+    // serial_cutoff = 0 keeps the paper's rounds: the inserts go one by one,
+    // and the other k structural updates split at the period.
+    DynamicDfs uncapped(g, RerootStrategy::kPaper, nullptr, 0, /*serial_cutoff=*/0);
+    const std::size_t p = uncapped.epoch_period();
+    const BatchStats bs = uncapped.apply_batch(three_periods(uncapped));
+    const std::size_t k = bs.structural - bs.new_vertices.size();
+    EXPECT_EQ(k, 3 * p - 2);
+    EXPECT_EQ(bs.segments, (k + p - 1) / p);
+    const auto val = validate_dfs_forest(uncapped.graph(), uncapped.parent());
+    ASSERT_TRUE(val.ok) << val.reason;
+  }
+}
+
 // ---- vertex inserts inside a segment (DESIGN.md §9) ------------------------
 
 // A batch that fits one epoch ran as one combined pass with one index

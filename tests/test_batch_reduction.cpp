@@ -377,7 +377,7 @@ TEST(BatchReduction, InsertedVerticesAreRecomputedWithTheirRegion) {
   h.g.remove_vertex(z);
   h.changes.inserted_vertices = {x, y, z};
   const OracleView view(&oracle, &h.cur, /*identity=*/true);
-  const BatchReduction red = reduce_batch(h.cur, h.g, h.changes, /*work_cap=*/true);
+  const BatchReduction red = reduce_batch(h.cur, h.g, h.changes, WorkCap::kPredicted);
   ASSERT_EQ(red.components.size(), 1u);
   const Component& c = red.components.front();
   EXPECT_TRUE(c.recompute);

@@ -3,8 +3,10 @@
 // Every case folds the parent array after each batch (or update), plus the
 // engine's RerootStats other than grouping_scanned, into one FNV-1a hash;
 // the pinned constants were recorded on the code before the rerooting engine
-// read its adjacency from the graph instead of D's patched copy. A change to
-// an adjacency reader that moves one tree edge anywhere moves the hash.
+// read its adjacency from the graph instead of D's patched copy, except the
+// mixed streams' `recomputed` hashes, recorded when a capped batch past the
+// epoch period began to recompute its components. A change to an adjacency
+// reader that moves one tree edge anywhere moves the hash.
 // grouping_scanned is left out: it counts the entries a grouping sweep reads
 // before it stops, which depends on row order, not on the forest.
 //
@@ -119,17 +121,25 @@ void expect_pinned(const char* test, const std::uint64_t (&want)[kFamilies],
 }
 
 // Mixed streams, alternately in batches of 6 through apply_batch and one
-// update at a time through apply().
+// update at a time through apply(). Each family folds into two hashes. Under
+// the work cap a batch is one segment, and a batch of 6 can hold more
+// structural updates than period 3: it recomputes every component it
+// touches. Those runs (batched, cutoff 8 or default, period 3) fold into
+// `recomputed`; every other run keeps the machinery it had when each
+// segment stopped at the period, and folds into `kept`.
 TEST(ForestFingerprint, MixedStreamsAcrossCutoffsAndPeriods) {
-  std::uint64_t got[kFamilies];
+  std::uint64_t kept[kFamilies];
+  std::uint64_t recomputed[kFamilies];
   for (int f = 0; f < kFamilies; ++f) {
     Rng rng(1000 + static_cast<std::uint64_t>(f));
     const Graph g = family_graph(f, rng, 240);
     const std::vector<GraphUpdate> stream =
         mixed_stream(g, 150, 2000 + static_cast<std::uint64_t>(f));
-    Fnv h;
+    Fnv h_kept;
+    Fnv h_recomputed;
     for (const std::int32_t cutoff : kCutoffs) {
       for (const std::size_t period : kPeriods) {
+        Fnv& h = cutoff != 0 && period == 3 ? h_recomputed : h_kept;
         DynamicDfs batched = make_engine(g, cutoff, period);
         for (std::size_t i = 0; i < stream.size(); i += 6) {
           batched.apply_batch(std::span(stream).subspan(
@@ -140,17 +150,22 @@ TEST(ForestFingerprint, MixedStreamsAcrossCutoffsAndPeriods) {
         DynamicDfs single = make_engine(g, cutoff, period);
         for (const GraphUpdate& u : stream) {
           single.apply(u);
-          h.add_engine(single);
+          h_kept.add_engine(single);
         }
         expect_valid(single, std::string(kFamilyNames[f]) + " single");
       }
     }
-    got[f] = h.h;
+    kept[f] = h_kept.h;
+    recomputed[f] = h_recomputed.h;
   }
-  const std::uint64_t want[kFamilies] = {
-      0x9c2e6f4b4ea1980eULL, 0x95a99312faaaefcbULL, 0x26f050cb124871ddULL, 0xda7a34dc2ce06dc4ULL,
-      0x2de757062f32d6e8ULL, 0x596acb8afac44879ULL, 0xab8152014f35495eULL};
-  expect_pinned("mixed", want, got);
+  const std::uint64_t want_kept[kFamilies] = {
+      0x3de497bfd4cb593dULL, 0xa4c2051c67b33abcULL, 0x3fdd08c163e721e3ULL, 0xd9828d46dce9699fULL,
+      0xb82406d7752cb024ULL, 0xb36e34e6d46c87d5ULL, 0x552ed5ec7f9f4f71ULL};
+  expect_pinned("mixed", want_kept, kept);
+  const std::uint64_t want_recomputed[kFamilies] = {
+      0x691e4bdf4a99fc55ULL, 0x3a169adf6c5aa9c1ULL, 0xd2db44062490b20cULL, 0x950e8f78d0d5b014ULL,
+      0x4e9001c4ea341a0dULL, 0xfca02ff1bc48363cULL, 0x7e2dd08e7e6411a5ULL};
+  expect_pinned("mixed_recomputed", want_recomputed, recomputed);
 }
 
 // Theorem 14: one D, and every batch starts again from the preprocessed

@@ -185,8 +185,11 @@ TEST(Fuzz, OldEntryNamesAreRouterCells) {
 }
 
 TEST(Fuzz, SoakMatrixAccumulatesAcrossCells) {
-  const FuzzResult r = run_soak(/*seed_base=*/100, /*seeds=*/1, /*batches=*/4,
-                                /*n=*/32);
+  FuzzOptions o;
+  o.seed = 100;
+  o.batches = 4;
+  o.n = 32;
+  const FuzzResult r = run_soak(o, /*seeds=*/1);
   ASSERT_TRUE(r.ok) << r.failure << "\nreplay: " << r.replay;
   // 1 seed x 4 families x (3 fault-free cells — core, router at 1 and 4
   // shards — + kChaosSchedulesPerSeed fault plans) x 4 batches.

@@ -477,6 +477,73 @@ TEST(ShardRouter, VertexInsertBatchBytesMatchAtEveryShardCount) {
   }
 }
 
+// With max_batch = 0 a drain takes everything queued, and the engine applies
+// it as one segment: 3 × epoch_period() dynamic_map updates, queued while
+// the writer is held, coalesce into one batch whose served forest equals a
+// DynamicDfs that applied them in one apply_batch. Then the writer crashes on
+// a throwaway op, the watchdog replays the journal, and the fresh writer
+// drains the next 3 × period updates as one batch onto the replayed forest.
+TEST(ShardRouter, DrainTakesTheWholeQueueAsOneBatch) {
+  const WorkloadSpec spec{Scenario::kDynamicMap, 1024, 9};
+  const Graph genesis = make_initial_graph(spec);
+  DynamicDfs ref(genesis);
+  const std::size_t k = 3 * ref.epoch_period();
+  WorkloadDriver driver(spec);
+  const auto next_batch = [&] {
+    std::vector<GraphUpdate> batch;
+    for (std::size_t i = 0; i < k; ++i) batch.push_back(driver.next());
+    return batch;
+  };
+  const auto submit_all = [](ShardRouter& router,
+                             const std::vector<GraphUpdate>& batch) {
+    std::vector<UpdateTicket> tickets;
+    for (const GraphUpdate& u : batch) tickets.push_back(router.submit(u));
+    return tickets;
+  };
+  const auto expect_applied = [](const std::vector<UpdateTicket>& tickets) {
+    for (const UpdateTicket& t : tickets) {
+      EXPECT_LT(t.wait(), UpdateTicket::kRetryable) << "not applied";
+    }
+  };
+  const auto ref_parent = [&] {
+    return std::vector<Vertex>(ref.parent().begin(), ref.parent().end());
+  };
+  ServiceConfig config;
+  config.start_paused = true;
+  ShardRouter router(genesis, config);
+
+  const std::vector<GraphUpdate> first = next_batch();
+  const std::vector<UpdateTicket> first_tickets = submit_all(router, first);
+  router.resume();
+  expect_applied(first_tickets);
+  ref.apply_batch(first);
+  EXPECT_EQ(router.stats().max_batch, k);
+  EXPECT_EQ(router.stats().batches, 1u);
+  EXPECT_EQ(router.assemble_parent(), ref_parent());
+
+  // The poisoned writer drains the throwaway op alone, and is held there
+  // while the next batch queues up behind it.
+  Vertex child = 0;
+  while (ref.parent_of(child) == kNullVertex) ++child;
+  router.inject_writer_failure(0);
+  router.pause();
+  const UpdateTicket doomed =
+      router.submit(GraphUpdate::insert_edge(child, ref.parent_of(child)));
+  while (router.queue_depth(0) != 0) std::this_thread::yield();
+  const std::vector<GraphUpdate> second = next_batch();
+  const std::vector<UpdateTicket> second_tickets = submit_all(router, second);
+  router.resume();
+  EXPECT_EQ(doomed.wait(), UpdateTicket::kRetryable);
+  expect_applied(second_tickets);
+  ref.apply_batch(second);
+  const ServiceStats st = router.stats();
+  EXPECT_EQ(st.recoveries, 1u);
+  EXPECT_EQ(st.batches, 2u);
+  EXPECT_EQ(st.max_batch, k);
+  EXPECT_EQ(router.assemble_parent(), ref_parent());
+  router.stop();
+}
+
 // A live engine fed dynamic_map batches of 14 — most carry vertex inserts,
 // which join their segment — against journal replay of the same records, in
 // the shard writer's order (pad, then apply, each recorded first): the same

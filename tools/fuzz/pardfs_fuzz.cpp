@@ -13,7 +13,8 @@
 //        un-faulted reference. Needs -DPARDFS_ENABLE_CHAOS=ON to inject.)
 //   * fixed soak matrix:       pardfs_fuzz --soak=8 --batches=16
 //       (8 seeds x {random, power_law, grid, dynamic_map}
-//                x {core, router at 1 and 4 shards} + 3 fault plans each)
+//                x {core, router at 1 and 4 shards} + 3 fault plans each;
+//        --n, --batches, --max-batch and --threads reach every cell)
 //   * time-budgeted CI soak:   pardfs_fuzz --minutes=5
 //       (keeps sweeping the matrix with fresh seeds until the budget runs out)
 // The old entry names are aliases of router cells, whatever their position
@@ -158,11 +159,9 @@ int main(int argc, char** argv) {
         std::chrono::steady_clock::now() +
         std::chrono::milliseconds(static_cast<std::int64_t>(cli.minutes * 60e3));
     FuzzResult total;
-    std::uint64_t seed_base = cli.fuzz.seed;
+    FuzzOptions sweep = cli.fuzz;
     do {
-      const FuzzResult r = pardfs::testing::run_soak(
-          seed_base, /*seeds=*/1, cli.fuzz.batches, cli.fuzz.n,
-          cli.fuzz.num_threads, cli.fuzz.force_scalar);
+      const FuzzResult r = pardfs::testing::run_soak(sweep, /*seeds=*/1);
       if (!r.ok) return report(r);
       total.batches += r.batches;
       total.insert_batches += r.insert_batches;
@@ -170,17 +169,15 @@ int main(int argc, char** argv) {
       total.updates += r.updates;
       total.queries += r.queries;
       total.faults_injected += r.faults_injected;
-      ++seed_base;
+      ++sweep.seed;
     } while (std::chrono::steady_clock::now() < deadline);
     std::printf("soak: %llu seeds swept\n",
-                static_cast<unsigned long long>(seed_base - cli.fuzz.seed));
+                static_cast<unsigned long long>(sweep.seed - cli.fuzz.seed));
     return report(total);
   }
 
   if (cli.soak_seeds > 0) {
-    return report(pardfs::testing::run_soak(
-        cli.fuzz.seed, cli.soak_seeds, cli.fuzz.batches, cli.fuzz.n,
-        cli.fuzz.num_threads, cli.fuzz.force_scalar));
+    return report(pardfs::testing::run_soak(cli.fuzz, cli.soak_seeds));
   }
 
   std::printf("run: %s\n", pardfs::testing::replay_line(cli.fuzz).c_str());
