@@ -24,10 +24,18 @@
 // Rerooter::kParallelRoundWork: one engine round, stepped on the calling
 // thread, on a forced 4-worker team and under the real dispatch, swept over
 // the round's off-critical-path work for two round shapes.
+//
+// BM_TeamPickup measures how fast the pram pool's parked workers join a
+// region (pram::detail::run_team): each of `team` slots busy-waits `slot_us`
+// microseconds, and the row reports the region's wall time over one slot
+// (`wall_per_slot`: 1 when every slot ran at once, `team` when one thread
+// ran them all) and how many distinct threads ran a slot (`threads`).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "baseline/static_dfs.hpp"
@@ -230,6 +238,43 @@ void BM_RerootRound(benchmark::State& state) {
   }
   state.counters["off_critical_work"] = static_cast<double>(total - largest);
 }
+
+void BM_TeamPickup(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const int team = static_cast<int>(state.range(0));
+  const auto slot = std::chrono::microseconds(state.range(1));
+  std::vector<std::thread::id> ran_on(static_cast<std::size_t>(team));
+  double wall_s = 0.0;
+  double threads = 0.0;
+  for (auto _ : state) {
+    // Idle past the workers' spin window first, so every region starts with
+    // the pool parked, as one does after a writer's serial stretch.
+    state.PauseTiming();
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    state.ResumeTiming();
+    const auto t0 = Clock::now();
+    pram::detail::run_team(team, [&](int t) {
+      ran_on[static_cast<std::size_t>(t)] = std::this_thread::get_id();
+      const auto until = Clock::now() + slot;
+      while (Clock::now() < until) {
+      }
+    });
+    wall_s += std::chrono::duration<double>(Clock::now() - t0).count();
+    std::sort(ran_on.begin(), ran_on.end());
+    threads +=
+        static_cast<double>(std::unique(ran_on.begin(), ran_on.end()) - ran_on.begin());
+  }
+  const double iters = static_cast<double>(state.iterations());
+  state.counters["wall_per_slot"] =
+      wall_s / iters / std::chrono::duration<double>(slot).count();
+  state.counters["threads"] = threads / iters;
+}
+
+BENCHMARK(BM_TeamPickup)
+    ->ArgsProduct({{2, 4}, {100, 500, 2000}})
+    ->ArgNames({"team", "slot_us"})
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 BENCHMARK(BM_RerootRound)
     ->ArgsProduct({{0, 1, 2}, {0, 1}, {192, 384, 768, 1536, 3072, 6144, 12288}})

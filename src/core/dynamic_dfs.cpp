@@ -1,6 +1,7 @@
 #include "core/dynamic_dfs.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <string_view>
 #include <utility>
 
@@ -75,18 +76,24 @@ void mirror_reroot_stats(const RerootStats& s) {
   if (s.recomputes != 0) recomputes.add(s.recomputes);
 }
 
-// Retired indices kept for buffer reuse: current + epoch base + one in
-// flight. Beyond that (snapshots pinning history) fresh allocations take
-// over.
-constexpr std::size_t kIndexPoolCap = 4;
-
 }  // namespace
+
+// Every index the engine builds is owned by a shared_ptr whose deleter
+// returns the object here instead of freeing it, whichever thread drops the
+// last reference; the deleters share ownership of the list, so it outlives
+// the engine. Holds at most kCap indices; a release beyond that frees.
+struct DynamicDfs::IndexReturnList {
+  static constexpr std::size_t kCap = 2;
+  std::mutex mu;
+  std::vector<std::unique_ptr<TreeIndex>> free;
+};
 
 DynamicDfs::DynamicDfs(Graph graph, RerootStrategy strategy,
                        pram::CostModel* cost, int num_threads,
                        std::int32_t serial_cutoff, std::string obs_shard,
                        std::size_t epoch_period)
     : graph_(std::move(graph)),
+      returned_(std::make_shared<IndexReturnList>()),
       strategy_(strategy),
       cost_(cost),
       num_threads_(num_threads),
@@ -109,17 +116,26 @@ std::int32_t DynamicDfs::engine_cutoff() const {
 }
 
 std::shared_ptr<TreeIndex> DynamicDfs::acquire_index_slot() {
-  for (auto it = index_pool_.begin(); it != index_pool_.end(); ++it) {
-    if (it->use_count() == 1) {
-      // Sole owner is the pool itself, and pooled indices were never handed
-      // out (see retire below), so every past reference was writer-local:
-      // reusing the buffers races with nobody.
-      std::shared_ptr<TreeIndex> slot = std::move(*it);
-      index_pool_.erase(it);
-      return slot;
+  std::unique_ptr<TreeIndex> slot;
+  {
+    std::lock_guard lock(returned_->mu);
+    if (!returned_->free.empty()) {
+      slot = std::move(returned_->free.back());
+      returned_->free.pop_back();
     }
   }
-  return std::make_shared<TreeIndex>();
+  if (slot == nullptr) slot = std::make_unique<TreeIndex>();
+  // The last release, on whichever thread, hands the object back under the
+  // list's mutex: a reader's reads of the index happen before the writer's
+  // next acquire of it, so rebuilding into its buffers races with nobody.
+  return std::shared_ptr<TreeIndex>(
+      slot.release(), [list = returned_](TreeIndex* index) {
+        std::unique_ptr<TreeIndex> owned(index);
+        std::lock_guard lock(list->mu);
+        if (list->free.size() < IndexReturnList::kCap) {
+          list->free.push_back(std::move(owned));
+        }
+      });
 }
 
 void DynamicDfs::rebuild_index() {
@@ -127,14 +143,9 @@ void DynamicDfs::rebuild_index() {
   parent_.resize(static_cast<std::size_t>(graph_.capacity()), kNullVertex);
   std::shared_ptr<TreeIndex> next = acquire_index_slot();
   next->build(parent_, graph_.alive());
-  // Retire the outgoing index for reuse — unless it escaped through
-  // tree_ptr(): an escaped index may be released on a reader thread, and a
-  // use_count() poll alone does not order that release before our re-build.
-  if (index_ != nullptr && !index_escaped_ && index_pool_.size() < kIndexPoolCap) {
-    index_pool_.push_back(std::move(index_));
-  }
+  // The outgoing index returns to the list once its last holder (D's base,
+  // a published snapshot) lets go.
   index_ = std::move(next);
-  index_escaped_ = false;
   ++index_rebuilds_;
 }
 
@@ -251,13 +262,11 @@ DynamicDfs::ComponentTransfer DynamicDfs::extract_component(Vertex v) {
   PARDFS_CHECK_MSG(graph_.is_alive(v), "extract_component: vertex not alive");
   ComponentTransfer t;
   // The DFS forest's trees are exactly the connected components, so the
-  // component of v is everything sharing its root.
-  const Vertex root = index_->root_of(v);
-  for (Vertex w = 0; w < graph_.capacity(); ++w) {
-    if (graph_.is_alive(w) && index_->root_of(w) == root) {
-      t.vertices.push_back(w);
-    }
-  }
+  // component of v is the subtree of its root: O(component), not a scan of
+  // the id space. The transfer lists ids ascending.
+  const std::span<const Vertex> tree = index_->subtree_span(index_->root_of(v));
+  t.vertices.assign(tree.begin(), tree.end());
+  std::sort(t.vertices.begin(), t.vertices.end());
   t.parent.reserve(t.vertices.size());
   for (const Vertex w : t.vertices) {
     t.parent.push_back(parent_[static_cast<std::size_t>(w)]);

@@ -177,14 +177,11 @@ class DynamicDfs {
   Vertex root_of(Vertex v) const { return index_->root_of(v); }
   const TreeIndex& tree() const { return *index_; }
   // Shared ownership of the current index (service snapshots). The object is
-  // immutable: rebuilds produce a new TreeIndex instead of mutating a shared
-  // one, so holders may read it from any thread indefinitely. A handed-out
-  // index is permanently excluded from the internal recycling pool (its
-  // release may happen on a reader thread; see rebuild_index()).
-  std::shared_ptr<const TreeIndex> tree_ptr() const {
-    index_escaped_ = true;
-    return index_;
-  }
+  // immutable while anyone holds it: rebuilds build into a TreeIndex nobody
+  // else references, so holders may read it from any thread indefinitely.
+  // When the last holder lets go (on any thread), the pointer's deleter
+  // hands the object back to this engine for reuse (see IndexReturnList).
+  std::shared_ptr<const TreeIndex> tree_ptr() const { return index_; }
   // Statistics of the most recent update's rerooting.
   const RerootStats& last_stats() const { return last_stats_; }
   // Cumulative wall-clock phase breakdown (E13): summed across the whole
@@ -254,9 +251,12 @@ class DynamicDfs {
   // accumulated), so oracle queries need no Theorem 9 path decomposition.
   bool at_base() const { return base_is_current_; }
 
-  // A recycled (count == 1, never handed out) or fresh TreeIndex to build
-  // the next current forest into. Keeps the steady-state rebuild
-  // allocation-free: capacities of a retired index carry over.
+  // Released TreeIndexes waiting to be rebuilt into (dynamic_dfs.cpp).
+  struct IndexReturnList;
+
+  // A returned or fresh TreeIndex, owned by a shared_ptr that returns it to
+  // returned_ on release. Keeps the steady-state rebuild allocation-free:
+  // capacities of a retired index carry over.
   std::shared_ptr<TreeIndex> acquire_index_slot();
 
   Graph graph_;
@@ -266,12 +266,11 @@ class DynamicDfs {
   std::vector<Vertex> parent_;
   // Current forest and the snapshot D is built over (null while D is
   // stale). Both are immutable once built; build_d() aliases instead of
-  // deep-copying, and retired indices rotate through index_pool_ for buffer
-  // reuse.
+  // deep-copying, and released indices come back through returned_ for
+  // buffer reuse.
   std::shared_ptr<TreeIndex> index_;
   std::shared_ptr<const TreeIndex> base_index_;
-  std::vector<std::shared_ptr<TreeIndex>> index_pool_;
-  mutable bool index_escaped_ = false;  // current index_ was handed out
+  std::shared_ptr<IndexReturnList> returned_;
   AdjacencyOracle oracle_;
   // Phase-histogram series this instance records into: the process-wide
   // unlabeled series by default, or shard-labeled ones when constructed with

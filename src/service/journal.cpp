@@ -99,19 +99,24 @@ void UpdateJournal::checkpoint(const Graph& graph,
                                std::uint64_t version,
                                std::uint64_t updates_applied) {
   std::lock_guard lock(mu_);
-  Checkpoint cp;
+  Checkpoint& cp = checkpoint_.has_value() ? *checkpoint_ : checkpoint_.emplace();
   cp.capacity = graph.capacity();
   cp.version = version;
   cp.updates_applied = updates_applied;
+  cp.ids.clear();
+  cp.parents.clear();
+  cp.row_end.clear();
+  cp.adjacency.clear();
+  const std::span<const std::uint8_t> alive = graph.alive();
   for (Vertex v = 0; v < graph.capacity(); ++v) {
-    if (!graph.is_alive(v)) continue;
-    cp.state.vertices.push_back(v);
+    if (alive[static_cast<std::size_t>(v)] == 0) continue;
+    cp.ids.push_back(v);
+    cp.parents.push_back(parent[static_cast<std::size_t>(v)]);
     const auto nb = graph.neighbors(v);
-    cp.state.rows.emplace_back(nb.begin(), nb.end());
-    cp.state.parent.push_back(parent[static_cast<std::size_t>(v)]);
+    cp.adjacency.insert(cp.adjacency.end(), nb.begin(), nb.end());
+    cp.row_end.push_back(cp.adjacency.size());
   }
   const std::size_t dropped = log_.size();
-  checkpoint_ = std::move(cp);
   // The point is bounding memory: release the entry storage and the
   // now-superseded genesis graph, not just empty them.
   log_.clear();
@@ -137,13 +142,24 @@ UpdateJournal::ReplayResult UpdateJournal::replay() const {
   // exactly as a migration would.
   ReplayResult r = [&] {
     if (checkpoint_.has_value()) {
+      const Checkpoint& cp = *checkpoint_;
       Graph base;
-      base.pad_to(checkpoint_->capacity);
+      base.pad_to(cp.capacity);
       ReplayResult out{DynamicDfs(std::move(base), config_.strategy, nullptr,
                                   config_.num_threads, -1, config_.obs_shard),
-                       checkpoint_->version, checkpoint_->updates_applied, {}};
-      if (!checkpoint_->state.vertices.empty()) {
-        out.engine.adopt_component(checkpoint_->state);
+                       cp.version, cp.updates_applied, {}};
+      if (!cp.ids.empty()) {
+        DynamicDfs::ComponentTransfer state;
+        state.vertices = cp.ids;
+        state.parent = cp.parents;
+        state.rows.reserve(cp.ids.size());
+        const Vertex* adjacency = cp.adjacency.data();
+        std::size_t begin = 0;
+        for (const std::size_t end : cp.row_end) {
+          state.rows.emplace_back(adjacency + begin, adjacency + end);
+          begin = end;
+        }
+        out.engine.adopt_component(std::move(state));
       }
       return out;
     }

@@ -114,13 +114,19 @@ class UpdateJournal {
   };
 
   // Replay base after the first checkpoint: an empty graph padded to
-  // `capacity` plus one transfer carrying every live vertex's adjacency and
-  // parent rows verbatim (ascending ids). Restoring it via adopt_component
-  // reproduces the checkpointed forest byte for byte, the same way
-  // migrations do; `genesis_` is released once this takes over.
+  // `capacity` plus every live vertex's adjacency and parent rows verbatim,
+  // in four flat arrays that later checkpoints overwrite in place (their
+  // capacity carries over, so a steady-state checkpoint grows none of them).
+  // replay() assembles them into one ascending-id ComponentTransfer;
+  // restoring that via adopt_component reproduces the checkpointed forest
+  // byte for byte, the same way migrations do. `genesis_` is released once
+  // this takes over.
   struct Checkpoint {
     Vertex capacity = 0;
-    DynamicDfs::ComponentTransfer state;
+    std::vector<Vertex> ids;           // live ids, ascending
+    std::vector<Vertex> parents;       // parallel to ids
+    std::vector<std::size_t> row_end;  // row i ends at adjacency[row_end[i]]
+    std::vector<Vertex> adjacency;     // every row, concatenated
     std::uint64_t version = 1;
     std::uint64_t updates_applied = 0;
   };

@@ -62,6 +62,13 @@ obs::Counter& checkpoints_counter() {
       obs::Registry::global().counter("pardfs_journal_checkpoints_total");
   return c;
 }
+// Wall time of each journal checkpoint, taken under the shard's engine
+// lock: the stall a checkpoint adds to that shard's writer and readers.
+obs::Histogram& checkpoint_hist() {
+  static obs::Histogram& h = obs::Registry::global().histogram(
+      "pardfs_journal_checkpoint_us", "", 1e-3);
+  return h;
+}
 
 // The router's event counts as page rows, under the series names and
 // labels the dashboards read: totals over the router's shards, unlabeled
@@ -336,6 +343,7 @@ ShardRouter::ShardRouter(Graph initial, ServiceConfig config)
   recovery_latency_hist();
   stalls_counter();
   checkpoints_counter();
+  checkpoint_hist();
 
   for (Vertex v = 0; v < n; ++v) {
     if (S == 1) {
@@ -1301,8 +1309,11 @@ void ShardRouter::maybe_checkpoint_locked(Shard& sh) {
   if (sh.journal == nullptr || config_.journal_checkpoint_entries == 0) return;
   if (sh.wal_pending.has_value()) return;  // journal ahead of the engine
   if (sh.journal->entries() < config_.journal_checkpoint_entries) return;
-  sh.journal->checkpoint(sh.dfs.graph(), sh.dfs.parent(), sh.version,
-                         sh.updates_applied);
+  {
+    obs::ScopedPhase timer(checkpoint_hist(), "journal_checkpoint");
+    sh.journal->checkpoint(sh.dfs.graph(), sh.dfs.parent(), sh.version,
+                           sh.updates_applied);
+  }
   checkpoints_counter().add();
 }
 

@@ -60,6 +60,8 @@ class ToggleStream {
       : mirror_(std::move(mirror)), rng_(seed) {}
 
   const Graph& mirror() const { return mirror_; }
+  // Mirrors DynamicDfs::pad_capacity, so later inserts get the engine's ids.
+  void pad_to(Vertex capacity) { mirror_.pad_to(capacity); }
 
   GraphUpdate next() {
     for (;;) {
@@ -249,6 +251,73 @@ TEST(Journal, CheckpointTruncatesAndReplayStaysByteIdentical) {
   }
 }
 
+// Back-to-back checkpoints overwrite the same flat buffers. The history
+// between and after them deletes vertices, inserts fresh ids and pads the id
+// space; replay must rebuild the live engine exactly: parents, liveness,
+// capacity and the order of every adjacency row (the next DFS walks rows in
+// that order, so a reordered row would fork the forest later).
+TEST(Journal, BackToBackCheckpointsReplayRowsVerbatim) {
+  Rng rng(21);
+  Graph g = gen::random_connected(64, 128, rng);
+  UpdateJournal journal(g, {});
+  DynamicDfs live(g);
+  ToggleStream stream(g, 31);
+
+  std::uint64_t version = 1;
+  std::uint64_t applied = 0;
+  int vertex_deletes = 0;
+  int vertex_inserts = 0;
+  const auto rounds = [&](int count) {
+    for (int r = 0; r < count; ++r) {
+      std::vector<GraphUpdate> batch;
+      for (int i = 0; i < 3; ++i) batch.push_back(stream.next());
+      for (const GraphUpdate& u : batch) {
+        vertex_deletes += u.kind == GraphUpdate::Kind::kDeleteVertex ? 1 : 0;
+        vertex_inserts += u.kind == GraphUpdate::Kind::kInsertVertex ? 1 : 0;
+      }
+      journal.record_apply(batch, version + 1, applied + batch.size());
+      live.apply_batch(batch);
+      ++version;
+      applied += batch.size();
+    }
+  };
+  const auto expect_replay_matches_live = [&](const char* label) {
+    const UpdateJournal::ReplayResult r = journal.replay();
+    EXPECT_EQ(r.version, version) << label;
+    EXPECT_EQ(r.updates_applied, applied) << label;
+    ASSERT_EQ(r.engine.graph().capacity(), live.graph().capacity()) << label;
+    for (Vertex v = 0; v < live.graph().capacity(); ++v) {
+      ASSERT_EQ(r.engine.parent()[static_cast<std::size_t>(v)],
+                live.parent()[static_cast<std::size_t>(v)])
+          << label << ": parent diverges at vertex " << v;
+      ASSERT_EQ(r.engine.graph().is_alive(v), live.graph().is_alive(v))
+          << label << ": aliveness diverges at vertex " << v;
+      const auto want = live.graph().neighbors(v);
+      const auto got = r.engine.graph().neighbors(v);
+      ASSERT_EQ(std::vector<Vertex>(got.begin(), got.end()),
+                std::vector<Vertex>(want.begin(), want.end()))
+          << label << ": row order diverges at vertex " << v;
+    }
+  };
+
+  rounds(12);
+  journal.checkpoint(live.graph(), live.parent(), version, applied);
+  rounds(8);
+  const Vertex padded = live.graph().capacity() + 7;
+  journal.record_pad(padded);
+  live.pad_capacity(padded);
+  stream.pad_to(padded);
+  rounds(8);
+  journal.checkpoint(live.graph(), live.parent(), version, applied);
+  EXPECT_EQ(journal.entries(), 0u);
+  expect_replay_matches_live("at the second checkpoint");
+  rounds(12);
+  expect_replay_matches_live("after the second checkpoint");
+  EXPECT_GT(vertex_deletes, 0);
+  EXPECT_GT(vertex_inserts, 0);
+  EXPECT_GT(live.graph().capacity(), padded);  // fresh ids past the pad
+}
+
 TEST(Journal, FileBackingWritesAReadableLog) {
   const std::string prefix = ::testing::TempDir() + "pardfs_chaos_journal_";
   {
@@ -345,8 +414,19 @@ TEST(Recovery, ByteIdenticalAfterFailoverAt16Shards) {
 // An aggressive checkpoint bound makes every failover replay from a recent
 // checkpoint base instead of genesis; the recovered forests must still match
 // the reference byte for byte.
+// Every checkpoint the router counts is also timed into the
+// pardfs_journal_checkpoint_us histogram.
 TEST(Recovery, ByteIdenticalWithAggressiveJournalCheckpoints) {
+  obs::Registry& reg = obs::Registry::global();
+  const obs::Counter& checkpoints = reg.counter("pardfs_journal_checkpoints_total");
+  const obs::Histogram& timed = reg.histogram("pardfs_journal_checkpoint_us", "", 1e-3);
+  const std::uint64_t counted_before = checkpoints.value();
+  const std::uint64_t timed_before = timed.count();
   run_recovery_differential(4, /*checkpoint_entries=*/4);
+  EXPECT_EQ(timed.count() - timed_before, checkpoints.value() - counted_before);
+#if !defined(PARDFS_NO_METRICS)
+  EXPECT_GT(timed.count(), timed_before);
+#endif
 }
 
 TEST(Recovery, DfsServiceFacadeRecoversToo) {

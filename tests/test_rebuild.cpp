@@ -2,18 +2,24 @@
 // construction must reproduce the TreeIndex tables and vertex tour byte for
 // byte at every worker count, and the steady-state rebuild must be
 // allocation-free — a second build of the same shape performs zero new heap
-// growth (capacity-stable).
+// growth (capacity-stable), and DynamicDfs rebuilds into the indices its
+// holders have released, never into one still held.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "baseline/static_dfs.hpp"
 #include "core/adjacency_oracle.hpp"
+#include "core/dynamic_dfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "pram/parallel.hpp"
 #include "tree/euler_tour.hpp"
 #include "tree/tree_index.hpp"
+#include "tree/validation.hpp"
 #include "util/random.hpp"
 
 namespace pardfs {
@@ -269,6 +275,102 @@ TEST(Rebuild, OracleRebuildAbsorbsEpochPatches) {
     churn();
     EXPECT_EQ(oracle.heap_capacity_bytes(), stable) << "churn " << i;
   }
+}
+
+// ---- index recycling (DESIGN.md §9, copy-free rebase and snapshot sharing) --
+
+// The graph stays a forest of path pieces, so toggling edge (i, i + 1) is a
+// tree-edge delete or a cross-tree insert: structural either way, one index
+// rebuild per one-op batch.
+class PathToggler {
+ public:
+  static constexpr Vertex kN = 64;
+  // A work-capped batch at this scale finishes every component serially and
+  // never queries D. Once the first epoch closes, D's base stops pinning the
+  // constructor's index, and the only holders left are the engine's current
+  // index and the test's copies.
+  PathToggler() : dfs_(gen::path(kN)) {
+    for (int i = 0; i < 8; ++i) step();
+    EXPECT_EQ(dfs_.d_builds(), 1u);
+  }
+  void step() {
+    const Vertex i = next_++ % (kN - 1);
+    const GraphUpdate u = dfs_.graph().has_edge(i, i + 1)
+                              ? GraphUpdate::delete_edge(i, i + 1)
+                              : GraphUpdate::insert_edge(i, i + 1);
+    const std::size_t before = dfs_.index_rebuilds();
+    dfs_.apply_batch({&u, 1});
+    ASSERT_EQ(dfs_.index_rebuilds(), before + 1);
+  }
+  DynamicDfs& dfs() { return dfs_; }
+
+ private:
+  DynamicDfs dfs_;
+  Vertex next_ = 0;
+};
+
+TEST(Rebuild, ReleasedSnapshotIndexIsRebuiltInto) {
+  PathToggler t;
+  std::shared_ptr<const TreeIndex> held = t.dfs().tree_ptr();
+  const TreeIndex* const released = held.get();
+  t.step();
+  EXPECT_NE(&t.dfs().tree(), released);
+  held.reset();
+  // The deleter handed the object back; the next rebuild takes it. The
+  // blocker takes any TreeIndex-sized block the release freed instead, so
+  // a fresh allocation cannot land at the old address and pass by chance.
+  const auto blocker = std::make_unique<TreeIndex>();
+  t.step();
+  EXPECT_NE(blocker.get(), released);
+  EXPECT_EQ(&t.dfs().tree(), released);
+}
+
+TEST(Rebuild, HeldIndexIsNeverRebuiltInto) {
+  PathToggler t;
+  const std::shared_ptr<const TreeIndex> held = t.dfs().tree_ptr();
+  const std::vector<Vertex> frozen(held->parents().begin(), held->parents().end());
+  for (int i = 0; i < 20; ++i) {
+    t.step();
+    ASSERT_NE(&t.dfs().tree(), held.get()) << "update " << i;
+    ASSERT_EQ(std::vector<Vertex>(held->parents().begin(), held->parents().end()),
+              frozen)
+        << "update " << i;
+  }
+}
+
+// A reader releases its copy on its own thread while the writer keeps
+// rebuilding: the release must be ordered before any rebuild into the same
+// buffers (TSan checks the ordering), and the forest must match an engine
+// that never handed out an index.
+TEST(Rebuild, IndexReleasedOnAnotherThreadIsRecycledSafely) {
+  PathToggler t;
+  PathToggler reference;
+  std::shared_ptr<const TreeIndex> held = t.dfs().tree_ptr();
+  const std::vector<Vertex> frozen(held->parents().begin(), held->parents().end());
+  std::atomic<bool> go{false};
+  std::atomic<bool> matched{false};
+  std::thread reader([&] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+    const std::span<const Vertex> seen = held->parents();
+    matched.store(std::vector<Vertex>(seen.begin(), seen.end()) == frozen,
+                  std::memory_order_relaxed);
+    held.reset();
+  });
+  for (int i = 0; i < 40; ++i) {
+    if (i == 5) go.store(true, std::memory_order_release);
+    t.step();
+    reference.step();
+  }
+  reader.join();
+  EXPECT_TRUE(matched.load());
+  for (int i = 0; i < 10; ++i) {
+    t.step();
+    reference.step();
+  }
+  EXPECT_TRUE(validate_dfs_forest(t.dfs().graph(), t.dfs().parent()));
+  EXPECT_EQ(std::vector<Vertex>(t.dfs().parent().begin(), t.dfs().parent().end()),
+            std::vector<Vertex>(reference.dfs().parent().begin(),
+                                reference.dfs().parent().end()));
 }
 
 }  // namespace
