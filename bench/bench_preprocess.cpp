@@ -51,7 +51,8 @@ BENCHMARK(BM_BuildOracle)
 
 // range(1) picks the TreeBuildMode: 0 kAuto, 1 kSerial (the same build).
 // With BM_EulerTourTables below, these rows are the serial-vs-Theorem-4
-// comparison behind TreeIndex's single build (EXPERIMENTS.md E28).
+// comparison behind TreeIndex's single build (EXPERIMENTS.md E28); heap_mb
+// is the rebuilt index's footprint (E36).
 void BM_BuildTreeIndex(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   const auto mode = static_cast<TreeBuildMode>(state.range(1));
@@ -65,6 +66,9 @@ void BM_BuildTreeIndex(benchmark::State& state) {
   }
   state.counters["n"] = benchmark::Counter(n);
   state.counters["mode"] = benchmark::Counter(static_cast<double>(state.range(1)));
+  // Every buffer the index owns, LCA table and rebuild scratch included.
+  state.counters["heap_mb"] = benchmark::Counter(
+      static_cast<double>(index.heap_capacity_bytes()) / (1024.0 * 1024.0));
 }
 BENCHMARK(BM_BuildTreeIndex)
     ->ArgsProduct({benchmark::CreateRange(1 << 10, 1 << 20, 4), {0, 1}})

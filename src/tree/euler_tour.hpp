@@ -32,8 +32,8 @@ struct EulerTourResult {
 // The vertex-sequence Euler tour on top of EulerTourResult — per tree of the
 // forest, root first, then one vertex per directed tree edge (the entered
 // vertex for a down edge, the parent for an up edge), trees concatenated in
-// root-id order. Exactly the sequence TreeIndex's DFS emits for its
-// Fischer–Heun LCA table. root_of is kNullVertex outside the forest.
+// root-id order. Exactly the sequence a walk of TreeIndex's children emits
+// (tests/test_rebuild.cpp). root_of is kNullVertex outside the forest.
 struct EulerTourTables {
   EulerTourResult result;
   std::vector<Vertex> euler;             // length sum over trees of 2*size-1

@@ -1,21 +1,25 @@
-// O(1) LCA after O(n) preprocessing: Euler tour + block RMQ (Fischer–Heun).
+// O(1) LCA after O(n) preprocessing: block RMQ over the index's pre order.
 //
 // Stand-in for Schieber–Vishkin (paper Theorem 5/6) with identical query
-// complexity. The tour is cut into blocks of size kBlock; a sparse table is
-// built over block minima only (n/kBlock entries), so preprocessing is
-// O(n + (n / kBlock) log n) — the table's log factor no longer multiplies n,
-// which matters because the epoch update loop rebuilds this structure after
-// every structural update. In-block queries exploit the Euler tour's ±1
-// depth steps: each block stores its descent bit pattern and a static
-// 2^(kBlock-1) × kBlock × kBlock table (built once per process) maps
-// (pattern, i, j) to the in-block argmin, so a query is a handful of array
-// lookups. See DESIGN.md §6 for the substitution note.
+// complexity, read from the one numbering TreeIndex already builds. For
+// u != v in one tree, every vertex at pre positions
+// (min(pre u, pre v), max(pre u, pre v)] lies in the LCA's subtree below the
+// LCA, and the shallowest of them are the LCA's children. So the smallest
+// parent pre over that range is pre(lca): the table holds each position's
+// parent pre and answers range minima. The values are cut into blocks of
+// kBlock; a sparse table is built over block minima only (n/kBlock entries),
+// so preprocessing is O(n + (n / kBlock) log n) — the table's log factor no
+// longer multiplies n, which matters because the epoch update loop rebuilds
+// this structure after every structural update. In-block queries read one
+// word per position: the block-local monotone stack after that position (bit
+// t set iff local position t holds no larger value than anything after it up
+// to the position), so the lowest stack bit at or above the query's start is
+// its minimum. See DESIGN.md §6 for the substitution note.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "graph/edge.hpp"
 #include "util/simd.hpp"
 
 namespace pardfs {
@@ -24,50 +28,40 @@ class LcaTable {
  public:
   LcaTable() = default;
 
-  // euler: vertex sequence of the tour (forests: tours concatenated),
-  // depth_at: depth of euler[i], first_pos: first occurrence of each vertex
-  // in the tour (-1 for vertices outside the forest).
+  // parent_pre[i]: pre position of the parent of the vertex at pre position
+  // i (forests: trees concatenated in pre order; any value at a root, whose
+  // position no same-tree query range contains).
   //
-  // The arguments are SWAPPED into the table (not copied): after the call
-  // they hold the table's previous buffers, so a caller that rebuilds
-  // repeatedly recycles capacity in both directions and the steady-state
-  // rebuild allocates nothing.
-  void build(std::vector<Vertex>& euler, std::vector<std::int32_t>& depth_at,
-             std::vector<std::int32_t>& first_pos);
+  // The argument is SWAPPED into the table (not copied): after the call it
+  // holds the table's previous buffer, so a caller that rebuilds repeatedly
+  // recycles capacity in both directions and the steady-state rebuild
+  // allocates nothing.
+  void build(std::vector<std::int32_t>& parent_pre);
 
   // Sum of owned heap capacities in bytes (buffer-reuse accounting).
   std::size_t heap_capacity_bytes() const;
 
-  // LCA of u and v assuming they are in the same tree; the TreeIndex wrapper
-  // checks tree identity first.
-  Vertex query(Vertex u, Vertex v) const;
-
-  bool empty() const { return euler_.empty(); }
+  // Smallest parent pre over positions [lo, hi] (inclusive, lo <= hi).
+  std::int32_t range_min(std::int32_t lo, std::int32_t hi) const;
 
  private:
-  static constexpr std::int32_t kBlock = 8;
-  static constexpr std::int32_t kBlockShift = 3;  // log2(kBlock)
+  static constexpr std::int32_t kBlock = 32;  // bits of a stack word
+  static constexpr std::int32_t kBlockShift = 5;  // log2(kBlock)
   static constexpr std::int32_t kBlockMask = kBlock - 1;
 
-  std::int32_t argmin(std::int32_t lo, std::int32_t hi) const;  // inclusive range
-  // In-block argmin over tour positions [lo, hi] (same block) via the
-  // pattern table.
+  // Minimum over positions [lo, hi] (same block) via hi's stack word.
   std::int32_t in_block(std::int32_t lo, std::int32_t hi) const;
 
-  // euler_/depth_at_/first_pos_ stay plain std::vector: build() SWAPS them
-  // with the caller's buffers, so the allocator is part of that contract.
-  std::vector<Vertex> euler_;
-  std::vector<std::int32_t> depth_at_;
-  std::vector<std::int32_t> first_pos_;
-  // Descent pattern of each block: bit t set iff depth decreases from local
-  // position t-1 to t (t in 1..kBlock-1). The block tables below are the
-  // query-time working set and sit on simd::kAlign boundaries (DESIGN.md
-  // §10) so a query's handful of loads splits across as few lines as the
-  // layout allows.
-  simd::aligned_vector<std::uint8_t> pattern_;
+  // values_ stays a plain std::vector: build() SWAPS it with the caller's
+  // buffer, so the allocator is part of that contract.
+  std::vector<std::int32_t> values_;
+  // stack_[i]: block-local monotone stack after position i (see above). It
+  // and the block tables below are the query-time working set and sit on
+  // simd::kAlign boundaries (DESIGN.md §10).
+  simd::aligned_vector<std::uint32_t> stack_;
   // block_table_ is a flat level-major array: level k (window of 2^k blocks)
   // lives at [k * num_blocks_, k * num_blocks_ + num_blocks_ - 2^k + 1) and
-  // holds the argmin tour position of that block window.
+  // holds the minimum of that block window.
   simd::aligned_vector<std::int32_t> block_table_;
   simd::aligned_vector<std::int32_t> log2_;  // log2_[b] for block counts
   std::int32_t num_blocks_ = 0;

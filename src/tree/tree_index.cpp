@@ -54,14 +54,10 @@ void TreeIndex::build_serial() {
   post_.assign(n, -1);
 
   // Iterative DFS per root, children in CSR order, producing pre/post/depth/
-  // size and the Euler tour for LCA. The tour scratch holds the LCA table's
-  // previous buffers (swapped back by the last lca_.build), so steady-state
-  // rebuilds reuse their capacity.
-  euler_scratch_.clear();
-  euler_depth_scratch_.clear();
-  euler_scratch_.reserve(2 * n);
-  euler_depth_scratch_.reserve(2 * n);
-  first_pos_scratch_.assign(n, -1);
+  // size and each pre position's parent pre for LCA. That scratch holds the
+  // LCA table's previous buffer (swapped back by the last lca_.build), so
+  // steady-state rebuilds reuse its capacity.
+  parent_pre_scratch_.resize(n);
   order_by_pre_.resize(n);
   order_by_post_.resize(n);
 
@@ -79,10 +75,10 @@ void TreeIndex::build_serial() {
       if (slot == 0) {
         pre_[sv] = pre_counter;
         order_by_pre_[static_cast<std::size_t>(pre_counter)] = v;
+        const Vertex p = parent_[sv];
+        parent_pre_scratch_[static_cast<std::size_t>(pre_counter)] =
+            p == kNullVertex ? -1 : pre_[static_cast<std::size_t>(p)];
         ++pre_counter;
-        first_pos_scratch_[sv] = static_cast<std::int32_t>(euler_scratch_.size());
-        euler_scratch_.push_back(v);
-        euler_depth_scratch_.push_back(depth_[sv]);
       }
       const auto kids = children(v);
       if (slot < static_cast<std::int32_t>(kids.size())) {
@@ -98,18 +94,14 @@ void TreeIndex::build_serial() {
         size_[sv] = 1;
         for (const Vertex c : kids) size_[sv] += size_[static_cast<std::size_t>(c)];
         stack.pop_back();
-        if (!stack.empty()) {
-          euler_scratch_.push_back(stack.back().first);
-          euler_depth_scratch_.push_back(
-              depth_[static_cast<std::size_t>(stack.back().first)]);
-        }
       }
     }
   }
   num_indexed_ = pre_counter;
   order_by_pre_.resize(static_cast<std::size_t>(pre_counter));
   order_by_post_.resize(static_cast<std::size_t>(post_counter));
-  lca_.build(euler_scratch_, euler_depth_scratch_, first_pos_scratch_);
+  parent_pre_scratch_.resize(static_cast<std::size_t>(pre_counter));
+  lca_.build(parent_pre_scratch_);
 }
 
 std::size_t TreeIndex::heap_capacity_bytes() const {
@@ -124,9 +116,7 @@ std::size_t TreeIndex::heap_capacity_bytes() const {
          child_start_.capacity() * sizeof(std::int32_t) +
          child_list_.capacity() * sizeof(Vertex) +
          roots_.capacity() * sizeof(Vertex) + lca_.heap_capacity_bytes() +
-         euler_scratch_.capacity() * sizeof(Vertex) +
-         euler_depth_scratch_.capacity() * sizeof(std::int32_t) +
-         first_pos_scratch_.capacity() * sizeof(std::int32_t) +
+         parent_pre_scratch_.capacity() * sizeof(std::int32_t) +
          cursor_scratch_.capacity() * sizeof(std::int32_t) +
          stack_scratch_.capacity() * sizeof(std::pair<Vertex, std::int32_t>);
 }
@@ -135,7 +125,13 @@ Vertex TreeIndex::lca(Vertex u, Vertex v) const {
   PARDFS_DCHECK(in_forest(u) && in_forest(v));
   if (tree_root_[static_cast<std::size_t>(u)] != tree_root_[static_cast<std::size_t>(v)])
     return kNullVertex;
-  return lca_.query(u, v);
+  if (u == v) return u;
+  // The smallest parent pre after the earlier endpoint, up to the later one,
+  // is the LCA's (lca.hpp).
+  const std::int32_t pu = pre_[static_cast<std::size_t>(u)];
+  const std::int32_t pv = pre_[static_cast<std::size_t>(v)];
+  return order_by_pre_[static_cast<std::size_t>(
+      lca_.range_min(std::min(pu, pv) + 1, std::max(pu, pv)))];
 }
 
 Vertex TreeIndex::child_toward(Vertex a, Vertex d) const {

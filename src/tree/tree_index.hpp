@@ -3,7 +3,7 @@
 // Built from a parent array in O(n) work, it answers in O(1):
 //   * parent / depth / subtree size / pre & post order index (Theorem 4),
 //   * ancestor tests (pre-interval containment),
-//   * LCA (Theorem 6; via Euler tour + sparse table — see lca.hpp),
+//   * LCA (Theorem 6; via block RMQ over parents' pre indices — see lca.hpp),
 //   * child of `a` on the path towards a descendant `d` (binary search over
 //     children ordered by pre index — §5.3 query 3),
 // and supports the path/subtree enumerations of §5.3 in time linear in the
@@ -133,9 +133,8 @@ class TreeIndex {
   std::int32_t num_indexed_ = 0;
   LcaTable lca_;
   // Rebuild scratch, recycled across builds (the LCA table swaps its
-  // previous buffers back into the first three on every build).
-  std::vector<Vertex> euler_scratch_;
-  std::vector<std::int32_t> euler_depth_scratch_, first_pos_scratch_;
+  // previous buffer back into the parent-pre scratch on every build).
+  std::vector<std::int32_t> parent_pre_scratch_;
   std::vector<std::int32_t> cursor_scratch_;
   std::vector<std::pair<Vertex, std::int32_t>> stack_scratch_;
 };

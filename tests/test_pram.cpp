@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "pram/list_ranking.hpp"
-#include "pram/merge_sort.hpp"
 #include "pram/parallel.hpp"
 #include "pram/scan.hpp"
 #include "util/random.hpp"
@@ -212,32 +211,6 @@ TEST(ListRanking, MatchesNaiveWalkAcrossSizesAndThreads) {
     }
     set_num_threads(0);
   }
-}
-
-TEST(MergeSort, SortsRandomKeys) {
-  Rng rng(42);
-  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{100}, std::size_t{10000}}) {
-    std::vector<std::uint32_t> data(n);
-    for (auto& x : data) x = static_cast<std::uint32_t>(rng());
-    std::vector<std::uint32_t> expected = data;
-    std::sort(expected.begin(), expected.end());
-    merge_sort(data);
-    EXPECT_EQ(data, expected) << "n=" << n;
-  }
-}
-
-TEST(MergeSort, PairsSortStablyByKey) {
-  Rng rng(7);
-  const std::size_t n = 20000;
-  std::vector<std::uint64_t> data(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = (rng.below(50) << 32) | i;  // key in high bits, unique payload low
-  }
-  std::vector<std::uint64_t> expected = data;
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](std::uint64_t a, std::uint64_t b) { return (a >> 32) < (b >> 32); });
-  merge_sort_pairs(data);
-  EXPECT_EQ(data, expected);
 }
 
 TEST(Rng, DeterministicAndUnbiasedish) {

@@ -53,8 +53,8 @@ void expect_identical(const TreeIndex& a, const TreeIndex& b, Vertex n,
     ASSERT_EQ(a.vertex_at_pre(i), b.vertex_at_pre(i)) << label << " pre=" << i;
     ASSERT_EQ(a.vertex_at_post(i), b.vertex_at_post(i)) << label << " post=" << i;
   }
-  // LCA equality on sampled same-tree pairs exercises the Fischer–Heun
-  // table.
+  // LCA equality on sampled same-tree pairs exercises the block RMQ over
+  // pre order.
   Rng rng(99);
   for (int t = 0; t < 200; ++t) {
     const Vertex u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));

@@ -234,17 +234,33 @@ TEST(Simd, OracleProbesAgreeAcrossDispatchOnGraphFamilies) {
   }
 }
 
-// The branch-free Fischer–Heun lookup against a parent-walk reference.
+// The branch-free LCA lookup against a parent-walk reference, on shapes
+// whose sizes are not multiples of the table's 32-entry blocks: random trees,
+// a path (values rising strictly along pre order), a star (flat), a broom,
+// and forests with dead ids. Pairs are random, placed by pre position in one
+// block, in adjacent blocks and in far blocks, and every pair of a 61-id
+// forest.
 TEST(Simd, BranchFreeLcaMatchesParentWalk) {
   Rng rng(31);
-  for (int fam = 0; fam < 3; ++fam) {
+  for (int fam = 0; fam < 8; ++fam) {
     Graph g = fam == 0   ? gen::random_connected(800, 2000, rng)
               : fam == 1 ? gen::barabasi_albert(800, 3, rng)
-                         : gen::grid(28, 28);
+              : fam == 2 ? gen::grid(28, 28)
+              : fam == 3 ? gen::path(1000)
+              : fam == 4 ? gen::star(1000)
+              : fam == 5 ? gen::broom(1000, 300)
+              : fam == 6 ? gen::gnm(900, 800, rng)
+                         : gen::gnm(61, 50, rng);
+    const Vertex n = g.capacity();
+    if (fam >= 6) {
+      for (int d = 0; d < (fam == 6 ? 60 : 6); ++d) {
+        const auto v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+        if (g.is_alive(v)) g.remove_vertex(v);
+      }
+    }
     const std::vector<Vertex> parent = static_dfs(g);
     TreeIndex idx;
-    idx.build(parent);
-    const Vertex n = g.capacity();
+    idx.build(parent, g.alive());
     auto brute_lca = [&](Vertex u, Vertex v) {
       while (u != v) {
         if (idx.depth(u) >= idx.depth(v)) {
@@ -255,13 +271,29 @@ TEST(Simd, BranchFreeLcaMatchesParentWalk) {
       }
       return u;
     };
-    for (int t = 0; t < 500; ++t) {
-      const Vertex u = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
-      const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
-      if (!idx.in_forest(u) || !idx.in_forest(v)) continue;
-      if (idx.root_of(u) != idx.root_of(v)) continue;
-      ASSERT_EQ(idx.lca(u, v), brute_lca(u, v)) << "u=" << u << " v=" << v;
+    auto check = [&](Vertex u, Vertex v) {
+      if (!idx.in_forest(u) || !idx.in_forest(v)) return;
+      if (idx.root_of(u) != idx.root_of(v)) return;
+      ASSERT_EQ(idx.lca(u, v), brute_lca(u, v))
+          << "fam=" << fam << " u=" << u << " v=" << v;
       ASSERT_EQ(idx.lca(u, u), u);
+    };
+    for (int t = 0; t < 500; ++t) {
+      check(static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n))),
+            static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n))));
+    }
+    const std::int32_t k = idx.num_indexed();
+    auto check_pre = [&](std::int32_t i, std::int32_t j) {
+      check(idx.vertex_at_pre(i), idx.vertex_at_pre(j));
+    };
+    for (std::int32_t i = 0; i < k; ++i) {
+      if (k <= 64) {
+        for (std::int32_t j = 0; j < k; ++j) check_pre(i, j);
+        continue;
+      }
+      for (const std::int32_t delta : {1, 5, 31, 32, 40, 64, 97, 500, k - 1 - i}) {
+        if (i + delta < k) check_pre(i, i + delta);
+      }
     }
   }
 }

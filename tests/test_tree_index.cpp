@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "baseline/static_dfs.hpp"
 #include "graph/generators.hpp"
 #include "util/random.hpp"
@@ -101,39 +104,102 @@ TEST(TreeIndexForest, MultipleTreesAndDeadVertices) {
   EXPECT_EQ(index.num_indexed(), 5);
 }
 
+// Parent walk to the LCA; kNullVertex across trees.
+Vertex walk_lca(const TreeIndex& index, Vertex a, Vertex b) {
+  if (index.root_of(a) != index.root_of(b)) return kNullVertex;
+  while (index.depth(a) > index.depth(b)) a = index.parent(a);
+  while (index.depth(b) > index.depth(a)) b = index.parent(b);
+  while (a != b) {
+    a = index.parent(a);
+    b = index.parent(b);
+  }
+  return a;
+}
+
+// The static DFS forest of a sparse random graph with `dead` vertices removed:
+// several trees, and ids outside the forest.
+std::pair<std::vector<Vertex>, std::vector<std::uint8_t>> dead_id_forest(
+    Vertex n, std::int64_t m, int dead, Rng& rng) {
+  Graph g = gen::gnm(n, m, rng);
+  for (int d = 0; d < dead; ++d) {
+    const Vertex v = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+    if (g.is_alive(v)) g.remove_vertex(v);
+  }
+  return {static_dfs(g), {g.alive().begin(), g.alive().end()}};
+}
+
 TEST(TreeIndexForest, PostOrderPropertiesRandom) {
   Rng rng(99);
+  struct Shape {
+    std::string name;
+    std::vector<Vertex> parent;
+    std::vector<std::uint8_t> alive;
+  };
+  std::vector<Shape> shapes;
   for (int trial = 0; trial < 10; ++trial) {
     Graph g = gen::random_connected(200, 300, rng);
-    const auto parent = static_dfs(g);
+    shapes.push_back({"random_connected", static_dfs(g), {}});
+  }
+  // Sizes are not multiples of the LCA table's 32-entry blocks. Along pre
+  // order the path's depths and parent pres rise strictly (every in-block
+  // stack word fills up); the star's are flat below the root.
+  shapes.push_back({"path", static_dfs(gen::path(300)), {}});
+  shapes.push_back({"star", static_dfs(gen::star(300)), {}});
+  shapes.push_back({"broom", static_dfs(gen::broom(300, 100)), {}});
+  {
+    auto [parent, alive] = dead_id_forest(500, 450, 40, rng);
+    shapes.push_back({"dead_id_forest", std::move(parent), std::move(alive)});
+  }
+  {
+    auto [parent, alive] = dead_id_forest(61, 50, 6, rng);
+    shapes.push_back({"small_forest", std::move(parent), std::move(alive)});
+  }
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(s.name);
     TreeIndex index;
-    index.build(parent);
+    index.build(s.parent, s.alive);
+    const Vertex n = index.capacity();
     // Post-order: every vertex's post is larger than all descendants'.
-    for (Vertex v = 0; v < g.capacity(); ++v) {
-      const Vertex p = parent[static_cast<std::size_t>(v)];
+    for (Vertex v = 0; v < n; ++v) {
+      if (!index.in_forest(v)) continue;
+      const Vertex p = s.parent[static_cast<std::size_t>(v)];
       if (p == kNullVertex) continue;
       EXPECT_LT(index.post(v), index.post(p));
       EXPECT_GT(index.pre(v), index.pre(p));
       EXPECT_EQ(index.depth(v), index.depth(p) + 1);
     }
     // Sizes are consistent.
-    for (Vertex v = 0; v < g.capacity(); ++v) {
+    for (Vertex v = 0; v < n; ++v) {
+      if (!index.in_forest(v)) continue;
       std::int32_t child_sum = 1;
       for (const Vertex c : index.children(v)) child_sum += index.size(c);
       EXPECT_EQ(index.size(v), child_sum);
     }
-    // LCA agrees with a naive walk.
-    for (int q = 0; q < 100; ++q) {
-      const Vertex a = static_cast<Vertex>(rng.below(200));
-      const Vertex b = static_cast<Vertex>(rng.below(200));
-      Vertex x = a, y = b;
-      while (index.depth(x) > index.depth(y)) x = parent[static_cast<std::size_t>(x)];
-      while (index.depth(y) > index.depth(x)) y = parent[static_cast<std::size_t>(y)];
-      while (x != y) {
-        x = parent[static_cast<std::size_t>(x)];
-        y = parent[static_cast<std::size_t>(y)];
+    // LCA agrees with a naive walk: every pair of a small forest; otherwise
+    // random pairs plus pairs placed by pre position in one block, in
+    // adjacent blocks and in far blocks.
+    const std::int32_t k = index.num_indexed();
+    auto check = [&](Vertex a, Vertex b) {
+      ASSERT_EQ(index.lca(a, b), walk_lca(index, a, b)) << "a=" << a << " b=" << b;
+    };
+    auto check_pre = [&](std::int32_t i, std::int32_t j) {
+      check(index.vertex_at_pre(i), index.vertex_at_pre(j));
+    };
+    if (k <= 64) {
+      for (std::int32_t i = 0; i < k; ++i) {
+        for (std::int32_t j = 0; j < k; ++j) check_pre(i, j);
       }
-      EXPECT_EQ(index.lca(a, b), x);
+      continue;
+    }
+    for (int q = 0; q < 100; ++q) {
+      const Vertex a = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      const Vertex b = static_cast<Vertex>(rng.below(static_cast<std::uint64_t>(n)));
+      if (index.in_forest(a) && index.in_forest(b)) check(a, b);
+    }
+    for (std::int32_t i = 0; i < k; i += 7) {
+      for (const std::int32_t delta : {1, 13, 31, 32, 33, 63, 64, 65, 200, k - 1 - i}) {
+        if (i + delta < k) check_pre(i, i + delta);
+      }
     }
   }
 }
