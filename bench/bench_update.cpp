@@ -9,17 +9,27 @@
 #include "baseline/static_dfs.hpp"
 #include "bench_common.hpp"
 #include "graph/generators.hpp"
+#include "util/check.hpp"
 #include "util/random.hpp"
 
 using namespace pardfs;
 
 namespace {
 
+// BM_DynamicUpdate runs whole passes of its update stream, each from the
+// initial graph, so its work per update is the same however long the timer
+// would have let it run.
+constexpr int kStreamLength = 64;
+constexpr int kStreamPasses = 4;
+
 void BM_DynamicUpdate(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));
   Rng rng(17);
   Graph g = gen::random_connected(n, 3 * static_cast<std::int64_t>(n), rng);
-  const auto stream = benchutil::make_update_stream(g, 64, 1234, 1, 1, 0.1, 0.1);
+  const auto stream =
+      benchutil::make_update_stream(g, kStreamLength, 1234, 1, 1, 0.1, 0.1);
+  PARDFS_CHECK_MSG(stream.size() == static_cast<std::size_t>(kStreamLength),
+                   "BM_DynamicUpdate: short update stream");
   DynamicDfs dfs(g);
   std::size_t i = 0;
   std::uint64_t rounds = 0, batches = 0, updates = 0;
@@ -69,7 +79,7 @@ void BM_DynamicUpdate(benchmark::State& state) {
       benchmark::Counter(phases_sum.rebase_us * per_update);
 }
 BENCHMARK(BM_DynamicUpdate)->RangeMultiplier(2)->Range(1 << 10, 1 << 15)
-    ->Unit(benchmark::kMicrosecond);
+    ->Iterations(kStreamLength * kStreamPasses)->Unit(benchmark::kMicrosecond);
 
 void BM_StaticRecompute(benchmark::State& state) {
   const Vertex n = static_cast<Vertex>(state.range(0));

@@ -74,6 +74,9 @@ class Gate(NamedTuple):
 
 
 UPDATE = "BENCH_update.json"
+# The row runs a fixed number of iterations (whole passes of its update
+# stream), which google-benchmark writes into its name.
+DYNAMIC = "BM_DynamicUpdate/32768/iterations:256"
 ORACLE = "BENCH_oracle.json"
 SERVICE = "BENCH_service.json"
 SIMD = "BM_OracleProbe/batch_simd/32768"
@@ -91,14 +94,14 @@ BATCH_CAP_BOUND = 1.8
 GATES = [
     Gate("update",
          Value(UPDATE, "BM_StaticRecompute/32768"),
-         Value(UPDATE, "BM_DynamicUpdate/32768"), ">=", 1.3),
+         Value(UPDATE, DYNAMIC), ">=", 1.3),
     Gate("probe",
          Value(ORACLE, "BM_OracleProbe/single_scalar/32768"),
          Value(ORACLE, SIMD), ">=", 1.3,
          skip_unless=Value(ORACLE, SIMD, "avx2")),
     Gate("obs_overhead",
-         Value("BENCH_update_obsgate.json", "BM_DynamicUpdate/32768"),
-         Value("BENCH_update_nometrics.json", "BM_DynamicUpdate/32768"),
+         Value("BENCH_update_obsgate.json", DYNAMIC),
+         Value("BENCH_update_nometrics.json", DYNAMIC),
          "<=", 1.03),
     Gate("shard_scaling",
          Value(SERVICE, "BM_ShardedReadThroughput/4/4/real_time",

@@ -82,11 +82,11 @@ cmake -B "$BUILD-nometrics" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DPARDFS_BUILD_BENCH=ON -DPARDFS_BUILD_TESTS=OFF -DPARDFS_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD-nometrics" -j "$(nproc)" --target bench_update
 "$BUILD/bench/bench_update" \
-  --benchmark_filter='^BM_DynamicUpdate/32768$' \
+  --benchmark_filter='^BM_DynamicUpdate/32768/' \
   --benchmark_min_time="$MIN_TIME" --benchmark_repetitions=5 \
   --benchmark_out_format=json --benchmark_out="$ROOT/BENCH_update_obsgate.json"
 "$BUILD-nometrics/bench/bench_update" \
-  --benchmark_filter='^BM_DynamicUpdate/32768$' \
+  --benchmark_filter='^BM_DynamicUpdate/32768/' \
   --benchmark_min_time="$MIN_TIME" --benchmark_repetitions=5 \
   --benchmark_out_format=json --benchmark_out="$ROOT/BENCH_update_nometrics.json"
 "$BUILD/bench/bench_preprocess" \

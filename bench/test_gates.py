@@ -15,7 +15,7 @@ from unittest import mock
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import gates  # noqa: E402
 
-DYN = "BM_DynamicUpdate/32768"
+DYN = "BM_DynamicUpdate/32768/iterations:256"
 STATIC = "BM_StaticRecompute/32768"
 SCALAR = "BM_OracleProbe/single_scalar/32768"
 SIMD = "BM_OracleProbe/batch_simd/32768"

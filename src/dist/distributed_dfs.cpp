@@ -8,15 +8,17 @@ namespace {
 
 // A candidate edge packed into one aggregate word so that the plain
 // word-wise max reproduces the oracle's deterministic tie-breaking
-// (better target post first, then smaller source id). Zero means "no
+// (better target first, then smaller source id). A query's targets lie on
+// one tree path, where post order is pre order reversed, so the word keys
+// targets by pre: nearest the top is the smallest pre. Zero means "no
 // candidate" — the high half is biased so any real candidate is nonzero.
 constexpr std::uint64_t kIdBias = 0x7fffffff;
 
-std::uint64_t encode_candidate(std::int32_t target_post, Vertex source,
+std::uint64_t encode_candidate(std::int32_t target_pre, Vertex source,
                                bool nearest_top) {
   const std::uint64_t hi =
-      nearest_top ? static_cast<std::uint64_t>(target_post) + 1
-                  : kIdBias - static_cast<std::uint64_t>(target_post);
+      nearest_top ? kIdBias - static_cast<std::uint64_t>(target_pre)
+                  : static_cast<std::uint64_t>(target_pre) + 1;
   const std::uint64_t lo = kIdBias - static_cast<std::uint64_t>(source);
   return (hi << 32) | lo;
 }
@@ -25,11 +27,10 @@ Edge decode_candidate(std::uint64_t word, const TreeIndex& index,
                       bool nearest_top) {
   const std::uint64_t hi = word >> 32;
   const std::uint64_t lo = word & 0xffffffffu;
-  const std::int32_t post = nearest_top
-                                ? static_cast<std::int32_t>(hi - 1)
-                                : static_cast<std::int32_t>(kIdBias - hi);
+  const std::int32_t pre = nearest_top ? static_cast<std::int32_t>(kIdBias - hi)
+                                       : static_cast<std::int32_t>(hi - 1);
   const Vertex source = static_cast<Vertex>(kIdBias - lo);
-  return Edge{source, index.vertex_at_post(post)};
+  return Edge{source, index.vertex_at_pre(pre)};
 }
 
 // Best candidate of one source vertex: scan its own adjacency for
@@ -43,7 +44,7 @@ std::uint64_t local_candidate(const Graph& g, const TreeIndex& index, Vertex v,
     if (!index.is_ancestor(q.seg_top, y) || !index.is_ancestor(y, q.seg_bottom)) {
       continue;
     }
-    best = std::max(best, encode_candidate(index.post(y), v, q.nearest_top));
+    best = std::max(best, encode_candidate(index.pre(y), v, q.nearest_top));
   }
   return best;
 }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "pram/parallel.hpp"
-#include "pram/scan.hpp"
 #include "util/check.hpp"
 
 namespace pardfs {
@@ -154,31 +152,14 @@ std::vector<std::vector<Vertex>> Graph::extract_component(
 }
 
 std::vector<Edge> Graph::edges() const {
-  // CSR-style snapshot: parallel counting pass, exclusive scan for slots,
-  // parallel fill. Each (u < v) pair lands at a fixed offset, so the output
-  // order matches the old serial scan exactly.
-  const std::size_t n = static_cast<std::size_t>(capacity());
-  std::vector<std::uint32_t> counts(n, 0);
-  pram::parallel_for_t(0, n, [&](std::size_t su) {
-    if (!alive_[su]) return;
-    const Vertex u = static_cast<Vertex>(su);
-    std::uint32_t c = 0;
-    for (const Vertex v : adjacency_[su]) c += u < v ? 1 : 0;
-    counts[su] = c;
-  });
-  std::vector<std::uint32_t> offsets(n, 0);
-  const std::uint64_t total = pram::exclusive_scan(counts, offsets);
-  PARDFS_CHECK_MSG(total <= UINT32_MAX,
-                   "edge-snapshot offsets are 32-bit: graph exceeds 2^32 edges");
-  std::vector<Edge> out(static_cast<std::size_t>(total));
-  pram::parallel_for_t(0, n, [&](std::size_t su) {
-    if (!alive_[su]) return;
-    const Vertex u = static_cast<Vertex>(su);
-    std::size_t slot = offsets[su];
-    for (const Vertex v : adjacency_[su]) {
-      if (u < v) out[slot++] = {u, v};
+  std::vector<Edge> out;
+  out.reserve(static_cast<std::size_t>(num_edges_));
+  for (Vertex u = 0; u < capacity(); ++u) {
+    if (!alive_[static_cast<std::size_t>(u)]) continue;
+    for (const Vertex v : adjacency_[static_cast<std::size_t>(u)]) {
+      if (u < v) out.push_back({u, v});
     }
-  });
+  }
   return out;
 }
 

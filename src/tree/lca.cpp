@@ -5,9 +5,14 @@
 
 namespace pardfs {
 
-void LcaTable::build(std::vector<std::int32_t>& parent_pre) {
-  values_.swap(parent_pre);
-  const std::size_t n = values_.size();
+std::span<std::int32_t> LcaTable::begin_build(std::size_t n) {
+  values_.resize(n);
+  return values_;
+}
+
+void LcaTable::finish_build(std::size_t count) {
+  values_.resize(count);
+  const std::size_t n = count;
   num_blocks_ = static_cast<std::int32_t>((n + kBlock - 1) / kBlock);
   const std::size_t blocks = static_cast<std::size_t>(num_blocks_);
   log2_.assign(blocks + 1, 0);

@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "util/simd.hpp"
 
@@ -28,15 +28,14 @@ class LcaTable {
  public:
   LcaTable() = default;
 
-  // parent_pre[i]: pre position of the parent of the vertex at pre position
+  // A build is two calls. begin_build(n) returns n slots, and the caller
+  // writes slot i = pre position of the parent of the vertex at pre position
   // i (forests: trees concatenated in pre order; any value at a root, whose
-  // position no same-tree query range contains).
-  //
-  // The argument is SWAPPED into the table (not copied): after the call it
-  // holds the table's previous buffer, so a caller that rebuilds repeatedly
-  // recycles capacity in both directions and the steady-state rebuild
-  // allocates nothing.
-  void build(std::vector<std::int32_t>& parent_pre);
+  // position no same-tree query range contains). finish_build(count) then
+  // indexes slots [0, count). The table owns its buffers for life, so a
+  // steady-state rebuild allocates nothing.
+  std::span<std::int32_t> begin_build(std::size_t n);
+  void finish_build(std::size_t count);
 
   // Sum of owned heap capacities in bytes (buffer-reuse accounting).
   std::size_t heap_capacity_bytes() const;
@@ -52,12 +51,11 @@ class LcaTable {
   // Minimum over positions [lo, hi] (same block) via hi's stack word.
   std::int32_t in_block(std::int32_t lo, std::int32_t hi) const;
 
-  // values_ stays a plain std::vector: build() SWAPS it with the caller's
-  // buffer, so the allocator is part of that contract.
-  std::vector<std::int32_t> values_;
-  // stack_[i]: block-local monotone stack after position i (see above). It
-  // and the block tables below are the query-time working set and sit on
-  // simd::kAlign boundaries (DESIGN.md §10).
+  // values_[i]: parent pre of pre position i. It, stack_[i] (the
+  // block-local monotone stack after position i, see above) and the block
+  // tables below are the query-time working set and sit on simd::kAlign
+  // boundaries (DESIGN.md §10).
+  simd::aligned_vector<std::int32_t> values_;
   simd::aligned_vector<std::uint32_t> stack_;
   // block_table_ is a flat level-major array: level k (window of 2^k blocks)
   // lives at [k * num_blocks_, k * num_blocks_ + num_blocks_ - 2^k + 1) and

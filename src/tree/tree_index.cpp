@@ -18,9 +18,11 @@ void TreeIndex::build_children_csr(std::span<const std::uint8_t> alive) {
   const std::size_t n = parent_.size();
   auto is_alive = [&](std::size_t v) { return alive.empty() || alive[v] != 0; };
 
-  // Children CSR: counting + exclusive scan for offsets, then a fill that
-  // scans ids in order, so each bucket lists its children by ascending id.
-  child_start_.assign(n + 1, 0);
+  // Children CSR: count p's children at slot p + 2 and scan, so slot p + 1
+  // holds p's begin. The fill scans ids in order, each bucket listing its
+  // children by ascending id, and uses slot p + 1 as p's cursor: it ends
+  // at p's end, which is p + 1's begin.
+  child_start_.assign(n + 2, 0);
   for (std::size_t v = 0; v < n; ++v) {
     if (!is_alive(v)) continue;
     const Vertex p = parent_[v];
@@ -28,18 +30,17 @@ void TreeIndex::build_children_csr(std::span<const std::uint8_t> alive) {
       roots_.push_back(static_cast<Vertex>(v));
     } else {
       PARDFS_DCHECK(is_alive(static_cast<std::size_t>(p)));
-      ++child_start_[static_cast<std::size_t>(p) + 1];
+      ++child_start_[static_cast<std::size_t>(p) + 2];
     }
   }
-  for (std::size_t v = 0; v < n; ++v) child_start_[v + 1] += child_start_[v];
-  child_list_.assign(static_cast<std::size_t>(child_start_[n]), kNullVertex);
-  cursor_scratch_.assign(child_start_.begin(), child_start_.end() - 1);
+  for (std::size_t i = 2; i <= n + 1; ++i) child_start_[i] += child_start_[i - 1];
+  child_list_.resize(static_cast<std::size_t>(child_start_[n + 1]));
   for (std::size_t v = 0; v < n; ++v) {
     if (!is_alive(v)) continue;
     const Vertex p = parent_[v];
     if (p != kNullVertex) {
       child_list_[static_cast<std::size_t>(
-          cursor_scratch_[static_cast<std::size_t>(p)]++)] = static_cast<Vertex>(v);
+          child_start_[static_cast<std::size_t>(p) + 1]++)] = static_cast<Vertex>(v);
     }
   }
 }
@@ -51,17 +52,13 @@ void TreeIndex::build_serial() {
   depth_.assign(n, -1);
   size_.assign(n, 0);
   pre_.assign(n, -1);
-  post_.assign(n, -1);
 
-  // Iterative DFS per root, children in CSR order, producing pre/post/depth/
-  // size and each pre position's parent pre for LCA. That scratch holds the
-  // LCA table's previous buffer (swapped back by the last lca_.build), so
-  // steady-state rebuilds reuse its capacity.
-  parent_pre_scratch_.resize(n);
+  // Iterative DFS per root, children in CSR order, producing pre/depth/size
+  // and writing each pre position's parent pre straight into the LCA table.
   order_by_pre_.resize(n);
-  order_by_post_.resize(n);
+  const std::span<std::int32_t> parent_pre = lca_.begin_build(n);
 
-  std::int32_t pre_counter = 0, post_counter = 0;
+  std::int32_t pre_counter = 0;
   // Stack frames: (vertex, next-child-slot).
   auto& stack = stack_scratch_;
   stack.clear();
@@ -76,7 +73,7 @@ void TreeIndex::build_serial() {
         pre_[sv] = pre_counter;
         order_by_pre_[static_cast<std::size_t>(pre_counter)] = v;
         const Vertex p = parent_[sv];
-        parent_pre_scratch_[static_cast<std::size_t>(pre_counter)] =
+        parent_pre[static_cast<std::size_t>(pre_counter)] =
             p == kNullVertex ? -1 : pre_[static_cast<std::size_t>(p)];
         ++pre_counter;
       }
@@ -88,9 +85,6 @@ void TreeIndex::build_serial() {
         tree_root_[static_cast<std::size_t>(c)] = r;
         stack.emplace_back(c, 0);
       } else {
-        post_[sv] = post_counter;
-        order_by_post_[static_cast<std::size_t>(post_counter)] = v;
-        ++post_counter;
         size_[sv] = 1;
         for (const Vertex c : kids) size_[sv] += size_[static_cast<std::size_t>(c)];
         stack.pop_back();
@@ -99,9 +93,7 @@ void TreeIndex::build_serial() {
   }
   num_indexed_ = pre_counter;
   order_by_pre_.resize(static_cast<std::size_t>(pre_counter));
-  order_by_post_.resize(static_cast<std::size_t>(post_counter));
-  parent_pre_scratch_.resize(static_cast<std::size_t>(pre_counter));
-  lca_.build(parent_pre_scratch_);
+  lca_.finish_build(static_cast<std::size_t>(pre_counter));
 }
 
 std::size_t TreeIndex::heap_capacity_bytes() const {
@@ -110,14 +102,10 @@ std::size_t TreeIndex::heap_capacity_bytes() const {
          depth_.capacity() * sizeof(std::int32_t) +
          size_.capacity() * sizeof(std::int32_t) +
          pre_.capacity() * sizeof(std::int32_t) +
-         post_.capacity() * sizeof(std::int32_t) +
          order_by_pre_.capacity() * sizeof(Vertex) +
-         order_by_post_.capacity() * sizeof(Vertex) +
          child_start_.capacity() * sizeof(std::int32_t) +
          child_list_.capacity() * sizeof(Vertex) +
          roots_.capacity() * sizeof(Vertex) + lca_.heap_capacity_bytes() +
-         parent_pre_scratch_.capacity() * sizeof(std::int32_t) +
-         cursor_scratch_.capacity() * sizeof(std::int32_t) +
          stack_scratch_.capacity() * sizeof(std::pair<Vertex, std::int32_t>);
 }
 

@@ -1,7 +1,10 @@
 // Rooted-forest index: the tree-side toolbox of the paper (§5.1, §5.3).
 //
 // Built from a parent array in O(n) work, it answers in O(1):
-//   * parent / depth / subtree size / pre & post order index (Theorem 4),
+//   * parent / depth / subtree size / pre & post order index (Theorem 4;
+//     post is derived, post(v) = pre(v) - depth(v) + size(v) - 1: the
+//     vertices finished before v are the earlier pre positions that are not
+//     v's ancestors, plus v's proper descendants),
 //   * ancestor tests (pre-interval containment),
 //   * LCA (Theorem 6; via block RMQ over parents' pre indices — see lca.hpp),
 //   * child of `a` on the path towards a descendant `d` (binary search over
@@ -53,13 +56,14 @@ class TreeIndex {
   std::int32_t depth(Vertex v) const { return depth_[static_cast<std::size_t>(v)]; }
   std::int32_t size(Vertex v) const { return size_[static_cast<std::size_t>(v)]; }
   std::int32_t pre(Vertex v) const { return pre_[static_cast<std::size_t>(v)]; }
-  std::int32_t post(Vertex v) const { return post_[static_cast<std::size_t>(v)]; }
+  // -1 outside the forest, like pre (pre = depth = -1, size = 0 there).
+  std::int32_t post(Vertex v) const {
+    const auto i = static_cast<std::size_t>(v);
+    return pre_[i] - depth_[i] + size_[i] - 1;
+  }
   Vertex root_of(Vertex v) const { return tree_root_[static_cast<std::size_t>(v)]; }
   Vertex vertex_at_pre(std::int32_t pre_index) const {
     return order_by_pre_[static_cast<std::size_t>(pre_index)];
-  }
-  Vertex vertex_at_post(std::int32_t post_index) const {
-    return order_by_post_[static_cast<std::size_t>(post_index)];
   }
   std::int32_t num_indexed() const { return num_indexed_; }
   std::span<const Vertex> roots() const { return roots_; }
@@ -114,7 +118,7 @@ class TreeIndex {
   // a and b must be in the same tree. O(output).
   std::vector<Vertex> tree_path(Vertex a, Vertex b) const;
 
-  // Sum of owned heap capacities in bytes, rebuild scratch and LCA table
+  // Sum of owned heap capacities in bytes, DFS stack and LCA table
   // included. A second build() of the same forest shape must leave this
   // unchanged (zero new heap growth) — pinned by tests/test_rebuild.cpp.
   std::size_t heap_capacity_bytes() const;
@@ -125,17 +129,15 @@ class TreeIndex {
 
   std::vector<Vertex> parent_;
   std::vector<Vertex> tree_root_;
-  std::vector<std::int32_t> depth_, size_, pre_, post_;
-  std::vector<Vertex> order_by_pre_, order_by_post_;
+  std::vector<std::int32_t> depth_, size_, pre_;
+  std::vector<Vertex> order_by_pre_;
   std::vector<std::int32_t> child_start_;
   std::vector<Vertex> child_list_;
   std::vector<Vertex> roots_;
   std::int32_t num_indexed_ = 0;
+  // Holds each pre position's parent pre, written by build_serial's walk.
   LcaTable lca_;
-  // Rebuild scratch, recycled across builds (the LCA table swaps its
-  // previous buffer back into the parent-pre scratch on every build).
-  std::vector<std::int32_t> parent_pre_scratch_;
-  std::vector<std::int32_t> cursor_scratch_;
+  // DFS stack, recycled across builds.
   std::vector<std::pair<Vertex, std::int32_t>> stack_scratch_;
 };
 

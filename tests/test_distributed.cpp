@@ -108,6 +108,54 @@ TEST(DistributedQueries, MatchOracle) {
   }
 }
 
+// MatchOracle's sources lie outside every ancestor line of its segments, so
+// a DFS forest (back edges only) gives those queries no candidate. Here the
+// sources sit in a subtree below the segment, where the back edges land,
+// so several targets compete and the chosen end must be D's.
+TEST(DistributedQueries, MatchOracleBelowTheSegment) {
+  Rng rng(83);
+  int answered = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    Graph g = gen::random_connected(60, 180, rng);
+    const auto parent = static_dfs(g);
+    TreeIndex index;
+    index.build(parent);
+    AdjacencyOracle oracle;
+    oracle.build(g, index);
+    CongestSimulator sim(g, 8);
+    const BfsTree tree = sim.build_bfs_tree(0);
+
+    std::vector<stream::StreamQuery> queries;
+    std::vector<std::optional<Edge>> expected;
+    for (int qi = 0; qi < 30; ++qi) {
+      const Vertex w = static_cast<Vertex>(rng.below(60));
+      if (index.parent(w) == kNullVertex) continue;
+      const Vertex bottom = index.parent(w);
+      Vertex top = bottom;
+      for (std::uint64_t h = rng.below(8); h > 0 && index.parent(top) != kNullVertex;
+           --h) {
+        top = index.parent(top);
+      }
+      const bool nearest_top = qi % 2 == 0;
+      queries.push_back({stream::StreamQuery::SourceKind::kSubtree, w, kNullVertex,
+                         top, bottom, nearest_top});
+      expected.push_back(oracle.query_sources(
+          index.subtree_span(w), PathSeg{top, bottom},
+          nearest_top ? PathEnd::kTop : PathEnd::kBottom));
+    }
+    const auto got = answer_queries_distributed(sim, tree, g, index, queries);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].has_value(), expected[i].has_value()) << "query " << i;
+      if (!got[i]) continue;
+      ++answered;
+      EXPECT_EQ(got[i]->v, expected[i]->v) << "query " << i;
+      EXPECT_EQ(got[i]->u, expected[i]->u) << "query " << i;
+    }
+  }
+  EXPECT_GT(answered, 100);
+}
+
 TEST(DistributedDfs, ForestStaysValidUnderChurn) {
   Rng rng(82);
   Graph g = gen::random_connected(40, 70, rng);

@@ -3,10 +3,10 @@
 // periodically re-print) the obs registry, as Prometheus exposition text or
 // JSON; optionally dump the phase trace as chrome://tracing JSON. At the end
 // a per-shard table (vertices, edges, version, updates, batches, queue
-// depth, how many reroot rounds ran serially vs on the worker team, how many
-// batch components the work cap recomputed, and the
-// entries the leftover-grouping sweeps read) goes to stderr so it never
-// pollutes the scrape-format stdout.
+// depth, the published TreeIndex's heap in KiB, how many reroot rounds ran
+// serially vs on the worker team, how many batch components the work cap
+// recomputed, and the entries the leftover-grouping sweeps read) goes to
+// stderr so it never pollutes the scrape-format stdout.
 //
 //   pardfs_stat [--scenario=read_heavy|insert_churn|adversarial_star|
 //                           social_mix|dynamic_map]
@@ -139,17 +139,18 @@ void print_registry(const ShardRouter& router, bool json) {
 // and per-shard stats. Goes to stderr so stdout stays scrape-clean.
 void print_shard_table(const ShardRouter& router) {
   std::fprintf(stderr,
-               "shard  vertices     edges   version   updates   batches  queue\n");
+               "shard  vertices     edges   version   updates   batches  queue  "
+               "index_KiB\n");
   for (std::size_t s = 0; s < router.num_shards(); ++s) {
     const SnapshotPtr snap = router.shard_snapshot(s);
     const ServiceStats st = router.shard_stats(s);
-    std::fprintf(stderr, "%5zu  %8lld  %8lld  %8llu  %8llu  %8llu  %5zu\n", s,
+    std::fprintf(stderr, "%5zu  %8lld  %8lld  %8llu  %8llu  %8llu  %5zu  %9zu\n", s,
                  static_cast<long long>(snap->num_vertices()),
                  static_cast<long long>(snap->num_edges()),
                  static_cast<unsigned long long>(snap->version()),
                  static_cast<unsigned long long>(st.updates_applied),
                  static_cast<unsigned long long>(st.batches),
-                 router.queue_depth(s));
+                 router.queue_depth(s), snap->tree().heap_capacity_bytes() / 1024);
   }
   const ServiceStats total = router.stats();
   std::fprintf(stderr,
